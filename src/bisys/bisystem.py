@@ -96,23 +96,35 @@ class ValidationReport:
 
 def validate(b: LambdaGraphBisystem) -> ValidationReport:
     """Check the structural axioms to depth L; failures become verdicts."""
+    standard = Verdict(b.is_standard, () if b.is_standard else ("|V_0| != 1",))
+    return ValidationReport(
+        depth=b.depth, axioms=axiom_verdicts(b), fpcc=_fpcc_verdict(b), standard=standard
+    )
+
+
+def axiom_verdicts(b: LambdaGraphBisystem) -> tuple:
+    """((name, Verdict), ...) for axioms (i)-(v): validate without FPCC."""
     L = b.depth
 
     # (i)/(ii) finite leveled vertex and edge sets hold by construction
     v_i = Verdict(True)
     v_ii = Verdict(True)
 
+    minus_src = [{s for (s, _, _) in blk} for blk in b.minus_edges]
+    minus_tgt = [{t for (_, t, _) in blk} for blk in b.minus_edges]
+    plus_src = [{s for (s, _, _) in blk} for blk in b.plus_edges]
+    plus_tgt = [{t for (_, t, _) in blk} for blk in b.plus_edges]
     bad3 = []
     for l in range(L + 1):
         for i in range(b.level_sizes[l]):
             name = b.vertex_name(l, i)
-            if l < L and not any(t == i for (_, t, _) in b.minus_edges[l]):
+            if l < L and i not in minus_tgt[l]:
                 bad3.append(f"{name} has no incoming minus edge from level {l + 1}")
-            if l > 0 and not any(s == i for (s, _, _) in b.minus_edges[l - 1]):
+            if l > 0 and i not in minus_src[l - 1]:
                 bad3.append(f"{name} has no outgoing minus edge to level {l - 1}")
-            if l < L and not any(s == i for (s, _, _) in b.plus_edges[l]):
+            if l < L and i not in plus_src[l]:
                 bad3.append(f"{name} has no outgoing plus edge to level {l + 1}")
-            if l > 0 and not any(t == i for (_, t, _) in b.plus_edges[l - 1]):
+            if l > 0 and i not in plus_tgt[l - 1]:
                 bad3.append(f"{name} has no incoming plus edge from level {l - 1}")
     v_iii = Verdict(not bad3, tuple(sorted(bad3)))
 
@@ -142,41 +154,37 @@ def validate(b: LambdaGraphBisystem) -> ValidationReport:
             seen[key] = s
     v_iv = Verdict(not bad4, tuple(sorted(bad4)))
 
+    # (v): corners from u at level l to v at level l+2, minus-then-plus
+    # against plus-then-minus, as label multisets grouped by (u, v)
     bad5 = []
     for l in range(L - 1):
-        for u in range(b.level_sizes[l]):
-            for v in range(b.level_sizes[l + 2]):
-                down = sorted(
-                    (tuple(bm), tuple(ap))
-                    for (sm, tm, bm) in b.minus_edges[l]
-                    if tm == u
-                    for (sp, tp, ap) in b.plus_edges[l + 1]
-                    if sp == sm and tp == v
+        plus_from: dict = {}
+        for (sp, tp, ap) in b.plus_edges[l + 1]:
+            plus_from.setdefault(sp, []).append((tp, tuple(ap)))
+        minus_into: dict = {}
+        for (sm, tm, bm) in b.minus_edges[l + 1]:
+            minus_into.setdefault(tm, []).append((sm, tuple(bm)))
+        down: dict = {}
+        for (sm, tm, bm) in b.minus_edges[l]:
+            for (tp, ap) in plus_from.get(sm, ()):
+                down.setdefault((tm, tp), []).append((tuple(bm), ap))
+        up: dict = {}
+        for (sp, tp, ap) in b.plus_edges[l]:
+            for (sm, bm) in minus_into.get(tp, ()):
+                up.setdefault((sp, sm), []).append((bm, tuple(ap)))
+        for (u, v) in down.keys() | up.keys():
+            d = sorted(down.get((u, v), ()))
+            w = sorted(up.get((u, v), ()))
+            if d != w:
+                bad5.append(
+                    f"local property fails at ({b.vertex_name(l, u)},"
+                    f"{b.vertex_name(l + 2, v)}): "
+                    f"{[f'{word_str(x)}|{word_str(y)}' for x, y in d]} vs "
+                    f"{[f'{word_str(x)}|{word_str(y)}' for x, y in w]}"
                 )
-                up = sorted(
-                    (tuple(bm), tuple(ap))
-                    for (sp, tp, ap) in b.plus_edges[l]
-                    if sp == u
-                    for (sm, tm, bm) in b.minus_edges[l + 1]
-                    if sm == v and tm == tp
-                )
-                if down != up:
-                    bad5.append(
-                        f"local property fails at ({b.vertex_name(l, u)},"
-                        f"{b.vertex_name(l + 2, v)}): "
-                        f"{[f'{word_str(x)}|{word_str(y)}' for x, y in down]} vs "
-                        f"{[f'{word_str(x)}|{word_str(y)}' for x, y in up]}"
-                    )
     v_v = Verdict(not bad5, tuple(sorted(bad5)))
 
-    fpcc = _fpcc_verdict(b)
-    standard = Verdict(b.is_standard, () if b.is_standard else ("|V_0| != 1",))
-    return ValidationReport(
-        depth=L,
-        axioms=(("i", v_i), ("ii", v_ii), ("iii", v_iii), ("iv", v_iv), ("v", v_v)),
-        fpcc=fpcc,
-        standard=standard,
-    )
+    return (("i", v_i), ("ii", v_ii), ("iii", v_iii), ("iv", v_iv), ("v", v_v))
 
 
 def follower_sets(b: LambdaGraphBisystem):

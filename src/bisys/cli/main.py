@@ -2,7 +2,8 @@
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input error.  Output
 is deterministic for fixed inputs and flags; BISYS_MAX_DEPTH caps every
---depth as a safety valve.
+--depth as a safety valve.  A --depth below 1, or a cap that is not a
+positive integer, is an input error.
 """
 
 from __future__ import annotations
@@ -36,15 +37,26 @@ from .dot import bisystem_dot
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
 
+def _input_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(INPUT_ERROR)
+
+
 def _depth(args) -> int:
+    """--depth under the BISYS_MAX_DEPTH cap; a bad value of either is an
+    input error."""
+    if args.depth < 1:
+        _input_error(f"--depth must be >= 1, got {args.depth}")
     cap = os.environ.get("BISYS_MAX_DEPTH")
-    depth = args.depth
-    if cap is not None:
-        try:
-            depth = min(depth, int(cap))
-        except ValueError:
-            pass
-    return depth
+    if cap is None:
+        return args.depth
+    try:
+        limit = int(cap)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        _input_error(f"BISYS_MAX_DEPTH must be a positive integer, got {cap!r}")
+    return min(args.depth, limit)
 
 
 def _load(path, depth=None):

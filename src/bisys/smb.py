@@ -20,7 +20,7 @@ from .core import (
     symbolic_matrix_multiply,
     word_str,
 )
-from .bisystem import LambdaGraphBisystem, Verdict, validate
+from .bisystem import LambdaGraphBisystem, Verdict, axiom_verdicts
 
 
 class SmbError(ValueError):
@@ -168,25 +168,24 @@ def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBis
     ``unchecked`` skips the validation gate so that defective inputs can be
     presented and judged on the matrix side instead.
     """
-    if not unchecked and not validate(b).ok:
+    if not unchecked and not all(v.ok for _, v in axiom_verdicts(b)):
         raise SmbError("bisystem fails validation; refusing to present")
     minus = []
     plus = []
     for l in range(b.depth):
         rows, cols = b.level_sizes[l], b.level_sizes[l + 1]
-
-        def mcell(i, j, block=l):
-            return FormalSum.of(
-                *[tuple(a) for (src, tgt, a) in b.minus_edges[block] if src == j and tgt == i]
-            )
-
-        def pcell(i, j, block=l):
-            return FormalSum.of(
-                *[tuple(a) for (src, tgt, a) in b.plus_edges[block] if src == i and tgt == j]
-            )
-
-        minus.append(SymbolicMatrix.build(rows, cols, b.sigma_minus, mcell))
-        plus.append(SymbolicMatrix.build(rows, cols, b.sigma_plus, pcell))
+        mcells: dict = {}
+        for (src, tgt, a) in b.minus_edges[l]:
+            mcells.setdefault((tgt, src), []).append(tuple(a))
+        pcells: dict = {}
+        for (src, tgt, a) in b.plus_edges[l]:
+            pcells.setdefault((src, tgt), []).append(tuple(a))
+        minus.append(SymbolicMatrix.build(
+            rows, cols, b.sigma_minus, lambda i, j: FormalSum.of(*mcells.get((i, j), ()))
+        ))
+        plus.append(SymbolicMatrix.build(
+            rows, cols, b.sigma_plus, lambda i, j: FormalSum.of(*pcells.get((i, j), ()))
+        ))
     return SymbolicMatrixBisystem(tuple(minus), tuple(plus), b.sigma_minus, b.sigma_plus)
 
 

@@ -232,31 +232,37 @@ def admissible_words(pres: SubshiftPresentation, n: int):
     return tuple(sorted(frontier))
 
 
-def _step_right(g: LabeledGraph, rel, a):
-    """Relation composition with the one-symbol relation of ``a`` on the right."""
-    by = _edges_by_label(g).get(a, ())
-    out = set()
-    for (p, q) in rel:
-        for (s, t) in by:
-            if s == q:
-                out.add((p, t))
-    return frozenset(out)
+def _successors(g: LabeledGraph) -> dict:
+    """label -> state -> the states one edge of that label ahead of it."""
+    by: dict = {a: {} for a in g.labels}
+    for (s, t, a) in g.edges:
+        by[a].setdefault(s, []).append(t)
+    return by
 
 
-def _step_left(g: LabeledGraph, a, rel):
-    by = _edges_by_label(g).get(a, ())
-    out = set()
-    for (s, t) in by:
-        for (p, q) in rel:
-            if p == t:
-                out.add((s, q))
-    return frozenset(out)
+def _predecessors(g: LabeledGraph) -> dict:
+    """label -> state -> the states one edge of that label behind it."""
+    by: dict = {a: {} for a in g.labels}
+    for (s, t, a) in g.edges:
+        by[a].setdefault(t, []).append(s)
+    return by
+
+
+def _step_right(succ_a: dict, rel):
+    """Relation composition with the one-symbol relation on the right."""
+    return frozenset((p, t) for (p, q) in rel for t in succ_a.get(q, ()))
+
+
+def _step_left(pred_a: dict, rel):
+    """Relation composition with the one-symbol relation on the left."""
+    return frozenset((s, q) for (p, q) in rel for s in pred_a.get(p, ()))
 
 
 def _word_relation(g: LabeledGraph, w) -> frozenset:
+    succ = _successors(g)
     rel = frozenset((q, q) for q in g.states)
     for a in w:
-        rel = _step_right(g, rel, a)
+        rel = _step_right(succ.get(a, {}), rel)
     return rel
 
 
@@ -335,41 +341,35 @@ def realizable_past_sets(g: LabeledGraph):
     on the left); a set qualifies exactly when some relation with that range
     lies on a range-preserving cycle reachable from the identity relation.
     """
-    ident = frozenset((q, q) for q in g.states)
-    seen = {ident}
-    succ: dict = {}
-    stack = [ident]
-    while stack:
-        rel = stack.pop()
-        outs = []
-        for a in g.labels:
-            nxt = _step_left(g, a, rel)
-            if nxt:
-                outs.append(nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        succ[rel] = outs
-    return _ranges_on_constant_cycles(seen, succ, lambda rel: frozenset(q for (_, q) in rel))
+    pred = _predecessors(g)
+    steps = [pred[a] for a in g.labels]
+    return _ray_sets(g, lambda rel: [_step_left(by, rel) for by in steps],
+                     lambda rel: frozenset(q for (_, q) in rel))
 
 
 def realizable_future_sets(g: LabeledGraph):
+    succ = _successors(g)
+    steps = [succ[a] for a in g.labels]
+    return _ray_sets(g, lambda rel: [_step_right(by, rel) for by in steps],
+                     lambda rel: frozenset(p for (p, _) in rel))
+
+
+def _ray_sets(g: LabeledGraph, step, value):
+    """Values of the relations reachable from the identity under ``step``
+    that lie on a value-preserving cycle."""
     ident = frozenset((q, q) for q in g.states)
     seen = {ident}
     succ: dict = {}
     stack = [ident]
     while stack:
         rel = stack.pop()
-        outs = []
-        for a in g.labels:
-            nxt = _step_right(g, rel, a)
-            if nxt:
-                outs.append(nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        outs = [nxt for nxt in step(rel) if nxt]
+        for nxt in outs:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
         succ[rel] = outs
-    return _ranges_on_constant_cycles(seen, succ, lambda rel: frozenset(p for (p, _) in rel))
+    return _ranges_on_constant_cycles(seen, succ, value)
 
 
 def _ranges_on_constant_cycles(nodes, succ, value):

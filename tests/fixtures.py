@@ -154,6 +154,25 @@ def random_irreducible_01(rng, n: int = 3):
             return a
 
 
+def random_sofic_pres(rng, n: int) -> SubshiftPresentation:
+    """Seeded irreducible n-state sofic presentation over the labels a, b.
+
+    A cycle through every state in random order keeps the graph irreducible
+    and unstranded; every other (source, target, label) edge is drawn with
+    probability 0.12.
+    """
+    states = tuple(str(i + 1) for i in range(n))
+    order = list(states)
+    rng.shuffle(order)
+    edges = {(order[i], order[(i + 1) % n], rng.choice("ab")) for i in range(n)}
+    for s in states:
+        for t in states:
+            for a in "ab":
+                if rng.random() < 0.12:
+                    edges.add((s, t, a))
+    return SubshiftPresentation.from_graph(LabeledGraph(states, tuple(sorted(edges))))
+
+
 def brute_language(allowed, length, window_ok):
     """All words over ``allowed`` passing a window predicate (filter oracle)."""
     return tuple(

@@ -72,6 +72,31 @@ def test_validate_paper_even_shift_fails_local_property():
     )
 
 
+def test_validate_pins_stranded_vertex_counterexamples():
+    # full 2-shift with an extra vertex at levels 0, 2 and 4; the one at
+    # level 2 keeps a single minus edge down to level 1
+    b = full_shift_bisystem(2, 4)
+    minus = list(b.minus_edges)
+    minus[1] += ((1, 0, ("a",)),)
+    stranded = LambdaGraphBisystem(
+        (2, 1, 2, 1, 2), tuple(minus), b.plus_edges, b.sigma_minus, b.sigma_plus
+    )
+    rep = validate(stranded)
+    assert [name for name, v in rep.axioms if not v.ok] == ["iii", "v"]
+    assert rep.axiom("iii").counterexamples == (
+        "v2^0 has no incoming minus edge from level 1",
+        "v2^0 has no outgoing plus edge to level 1",
+        "v2^2 has no incoming minus edge from level 3",
+        "v2^2 has no incoming plus edge from level 1",
+        "v2^2 has no outgoing plus edge to level 3",
+        "v2^4 has no incoming plus edge from level 3",
+        "v2^4 has no outgoing minus edge to level 3",
+    )
+    assert rep.axiom("v").counterexamples == (
+        "local property fails at (v1^0,v2^2): [] vs ['a|a', 'a|b']",
+    )
+
+
 def test_validate_mutation_breaks_local_property():
     b = paper_golden_mean_bisystem(5)
     # remove the beta-plus edge v_2^1 -> v_1^2 (v_2^1 keeps other out-edges)

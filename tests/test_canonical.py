@@ -1,3 +1,5 @@
+import functools
+import random
 from itertools import product as cartesian
 
 import pytest
@@ -15,6 +17,8 @@ from bisys.subshift import (
     SubshiftPresentation,
     admissible_words,
     fill_in_words,
+    realizable_future_sets,
+    realizable_past_sets,
     step_future,
     step_past,
 )
@@ -26,6 +30,7 @@ from fixtures import (
     golden_mean_pres,
     golden_window_ok,
     paper_golden_mean_bisystem,
+    random_sofic_pres,
 )
 
 
@@ -160,3 +165,69 @@ def test_canonical_of_recoded_forbidden_input():
     assert validate(b).ok and fpcc_check(b)
     for n in range(1, 4):
         assert presented_words(b, "plus", n) == admissible_words(pres, n)
+
+
+def reference_classes(g, level):
+    """(words, pairs) per class from one ``fill_in_words`` call per pair."""
+    table = {}
+    for p in realizable_past_sets(g):
+        for f in realizable_future_sets(g):
+            words = fill_in_words(g, p, f, level)
+            if words:
+                table.setdefault(words, []).append((tuple(sorted(p)), tuple(sorted(f))))
+    return [(ws, tuple(sorted(table[ws]))) for ws in sorted(table, key=lambda ws: (len(ws), ws))]
+
+
+def reference_edges(g, classes, level):
+    """Minus and plus block into ``level`` from every pair of every class above."""
+    index = {cls.words: i for i, cls in enumerate(classes[level])}
+    fill = functools.lru_cache(maxsize=None)(lambda p, f: fill_in_words(g, p, f, level))
+    minus, plus = set(), set()
+    for j, cls in enumerate(classes[level + 1]):
+        for (p, f) in cls.pairs:
+            p, f = frozenset(p), frozenset(f)
+            for a in g.labels:
+                p2 = step_past(g, p, a)
+                words = fill(p2, f) if p2 else ()
+                if words:
+                    minus.add((j, index[words], (a,)))
+                f2 = step_future(g, a, f)
+                words = fill(p, f2) if f2 else ()
+                if words:
+                    plus.add((index[words], j, (a,)))
+    return tuple(sorted(minus)), tuple(sorted(plus))
+
+
+def differential_cases():
+    cases = [
+        pytest.param(golden_mean_pres(), 5, id="golden_mean"),
+        pytest.param(even_shift_pres(), 5, id="even"),
+        pytest.param(full_shift_pres(2), 5, id="full2"),
+        pytest.param(full_shift_pres(3), 5, id="full3"),
+        pytest.param(
+            SubshiftPresentation.from_forbidden(("1", "2"), (("1", "2", "1"),)), 5,
+            id="no_121",
+        ),
+    ]
+    rng = random.Random(0)
+    for i in range(20):
+        n = rng.randint(3, 6)
+        depth = rng.choice((4, 5))
+        cases.append(pytest.param(random_sofic_pres(rng, n), depth, id=f"random{i}_{n}states"))
+    return cases
+
+
+@pytest.mark.parametrize("pres,depth", differential_cases())
+def test_sweep_matches_per_pair_fill_in_reference(pres, depth):
+    """Seeded differential check of the sweep against the enumeration it
+    replaces: class words and pairs, and every edge from every pair."""
+    g = pres.graph
+    build = canonical_bisystem(pres, depth)
+    b = build.bisystem
+    for level, classes in enumerate(build.class_table):
+        assert [(c.words, c.pairs) for c in classes] == reference_classes(g, level)
+    for level in range(depth):
+        assert (b.minus_edges[level], b.plus_edges[level]) == reference_edges(
+            g, build.class_table, level
+        )
+    assert central_classes(pres, depth) == build.class_table[depth]

@@ -202,6 +202,22 @@ def test_depth_env_cap(tmp_path, monkeypatch, capsys):
     assert b.depth == 3
 
 
+def test_bad_depth_is_an_input_error(tmp_path, capsys):
+    gm = write(tmp_path, "gm.json", GM_SUBSHIFT)
+    assert main(["canonical", gm, "--depth", "0"]) == 2
+    assert "--depth must be >= 1" in capsys.readouterr().err
+    assert main(["invariants", gm, "--depth", "-1"]) == 2
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", ""])
+def test_malformed_depth_cap_is_an_input_error(tmp_path, monkeypatch, capsys, cap):
+    gm = write(tmp_path, "gm.json", GM_SUBSHIFT)
+    monkeypatch.setenv("BISYS_MAX_DEPTH", cap)
+    assert main(["canonical", gm, "--depth", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "BISYS_MAX_DEPTH" in captured.err and captured.out == ""
+
+
 def test_dot_output_is_byte_identical_across_runs(tmp_path):
     gm = write(tmp_path, "gm.json", GM_SUBSHIFT)
     d1, d2 = str(tmp_path / "a.dot"), str(tmp_path / "b.dot")
