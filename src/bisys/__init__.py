@@ -22,7 +22,6 @@ from .subshift import (
     admissible_words,
     apply_block_code,
     fill_in_words,
-    future_state_set,
     higher_block_recode,
     past_state_set,
 )
@@ -34,10 +33,8 @@ from .bisystem import (
     fpcc_check,
     follower_set,
     from_lambda_graph_system,
-    predecessor_set,
     presented_words,
     sigma1_minus,
-    sigma1_plus,
     sigma_condition_I_witness,
     transition_matrices,
     transpose,
@@ -46,7 +43,6 @@ from .bisystem import (
 from .smb import (
     SmbError,
     SymbolicMatrixBisystem,
-    bisystem_isomorphic,
     from_smb,
     sft_smb,
     smb_isomorphic,

@@ -9,6 +9,7 @@ are words (tuples of strings), length 1 unless the alphabet is a product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Alphabet, word_str
 
@@ -55,6 +56,28 @@ class LambdaGraphBisystem:
 
     def vertex_name(self, level: int, i: int) -> str:
         return f"v{i + 1}^{level}"
+
+    @cached_property
+    def adjacency(self) -> dict:
+        """Edge index, built on first use: ``adjacency[side, end][l][v]``
+        lists ``(w, label)`` in block order for each block-l edge of the side
+        whose ``end`` is v, where the "lower" end lies at level l, the
+        "upper" end at level l+1, and w is the other end."""
+        index = {}
+        for side, blocks in (("minus", self.minus_edges), ("plus", self.plus_edges)):
+            lower, upper = [], []
+            for l, block in enumerate(blocks):
+                lo = [[] for _ in range(self.level_sizes[l])]
+                up = [[] for _ in range(self.level_sizes[l + 1])]
+                for (s, t, a) in block:
+                    i, j = (t, s) if side == "minus" else (s, t)
+                    lo[i].append((j, tuple(a)))
+                    up[j].append((i, tuple(a)))
+                lower.append(lo)
+                upper.append(up)
+            index[side, "lower"] = lower
+            index[side, "upper"] = upper
+        return index
 
 
 @dataclass(frozen=True)
@@ -110,68 +133,53 @@ def axiom_verdicts(b: LambdaGraphBisystem) -> tuple:
     v_i = Verdict(True)
     v_ii = Verdict(True)
 
-    minus_src = [{s for (s, _, _) in blk} for blk in b.minus_edges]
-    minus_tgt = [{t for (_, t, _) in blk} for blk in b.minus_edges]
-    plus_src = [{s for (s, _, _) in blk} for blk in b.plus_edges]
-    plus_tgt = [{t for (_, t, _) in blk} for blk in b.plus_edges]
+    adj = b.adjacency
     bad3 = []
     for l in range(L + 1):
         for i in range(b.level_sizes[l]):
             name = b.vertex_name(l, i)
-            if l < L and i not in minus_tgt[l]:
+            if l < L and not adj["minus", "lower"][l][i]:
                 bad3.append(f"{name} has no incoming minus edge from level {l + 1}")
-            if l > 0 and i not in minus_src[l - 1]:
+            if l > 0 and not adj["minus", "upper"][l - 1][i]:
                 bad3.append(f"{name} has no outgoing minus edge to level {l - 1}")
-            if l < L and i not in plus_src[l]:
+            if l < L and not adj["plus", "lower"][l][i]:
                 bad3.append(f"{name} has no outgoing plus edge to level {l + 1}")
-            if l > 0 and i not in plus_tgt[l - 1]:
+            if l > 0 and not adj["plus", "upper"][l - 1][i]:
                 bad3.append(f"{name} has no incoming plus edge from level {l - 1}")
     v_iii = Verdict(not bad3, tuple(sorted(bad3)))
 
+    # (iv): labels at an upper vertex are distinct, minus edges leaving it
+    # (right-resolving) and plus edges entering it (left-resolving)
     bad4 = []
-    for l in range(L):
-        seen = {}
-        for (s, t, a) in b.minus_edges[l]:
-            key = (s, tuple(a))
-            if key in seen and seen[key] != t:
-                bad4.append(
-                    f"minus not right-resolving: two {word_str(tuple(a))}-edges "
-                    f"from {b.vertex_name(l + 1, s)}"
-                )
-            elif key in seen:
-                bad4.append(f"duplicate minus edge from {b.vertex_name(l + 1, s)}")
-            seen[key] = t
-        seen = {}
-        for (s, t, a) in b.plus_edges[l]:
-            key = (t, tuple(a))
-            if key in seen and seen[key] != s:
-                bad4.append(
-                    f"plus not left-resolving: two {word_str(tuple(a))}-edges "
-                    f"into {b.vertex_name(l + 1, t)}"
-                )
-            elif key in seen:
-                bad4.append(f"duplicate plus edge into {b.vertex_name(l + 1, t)}")
-            seen[key] = s
+    for side, how, at in (("minus", "right", "from"), ("plus", "left", "into")):
+        for l in range(L):
+            for j, edges in enumerate(adj[side, "upper"][l]):
+                seen = {}
+                for (i, a) in edges:
+                    if a in seen and seen[a] != i:
+                        bad4.append(
+                            f"{side} not {how}-resolving: two {word_str(a)}-edges "
+                            f"{at} {b.vertex_name(l + 1, j)}"
+                        )
+                    elif a in seen:
+                        bad4.append(f"duplicate {side} edge {at} {b.vertex_name(l + 1, j)}")
+                    seen[a] = i
     v_iv = Verdict(not bad4, tuple(sorted(bad4)))
 
-    # (v): corners from u at level l to v at level l+2, minus-then-plus
-    # against plus-then-minus, as label multisets grouped by (u, v)
+    # (v): corners from u at level l to v at level l+2 through w at level
+    # l+1, minus-then-plus against plus-then-minus, as label multisets
+    # grouped by (u, v)
     bad5 = []
     for l in range(L - 1):
-        plus_from: dict = {}
-        for (sp, tp, ap) in b.plus_edges[l + 1]:
-            plus_from.setdefault(sp, []).append((tp, tuple(ap)))
-        minus_into: dict = {}
-        for (sm, tm, bm) in b.minus_edges[l + 1]:
-            minus_into.setdefault(tm, []).append((sm, tuple(bm)))
         down: dict = {}
-        for (sm, tm, bm) in b.minus_edges[l]:
-            for (tp, ap) in plus_from.get(sm, ()):
-                down.setdefault((tm, tp), []).append((tuple(bm), ap))
         up: dict = {}
-        for (sp, tp, ap) in b.plus_edges[l]:
-            for (sm, bm) in minus_into.get(tp, ()):
-                up.setdefault((sp, sm), []).append((bm, tuple(ap)))
+        for w in range(b.level_sizes[l + 1]):
+            for (u, bm) in adj["minus", "upper"][l][w]:
+                for (v, ap) in adj["plus", "lower"][l + 1][w]:
+                    down.setdefault((u, v), []).append((bm, ap))
+            for (u, ap) in adj["plus", "upper"][l][w]:
+                for (v, bm) in adj["minus", "lower"][l + 1][w]:
+                    up.setdefault((u, v), []).append((bm, ap))
         for (u, v) in down.keys() | up.keys():
             d = sorted(down.get((u, v), ()))
             w = sorted(up.get((u, v), ()))
@@ -187,50 +195,37 @@ def axiom_verdicts(b: LambdaGraphBisystem) -> tuple:
     return (("i", v_i), ("ii", v_ii), ("iii", v_iii), ("iv", v_iv), ("v", v_v))
 
 
-def follower_sets(b: LambdaGraphBisystem):
-    """Per level, per vertex: all downward minus label words to level 0.
+def _word_sets(b: LambdaGraphBisystem, side: str):
+    """Per level, per vertex: the label words of the side's paths between the
+    vertex and level 0, labels flattened into one tuple of letters.
 
-    The word reads the topmost edge first; labels are flattened into one
-    tuple of letters.
+    Words read in level order on the plus side and in reverse level order on
+    the minus side: a minus label joins the word at its left end.
     """
-    L = b.depth
-    sets = [[frozenset([()]) for _ in range(b.level_sizes[0])]]
-    for l in range(L):
-        nxt = []
-        for j in range(b.level_sizes[l + 1]):
-            acc = set()
-            for (s, t, a) in b.minus_edges[l]:
-                if s == j:
-                    for w in sets[l][t]:
-                        acc.add(tuple(a) + w)
-            nxt.append(frozenset(acc))
-        sets.append(nxt)
-    return tuple(tuple(level) for level in sets)
+    prepend = side == "minus"
+    sets = [(frozenset([()]),) * b.level_sizes[0]]
+    for block in b.adjacency[side, "upper"]:
+        below = sets[-1]
+        sets.append(tuple(
+            frozenset(a + w if prepend else w + a for (i, a) in edges for w in below[i])
+            for edges in block
+        ))
+    return tuple(sets)
+
+
+def follower_sets(b: LambdaGraphBisystem):
+    """Per level, per vertex: all downward minus label words to level 0,
+    reading the topmost edge first."""
+    return _word_sets(b, "minus")
 
 
 def predecessor_sets(b: LambdaGraphBisystem):
     """Per level, per vertex: all upward plus label words from level 0."""
-    L = b.depth
-    sets = [[frozenset([()]) for _ in range(b.level_sizes[0])]]
-    for l in range(L):
-        nxt = []
-        for j in range(b.level_sizes[l + 1]):
-            acc = set()
-            for (s, t, a) in b.plus_edges[l]:
-                if t == j:
-                    for w in sets[l][s]:
-                        acc.add(w + tuple(a))
-            nxt.append(frozenset(acc))
-        sets.append(nxt)
-    return tuple(tuple(level) for level in sets)
+    return _word_sets(b, "plus")
 
 
 def follower_set(b: LambdaGraphBisystem, level: int, i: int) -> frozenset:
     return follower_sets(b)[level][i]
-
-
-def predecessor_set(b: LambdaGraphBisystem, level: int, i: int) -> frozenset:
-    return predecessor_sets(b)[level][i]
 
 
 def _fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:
@@ -264,32 +259,20 @@ def presented_words(b: LambdaGraphBisystem, side: str, n: int):
         return ((),)
     if n > b.depth:
         raise BisystemError(f"length {n} exceeds depth {b.depth}")
-    out = set()
-    if side == "minus":
-        # walk downward from every start level m >= n
-        for m in range(n, b.depth + 1):
-            frontier = {(i, ()) for i in range(b.level_sizes[m])}
-            for l in range(m, m - n, -1):
-                nxt = set()
-                for (s, t, a) in b.minus_edges[l - 1]:
-                    for (i, w) in frontier:
-                        if i == s:
-                            nxt.add((t, w + tuple(a)))
-                frontier = nxt
-            out |= {w for (_, w) in frontier}
-    elif side == "plus":
-        for m in range(0, b.depth - n + 1):
-            frontier = {(i, ()) for i in range(b.level_sizes[m])}
-            for l in range(m, m + n):
-                nxt = set()
-                for (s, t, a) in b.plus_edges[l]:
-                    for (i, w) in frontier:
-                        if i == s:
-                            nxt.add((t, w + tuple(a)))
-                frontier = nxt
-            out |= {w for (_, w) in frontier}
-    else:
+    if side not in ("minus", "plus"):
         raise BisystemError("side must be 'minus' or 'plus'")
+    # walk upward from every start level; words join labels as in _word_sets
+    prepend = side == "minus"
+    lower = b.adjacency[side, "lower"]
+    out = set()
+    for m in range(b.depth - n + 1):
+        frontier = {(i, ()) for i in range(b.level_sizes[m])}
+        for l in range(m, m + n):
+            frontier = {
+                (j, a + w if prepend else w + a)
+                for (i, w) in frontier for (j, a) in lower[l][i]
+            }
+        out |= {w for (_, w) in frontier}
     return tuple(sorted(out))
 
 
@@ -351,14 +334,7 @@ def sigma1_minus(b: LambdaGraphBisystem, level: int, i: int) -> frozenset:
     """Labels of minus edges leaving the vertex downward (level >= 1)."""
     if level < 1:
         raise BisystemError("defined for levels >= 1")
-    return frozenset(tuple(a) for (s, _, a) in b.minus_edges[level - 1] if s == i)
-
-
-def sigma1_plus(b: LambdaGraphBisystem, level: int, i: int) -> frozenset:
-    """Labels of plus edges arriving at the vertex from below (level >= 1)."""
-    if level < 1:
-        raise BisystemError("defined for levels >= 1")
-    return frozenset(tuple(a) for (_, t, a) in b.plus_edges[level - 1] if t == i)
+    return frozenset(a for (_, a) in b.adjacency["minus", "upper"][level - 1][i])
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +493,13 @@ class SigmaIResult:
 
 def _column(b, top_level, top_vertex, labels):
     """Downward minus path from the top vertex with the given labels, or None."""
+    upper = b.adjacency["minus", "upper"]
     path = [top_vertex]
-    lvl = top_level
-    v = top_vertex
-    for a in labels:
-        step = None
-        for (s, t, lab) in b.minus_edges[lvl - 1]:
-            if s == v and tuple(lab) == tuple(a):
-                step = t
-                break
+    for lvl, a in zip(range(top_level - 1, -1, -1), map(tuple, labels)):
+        step = next((t for (t, lab) in upper[lvl][path[-1]] if lab == a), None)
         if step is None:
             return None
-        v = step
-        path.append(v)
-        lvl -= 1
+        path.append(step)
     return tuple(path)
 
 

@@ -106,6 +106,15 @@ def _spec(node, loc, source=None, target=None):
         raise DocumentError(str(e), loc)
 
 
+def _matrices(p, key, alphabet):
+    """The list of matrices under ``key``, each shaped as it is written."""
+    return tuple(
+        _matrix(node, len(node), len(node[0]) if node else 0, alphabet,
+                f"$.payload.{key}[{idx}]")
+        for idx, node in enumerate(p[key])
+    )
+
+
 def _spec_out(s: Specification):
     return [[_word_out(a), _word_out(b)] for a, b in s.pairs]
 
@@ -135,7 +144,14 @@ def parse_document(text: str, depth: int | None = None):
         "psse_witness": _parse_psse,
         "sse_witness": _parse_sse,
     }[kind]
-    return kind, name, parser(payload, depth)
+    try:
+        return kind, name, parser(payload, depth)
+    except DocumentError:
+        raise
+    except KeyError as e:
+        raise DocumentError(f"missing field {e}", "$.payload")
+    except Exception as e:
+        raise DocumentError(str(e), "$.payload")
 
 
 def load_document(path, depth: int | None = None):
@@ -172,28 +188,21 @@ def save_document(path, kind, name, obj):
 def _parse_subshift(p, depth):
     variant = p.get("variant")
     loc = "$.payload"
-    try:
-        if variant == "sft":
-            m = SftMatrix(
-                tuple(tuple(int(v) for v in row) for row in p["matrix"]),
-                tuple(p["symbols"]),
-            )
-            return SubshiftPresentation.from_sft(m)
-        if variant == "sofic":
-            g = LabeledGraph(
-                tuple(p["states"]), tuple((s, t, a) for (s, t, a) in p["edges"])
-            )
-            return SubshiftPresentation.from_graph(g)
-        if variant == "forbidden":
-            return SubshiftPresentation.from_forbidden(
-                tuple(p["symbols"]), tuple(tuple(w) for w in p["words"])
-            )
-    except DocumentError:
-        raise
-    except KeyError as e:
-        raise DocumentError(f"missing field {e}", loc)
-    except Exception as e:
-        raise DocumentError(str(e), loc)
+    if variant == "sft":
+        m = SftMatrix(
+            tuple(tuple(int(v) for v in row) for row in p["matrix"]),
+            tuple(p["symbols"]),
+        )
+        return SubshiftPresentation.from_sft(m)
+    if variant == "sofic":
+        g = LabeledGraph(
+            tuple(p["states"]), tuple((s, t, a) for (s, t, a) in p["edges"])
+        )
+        return SubshiftPresentation.from_graph(g)
+    if variant == "forbidden":
+        return SubshiftPresentation.from_forbidden(
+            tuple(p["symbols"]), tuple(tuple(w) for w in p["words"])
+        )
     raise DocumentError(f"unknown variant {variant!r}", loc + ".variant")
 
 
@@ -216,7 +225,7 @@ def _emit_subshift(pres: SubshiftPresentation):
 # -- bisystem ---------------------------------------------------------------
 
 
-def _edge_blocks(node, loc, src_levels, tgt_levels):
+def _edge_blocks(node, loc):
     blocks = []
     for l, block in enumerate(node):
         out = []
@@ -231,27 +240,20 @@ def _edge_blocks(node, loc, src_levels, tgt_levels):
 
 def _parse_bisystem(p, depth):
     loc = "$.payload"
-    try:
-        sizes = [int(x) for x in p["level_sizes"]]
-        minus = _edge_blocks(p["minus_edges"], loc + ".minus_edges", None, None)
-        plus = _edge_blocks(p["plus_edges"], loc + ".plus_edges", None, None)
-        repeat = p.get("repeat_from")
-        if depth is not None and depth > len(minus) and repeat is not None:
-            if sizes[-1] != sizes[-2]:
-                raise DocumentError("repeating block must be square", loc)
-            while len(minus) < depth:
-                minus.append(minus[-1])
-                plus.append(plus[-1])
-                sizes.append(sizes[-1])
-        sm = _alphabet(p["sigma_minus"], loc + ".sigma_minus")
-        sp = _alphabet(p["sigma_plus"], loc + ".sigma_plus")
-        return LambdaGraphBisystem(tuple(sizes), tuple(minus), tuple(plus), sm, sp)
-    except DocumentError:
-        raise
-    except KeyError as e:
-        raise DocumentError(f"missing field {e}", loc)
-    except Exception as e:
-        raise DocumentError(str(e), loc)
+    sizes = [int(x) for x in p["level_sizes"]]
+    minus = _edge_blocks(p["minus_edges"], loc + ".minus_edges")
+    plus = _edge_blocks(p["plus_edges"], loc + ".plus_edges")
+    repeat = p.get("repeat_from")
+    if depth is not None and depth > len(minus) and repeat is not None:
+        if sizes[-1] != sizes[-2]:
+            raise DocumentError("repeating block must be square", loc)
+        while len(minus) < depth:
+            minus.append(minus[-1])
+            plus.append(plus[-1])
+            sizes.append(sizes[-1])
+    sm = _alphabet(p["sigma_minus"], loc + ".sigma_minus")
+    sp = _alphabet(p["sigma_plus"], loc + ".sigma_plus")
+    return LambdaGraphBisystem(tuple(sizes), tuple(minus), tuple(plus), sm, sp)
 
 
 def _emit_bisystem(b: LambdaGraphBisystem):
@@ -277,29 +279,22 @@ def _emit_bisystem(b: LambdaGraphBisystem):
 
 def _parse_lgs(p, depth):
     loc = "$.payload"
-    try:
-        sizes = [int(x) for x in p["level_sizes"]]
-        edges = [
-            tuple(sorted((int(s) - 1, int(t) - 1, str(a)) for (s, t, a) in block))
-            for block in p["edges"]
-        ]
-        iota = [tuple(int(v) - 1 for v in block) for block in p["iota"]]
-        repeat = p.get("repeat_from")
-        if depth is not None and depth > len(edges) and repeat is not None:
-            if sizes[-1] != sizes[-2]:
-                raise DocumentError("repeating block must be square", loc)
-            while len(edges) < depth:
-                edges.append(edges[-1])
-                iota.append(iota[-1])
-                sizes.append(sizes[-1])
-        alphabet = Alphabet.of(*p["alphabet"])
-        return LambdaGraphSystem(tuple(sizes), tuple(edges), tuple(iota), alphabet)
-    except DocumentError:
-        raise
-    except KeyError as e:
-        raise DocumentError(f"missing field {e}", loc)
-    except Exception as e:
-        raise DocumentError(str(e), loc)
+    sizes = [int(x) for x in p["level_sizes"]]
+    edges = [
+        tuple(sorted((int(s) - 1, int(t) - 1, str(a)) for (s, t, a) in block))
+        for block in p["edges"]
+    ]
+    iota = [tuple(int(v) - 1 for v in block) for block in p["iota"]]
+    repeat = p.get("repeat_from")
+    if depth is not None and depth > len(edges) and repeat is not None:
+        if sizes[-1] != sizes[-2]:
+            raise DocumentError("repeating block must be square", loc)
+        while len(edges) < depth:
+            edges.append(edges[-1])
+            iota.append(iota[-1])
+            sizes.append(sizes[-1])
+    alphabet = Alphabet.of(*p["alphabet"])
+    return LambdaGraphSystem(tuple(sizes), tuple(edges), tuple(iota), alphabet)
 
 
 def _emit_lgs(lgs: LambdaGraphSystem):
@@ -320,31 +315,24 @@ def _emit_lgs(lgs: LambdaGraphSystem):
 
 def _parse_smb(p, depth):
     loc = "$.payload"
-    try:
-        sizes = [int(x) for x in p["level_sizes"]]
-        sm = _alphabet(p["sigma_minus"], loc + ".sigma_minus")
-        sp = _alphabet(p["sigma_plus"], loc + ".sigma_plus")
-        minus = [
-            _matrix(block, sizes[l], sizes[l + 1], sm, f"{loc}.minus[{l}]")
-            for l, block in enumerate(p["minus"])
-        ]
-        plus = [
-            _matrix(block, sizes[l], sizes[l + 1], sp, f"{loc}.plus[{l}]")
-            for l, block in enumerate(p["plus"])
-        ]
-        repeat = p.get("repeat_from")
-        s = SymbolicMatrixBisystem(
-            tuple(minus), tuple(plus), sm, sp, repeat
-        )
-        if depth is not None and depth > s.depth and repeat is not None:
-            s = s.extended(depth)
-        return s
-    except DocumentError:
-        raise
-    except KeyError as e:
-        raise DocumentError(f"missing field {e}", loc)
-    except Exception as e:
-        raise DocumentError(str(e), loc)
+    sizes = [int(x) for x in p["level_sizes"]]
+    sm = _alphabet(p["sigma_minus"], loc + ".sigma_minus")
+    sp = _alphabet(p["sigma_plus"], loc + ".sigma_plus")
+    minus = [
+        _matrix(block, sizes[l], sizes[l + 1], sm, f"{loc}.minus[{l}]")
+        for l, block in enumerate(p["minus"])
+    ]
+    plus = [
+        _matrix(block, sizes[l], sizes[l + 1], sp, f"{loc}.plus[{l}]")
+        for l, block in enumerate(p["plus"])
+    ]
+    repeat = p.get("repeat_from")
+    s = SymbolicMatrixBisystem(
+        tuple(minus), tuple(plus), sm, sp, repeat
+    )
+    if depth is not None and depth > s.depth and repeat is not None:
+        s = s.extended(depth)
+    return s
 
 
 def _emit_smb(s: SymbolicMatrixBisystem):
@@ -364,29 +352,14 @@ def _emit_smb(s: SymbolicMatrixBisystem):
 
 def _parse_psse(p, depth):
     loc = "$.payload"
-    try:
-        c = _alphabet(p["C"], loc + ".C")
-        d = _alphabet(p["D"], loc + ".D")
-        phi_m = _spec(p["phi_m"], loc + ".phi_m")
-        phi_n = _spec(p["phi_n"], loc + ".phi_n")
-
-        def mats(key, alph):
-            out = []
-            for idx, node in enumerate(p[key]):
-                rows = len(node)
-                cols = len(node[0]) if rows else 0
-                out.append(_matrix(node, rows, cols, alph, f"{loc}.{key}[{idx}]"))
-            return tuple(out)
-
-        return PsseWitness(
-            c, d, phi_m, phi_n, mats("P", c), mats("Q", d), mats("X", d), mats("Y", c)
-        )
-    except DocumentError:
-        raise
-    except KeyError as e:
-        raise DocumentError(f"missing field {e}", loc)
-    except Exception as e:
-        raise DocumentError(str(e), loc)
+    c = _alphabet(p["C"], loc + ".C")
+    d = _alphabet(p["D"], loc + ".D")
+    phi_m = _spec(p["phi_m"], loc + ".phi_m")
+    phi_n = _spec(p["phi_n"], loc + ".phi_n")
+    return PsseWitness(
+        c, d, phi_m, phi_n,
+        _matrices(p, "P", c), _matrices(p, "Q", d), _matrices(p, "X", d), _matrices(p, "Y", c),
+    )
 
 
 def _emit_psse(w: PsseWitness):
@@ -404,36 +377,21 @@ def _emit_psse(w: PsseWitness):
 
 def _parse_sse(p, depth):
     loc = "$.payload"
-    try:
-        c = _alphabet(p["C"], loc + ".C")
-        d = _alphabet(p["D"], loc + ".D")
+    c = _alphabet(p["C"], loc + ".C")
+    d = _alphabet(p["D"], loc + ".D")
 
-        def mats(key, alph):
-            out = []
-            for idx, node in enumerate(p[key]):
-                rows = len(node)
-                cols = len(node[0]) if rows else 0
-                out.append(_matrix(node, rows, cols, alph, f"{loc}.{key}[{idx}]"))
-            return tuple(out)
-
-        return SseWitness(
-            c,
-            d,
-            _spec(p["phi1"], loc + ".phi1"),
-            _spec(p["phi2"], loc + ".phi2"),
-            _spec(p["phi_c_plus"], loc + ".phi_c_plus"),
-            _spec(p["phi_d_plus"], loc + ".phi_d_plus"),
-            _spec(p["phi_c_minus"], loc + ".phi_c_minus"),
-            _spec(p["phi_d_minus"], loc + ".phi_d_minus"),
-            mats("H", c),
-            mats("K", d),
-        )
-    except DocumentError:
-        raise
-    except KeyError as e:
-        raise DocumentError(f"missing field {e}", loc)
-    except Exception as e:
-        raise DocumentError(str(e), loc)
+    return SseWitness(
+        c,
+        d,
+        _spec(p["phi1"], loc + ".phi1"),
+        _spec(p["phi2"], loc + ".phi2"),
+        _spec(p["phi_c_plus"], loc + ".phi_c_plus"),
+        _spec(p["phi_d_plus"], loc + ".phi_d_plus"),
+        _spec(p["phi_c_minus"], loc + ".phi_c_minus"),
+        _spec(p["phi_d_minus"], loc + ".phi_d_minus"),
+        _matrices(p, "H", c),
+        _matrices(p, "K", d),
+    )
 
 
 def _emit_sse(w: SseWitness):

@@ -14,6 +14,7 @@ import sys
 
 from .. import __version__
 from ..bisystem import (
+    BisystemError,
     from_lambda_graph_system,
     presented_words,
     transpose,
@@ -30,7 +31,7 @@ from ..equivalence import (
 )
 from ..ktheory import ck_oracle, k_groups
 from ..smb import from_smb, to_smb, validate_smb
-from ..subshift import admissible_words
+from ..subshift import SubshiftError, admissible_words
 from .documents import DocumentError, dump_document, load_document, save_document
 from .dot import bisystem_dot
 
@@ -265,15 +266,17 @@ def cmd_transpose(args):
 
 def cmd_words(args):
     kind, name, obj = _load(args.file)
-    if kind == "subshift":
-        words = admissible_words(obj, args.length)
-    elif kind == "bisystem":
-        words = presented_words(obj, args.side, args.length)
-    elif kind == "smb":
-        words = presented_words(from_smb(obj), args.side, args.length)
-    else:
-        print("error: words needs a subshift, bisystem or smb document", file=sys.stderr)
-        return INPUT_ERROR
+    try:
+        if kind == "subshift":
+            words = admissible_words(obj, args.length)
+        elif kind == "bisystem":
+            words = presented_words(obj, args.side, args.length)
+        elif kind == "smb":
+            words = presented_words(from_smb(obj), args.side, args.length)
+        else:
+            _input_error("words needs a subshift, bisystem or smb document")
+    except (BisystemError, SubshiftError) as e:
+        _input_error(e)  # a length below 0 or beyond the stored depth
     for w in words:
         print(".".join(w))
     return PASS
@@ -296,9 +299,6 @@ def build_parser():
         "conjugacy witnesses and exact K-invariants",
     )
     parser.add_argument("--version", action="version", version=f"bisys {__version__}")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized self-tests only"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a document's structural axioms")

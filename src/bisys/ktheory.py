@@ -9,14 +9,10 @@ over Python integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .bisystem import (
-    LambdaGraphBisystem,
-    follower_sets,
-    predecessor_sets,
-    transition_matrices,
-)
+from .bisystem import LambdaGraphBisystem, follower_sets, predecessor_sets
 
 
 class KtheoryError(ValueError):
@@ -277,12 +273,16 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
 
     Minus side: words are follower words, refined by prepending a minus label
     and transported by appending one, weighted by the number of plus labels
-    between the vertices.  Plus side symmetric with the roles swapped.
+    between the vertices.  Plus side symmetric with the roles swapped: words
+    are predecessor words, plus labels join them at the other end.
     """
     if side not in ("minus", "plus"):
         raise KtheoryError("side must be 'minus' or 'plus'")
-    tm = transition_matrices(b)
-    words = follower_sets(b) if side == "minus" else predecessor_sets(b)
+    minus = side == "minus"
+    words = follower_sets(b) if minus else predecessor_sets(b)
+    own = b.adjacency[side, "lower"]
+    across = b.adjacency["plus" if minus else "minus", "lower"]
+    symbols = (b.sigma_minus if minus else b.sigma_plus).symbols
     bases = tuple(
         tuple((i, w) for i in range(b.level_sizes[l]) for w in sorted(words[l][i]))
         for l in range(b.depth + 1)
@@ -291,47 +291,22 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
         {key: idx for idx, key in enumerate(level)} for level in bases
     ]
 
-    lam_minus = b.sigma_minus.word_length
-    lam_plus = b.sigma_plus.word_length
     iota_mats = []
     rho_mats = []
     for l in range(b.depth):
         dl, dl1 = len(bases[l]), len(bases[l + 1])
         iota_l = _mat(dl1, dl)
         rho_l = _mat(dl1, dl)
-        if side == "minus":
-            label_len = lam_minus
-            for col, (i, xi) in enumerate(bases[l]):
-                for (ti, beta, j) in tm.minus[l]:
-                    if ti != i:
-                        continue
-                    key = (j, beta + xi)
-                    iota_l[pos[l + 1][key]][col] += 1
-                plus_counts: dict = {}
-                for (si, alpha, j) in tm.plus[l]:
-                    if si == i:
-                        plus_counts[j] = plus_counts.get(j, 0) + 1
-                for j, count in plus_counts.items():
-                    for beta in b.sigma_minus.symbols:
-                        key = (j, xi + beta)
-                        if key in pos[l + 1]:
-                            rho_l[pos[l + 1][key]][col] += count
-        else:
-            for col, (i, eta) in enumerate(bases[l]):
-                for (si, alpha, j) in tm.plus[l]:
-                    if si != i:
-                        continue
-                    key = (j, eta + alpha)
-                    iota_l[pos[l + 1][key]][col] += 1
-                minus_counts: dict = {}
-                for (ti, beta, j) in tm.minus[l]:
-                    if ti == i:
-                        minus_counts[j] = minus_counts.get(j, 0) + 1
-                for j, count in minus_counts.items():
-                    for alpha in b.sigma_plus.symbols:
-                        key = (j, alpha + eta)
-                        if key in pos[l + 1]:
-                            rho_l[pos[l + 1][key]][col] += count
+        # a repeated edge counts once, as in transition_matrices
+        for col, (i, w) in enumerate(bases[l]):
+            for (j, a) in set(own[l][i]):
+                iota_l[pos[l + 1][(j, a + w if minus else w + a)]][col] += 1
+            counts = Counter(j for (j, _) in set(across[l][i]))
+            for j, count in counts.items():
+                for a in symbols:
+                    key = (j, w + a if minus else a + w)
+                    if key in pos[l + 1]:
+                        rho_l[pos[l + 1][key]][col] += count
         iota_mats.append(iota_l)
         rho_mats.append(rho_l)
     return LevelLadder(side, bases, tuple(iota_mats), tuple(rho_mats))

@@ -287,21 +287,6 @@ def sft_smb(a: SymbolicMatrix, identify: bool = False, depth: int = 3) -> Symbol
     )
 
 
-def rename_symbols(
-    s: SymbolicMatrixBisystem, spec_minus: Specification, spec_plus: Specification
-) -> SymbolicMatrixBisystem:
-    """Apply symbol bijections to the two sides (total on occurring symbols)."""
-    new_minus_alpha = Alphabet.from_words(
-        sorted({spec_minus.apply_word(w) for w in s.sigma_minus.symbols})
-    )
-    new_plus_alpha = Alphabet.from_words(
-        sorted({spec_plus.apply_word(w) for w in s.sigma_plus.symbols})
-    )
-    minus = tuple(m.map_entries(spec_minus.apply_sum, new_minus_alpha) for m in s.minus)
-    plus = tuple(m.map_entries(spec_plus.apply_sum, new_plus_alpha) for m in s.plus)
-    return SymbolicMatrixBisystem(minus, plus, new_minus_alpha, new_plus_alpha, s.repeat_from)
-
-
 @dataclass(frozen=True)
 class SmbIsomorphism:
     """Level-wise vertex permutations plus one symbol bijection per side.
@@ -439,8 +424,3 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
         return fill(0, set(), [])
 
     return assign(0)
-
-
-def bisystem_isomorphic(b1: LambdaGraphBisystem, b2: LambdaGraphBisystem):
-    """Isomorphism decided on the matrix presentations."""
-    return smb_isomorphic(to_smb(b1), to_smb(b2))

@@ -29,6 +29,8 @@ class SftMatrix:
         n = self.size
         if len(self.symbols) != n or any(len(r) != n for r in self.entries):
             raise SubshiftError("matrix shape and symbol count disagree")
+        if len(set(self.symbols)) != n:
+            raise SubshiftError("duplicate state symbols")
         if any(v not in (0, 1) for r in self.entries for v in r):
             raise SubshiftError("matrix entries must be 0 or 1")
         for i in range(n):
@@ -67,22 +69,6 @@ class LabeledGraph:
     @property
     def labels(self) -> tuple:
         return tuple(sorted({a for (_, _, a) in self.edges}))
-
-    def is_right_resolving(self) -> bool:
-        seen = set()
-        for (s, _, a) in self.edges:
-            if (s, a) in seen:
-                return False
-            seen.add((s, a))
-        return True
-
-    def is_left_resolving(self) -> bool:
-        seen = set()
-        for (_, t, a) in self.edges:
-            if (t, a) in seen:
-                return False
-            seen.add((t, a))
-        return True
 
     def is_irreducible(self) -> bool:
         """Strong connectivity of the underlying digraph."""
@@ -170,14 +156,12 @@ def higher_block_recode(symbols, forbidden) -> SftMatrix:
 class SubshiftPresentation:
     """One of: sft matrix, sofic labeled graph, forbidden-word list.
 
-    Forbidden-word inputs are recoded to an SFT immediately; ``block_decode``
-    then maps each block symbol back to its letter word.
+    Forbidden-word inputs are recoded to an SFT immediately.
     """
 
     kind: str  # "sft" | "sofic"
     sft: SftMatrix | None = None
     sofic: LabeledGraph | None = None
-    block_decode: tuple = ()  # ((block symbol, letter word), ...) for recoded inputs
 
     @staticmethod
     def from_sft(m: SftMatrix) -> "SubshiftPresentation":
@@ -193,9 +177,7 @@ class SubshiftPresentation:
             n = len(tuple(symbols))
             m = SftMatrix(tuple(tuple(1 for _ in range(n)) for _ in range(n)), tuple(symbols))
             return SubshiftPresentation("sft", sft=m)
-        m = higher_block_recode(symbols, words)
-        decode = tuple((s, tuple(s)) for s in m.symbols)
-        return SubshiftPresentation("sft", sft=m, block_decode=decode)
+        return SubshiftPresentation("sft", sft=higher_block_recode(symbols, words))
 
     @property
     def graph(self) -> LabeledGraph:
@@ -278,28 +260,12 @@ def past_state_set(g: LabeledGraph, w) -> frozenset:
     return frozenset(q for (_, q) in rel)
 
 
-def future_state_set(g: LabeledGraph, w) -> frozenset:
-    rel = _word_relation(g, w)
-    if not rel:
-        raise SubshiftError(f"word {''.join(w)!r} is not admissible")
-    return frozenset(p for (p, _) in rel)
-
-
 def past_state_stable(g: LabeledGraph, w) -> bool:
     """True when no admissible one-symbol left extension shrinks the past set."""
     base = past_state_set(g, w)
     for a in g.labels:
         rel = _word_relation(g, (a,) + tuple(w))
         if rel and frozenset(q for (_, q) in rel) != base:
-            return False
-    return True
-
-
-def future_state_stable(g: LabeledGraph, w) -> bool:
-    base = future_state_set(g, w)
-    for a in g.labels:
-        rel = _word_relation(g, tuple(w) + (a,))
-        if rel and frozenset(p for (p, _) in rel) != base:
             return False
     return True
 

@@ -6,6 +6,9 @@ from itertools import product as cartesian
 
 from bisys.core import Alphabet, FormalSum, SymbolicMatrix
 from bisys.bisystem import LambdaGraphBisystem, lgs_from_matrix
+from bisys.canonical import canonical_smb
+from bisys.equivalence import bipartite_split, detect_bipartite
+from bisys.smb import from_smb
 from bisys.subshift import LabeledGraph, SftMatrix, SubshiftPresentation
 
 
@@ -46,6 +49,19 @@ def edge_shift_pres() -> SubshiftPresentation:
     """Golden-mean transition graph with distinct edge symbols."""
     g = LabeledGraph(("1", "2"), (("1", "1", "a"), ("1", "2", "b"), ("2", "1", "c")))
     return SubshiftPresentation.from_graph(g)
+
+
+def two_power_split_bisystem() -> LambdaGraphBisystem:
+    """A bisystem over product alphabets (every label has two letters): the
+    C-D half of the bipartite split of the two-power golden-mean shift."""
+    edges = []
+    for (s, t, a) in (("1", "1", "1"), ("1", "2", "2"), ("2", "1", "1")):
+        edges.append((s + "e", t + "o", a + "c"))
+        edges.append((s + "o", t + "e", a + "d"))
+    g = LabeledGraph(("1e", "1o", "2e", "2o"), tuple(edges))
+    smb = canonical_smb(SubshiftPresentation.from_graph(g), 6)
+    s_cd, _, _ = bipartite_split(smb, detect_bipartite(smb))
+    return from_smb(s_cd)
 
 
 def full_shift_bisystem(n: int, depth: int) -> LambdaGraphBisystem:

@@ -21,6 +21,7 @@ from bisys.bisystem import (
     validate_lambda_graph_system,
 )
 from bisys.canonical import canonical_bisystem
+from bisys.ktheory import build_ladder
 from bisys.smb import to_smb, validate_smb
 from fixtures import (
     alternating_pres,
@@ -30,6 +31,7 @@ from fixtures import (
     golden_mean_pres,
     paper_even_shift_bisystem,
     paper_golden_mean_bisystem,
+    two_power_split_bisystem,
 )
 
 
@@ -180,12 +182,34 @@ def test_transpose_involution_and_swap():
         b.sigma_plus,
     )
     assert tt == norm
-    # follower words of the transpose are reversed predecessor words
-    P = predecessor_sets(b)
-    Ft = follower_sets(t)
-    for l in range(b.depth + 1):
-        for i in range(b.level_sizes[l]):
-            assert Ft[l][i] == frozenset(tuple(reversed(w)) for w in P[l][i])
+    # the plus side is the minus side of the transpose with its label chunks
+    # read in reverse order; two-letter labels tell chunks from letters
+    for b in (paper_golden_mean_bisystem(5), two_power_split_bisystem()):
+        t = transpose(b)
+        k = b.sigma_plus.word_length
+
+        def rev(w):
+            return tuple(x for p in range(len(w) - k, -1, -k) for x in w[p : p + k])
+
+        P = predecessor_sets(b)
+        Ft = follower_sets(t)
+        for l in range(b.depth + 1):
+            for i in range(b.level_sizes[l]):
+                assert P[l][i] == frozenset(map(rev, Ft[l][i]))
+        for n in range(b.depth + 1):
+            assert presented_words(b, "plus", n) == tuple(
+                sorted(map(rev, presented_words(t, "minus", n)))
+            )
+        lad, lad_t = build_ladder(b, "plus"), build_ladder(t, "minus")
+        pos_t = [{(i, rev(w)): r for r, (i, w) in enumerate(basis)} for basis in lad_t.bases]
+        for l, basis in enumerate(lad.bases):
+            assert sorted(basis) == sorted(pos_t[l])
+        for l in range(b.depth):
+            for r, key_r in enumerate(lad.bases[l + 1]):
+                for c, key_c in enumerate(lad.bases[l]):
+                    rt, ct = pos_t[l + 1][key_r], pos_t[l][key_c]
+                    assert lad.iota[l][r][c] == lad_t.iota[l][rt][ct]
+                    assert lad.rho[l][r][c] == lad_t.rho[l][rt][ct]
     # transpose of an FPCC system: status recomputed, not assumed
     common = paper_golden_mean_bisystem(5, sm=("a", "b"), sp=("a", "b"))
     assert isinstance(fpcc_check(transpose(common)), bool)

@@ -15,6 +15,7 @@ from bisys.equivalence import bipartite_split, detect_bipartite, trivial_psse_wi
 from bisys.smb import to_smb
 from fixtures import (
     alternating_pres,
+    full_shift_bisystem,
     golden_mean_lgs,
     golden_mean_pres,
     paper_golden_mean_bisystem,
@@ -88,6 +89,19 @@ def test_parse_errors_have_locations():
     assert "line" in str(exc.value)
     with pytest.raises(DocumentError):
         parse_document(json.dumps({"schema_version": 1, "kind": "nope", "payload": {}}))
+    # an empty payload of every kind names what it misses first, and where
+    expected = {
+        "subshift": "$.payload.variant: unknown variant None",
+        "bisystem": "$.payload: missing field 'level_sizes'",
+        "lambda_graph_system": "$.payload: missing field 'level_sizes'",
+        "smb": "$.payload: missing field 'level_sizes'",
+        "psse_witness": "$.payload: missing field 'C'",
+        "sse_witness": "$.payload: missing field 'C'",
+    }
+    for kind, message in expected.items():
+        with pytest.raises(DocumentError) as exc:
+            parse_document(doc(kind, "empty", {}))
+        assert str(exc.value) == message
 
 
 def test_validate_command_exit_codes(tmp_path, capsys):
@@ -123,6 +137,22 @@ def test_canonical_and_words_commands(tmp_path, capsys):
     assert main(["canonical", gm, "--depth", "4", "--emit", "dot", "-o", out_dot]) == 0
     text = open(out_dot).read()
     assert text.startswith("digraph") and "cluster_minus" in text
+
+    # a length the document cannot have is an input error, not a verdict
+    shallow = write(tmp_path, "d1.json", dump_document("bisystem", "full2", full_shift_bisystem(2, 1)))
+    assert main(["words", shallow, "-n", "5"]) == 2
+    assert "length 5 exceeds depth 1" in capsys.readouterr().err
+    assert main(["words", shallow, "-n", "-1"]) == 2
+    assert main(["words", gm, "-n", "-1"]) == 2
+
+
+def test_duplicate_sft_symbols_are_an_input_error(tmp_path, capsys):
+    dup = write(tmp_path, "dup.json", doc(
+        "subshift", "dup", {"variant": "sft", "symbols": ["a", "a"], "matrix": [[1, 1], [1, 1]]}
+    ))
+    for command in ("validate", "canonical"):
+        assert main([command, dup]) == 2
+        assert "$.payload: duplicate state symbols" in capsys.readouterr().err
 
 
 def test_invariants_command(tmp_path, capsys):
