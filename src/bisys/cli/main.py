@@ -30,7 +30,7 @@ from ..equivalence import (
     verify_sse_1step,
 )
 from ..ktheory import ck_oracle, k_groups
-from ..smb import from_smb, to_smb, validate_smb
+from ..smb import SmbError, from_smb, to_smb, validate_smb
 from ..subshift import SubshiftError, admissible_words
 from .documents import DocumentError, dump_document, load_document, save_document
 from .dot import bisystem_dot
@@ -275,8 +275,10 @@ def cmd_words(args):
             words = presented_words(from_smb(obj), args.side, args.length)
         else:
             _input_error("words needs a subshift, bisystem or smb document")
-    except (BisystemError, SubshiftError) as e:
-        _input_error(e)  # a length below 0 or beyond the stored depth
+    except (BisystemError, SubshiftError, SmbError) as e:
+        # a length below 0 or beyond the stored depth, or an smb document
+        # that does not validate and so presents no words
+        _input_error(e)
     for w in words:
         print(".".join(w))
     return PASS

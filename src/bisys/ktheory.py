@@ -119,7 +119,8 @@ def smith_normal_form(a):
 
     t = 0
     while t < min(rows, cols):
-        # least-absolute-value pivot in the trailing block
+        # least-absolute-value pivot in the trailing block; the first unit
+        # found is that pivot, so the scan stops there
         pivot = None
         best = None
         for i in range(t, rows):
@@ -128,6 +129,10 @@ def smith_normal_form(a):
                 if x and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -149,18 +154,16 @@ def smith_normal_form(a):
                     dirty = True
         if dirty:
             continue  # remainders left; re-pick a smaller pivot
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t]:
-                    offender = i
-                    break
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # divides everything
+        if best > 1:
+            p = d[t][t]
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % p for x in d[i][t + 1 :])), None
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
+                add_row(offender, t, 1)
+                continue
         if d[t][t] < 0:
             negate_row(t)
         t += 1
@@ -239,10 +242,6 @@ def solve(theta, b):
         elif ub[i]:
             return None
     return mat_vec(v, y)
-
-
-def in_column_span(theta, b) -> bool:
-    return solve(theta, b) is not None
 
 
 def is_unimodular(m) -> bool:
@@ -344,28 +343,57 @@ class KResult:
         return out
 
 
-def _cokernel_map_is_iso(theta_a, theta_b, t):
-    """Is the map induced by t an isomorphism of the two presented cokernels?"""
-    rows_b = len(theta_b)
-    # surjectivity: columns of t and theta_b together span Z^rows_b
-    stacked = [trow + brow for trow, brow in zip(t, theta_b)]
-    if cokernel(stacked, rows_b).is_trivial is False:
+@dataclass(frozen=True)
+class _Factored:
+    """What the tower reads from one Smith normal form U theta V = D of a level.
+
+    ``diag`` holds D's diagonal entry for every row (0 past the rank), so
+    coker(theta) = sum of Z/diag[i] with coordinates U y; ``kernel`` holds
+    the columns of V past the rank, a basis of ker(theta).
+    """
+
+    u: list
+    diag: list
+    coker: FgAbelianGroup
+    kernel: list
+
+
+def _factor(theta) -> _Factored:
+    rows = len(theta)
+    cols = len(theta[0]) if rows else 0
+    u, d, v = smith_normal_form(theta)
+    diag = [d[i][i] if i < cols else 0 for i in range(rows)]
+    rank = sum(1 for x in diag if x)
+    return _Factored(
+        u,
+        diag,
+        FgAbelianGroup(rows - rank, tuple(x for x in diag if x > 1)),
+        [[v[i][j] for i in range(cols)] for j in range(rank, cols)],
+    )
+
+
+def _cokernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
+    """Is the map coker(theta_a) -> coker(theta_b) induced by t an isomorphism?
+
+    Finitely generated abelian groups are Hopfian, so between isomorphic
+    groups a surjection is an isomorphism.  t is onto when, in the
+    coordinates U y, the rows of U t whose invariant factor is not 1, beside
+    those factors, span everything.  This needs t to carry im(theta_a) into
+    im(theta_b), as it does where the ladder maps intertwine; elsewhere no
+    map is induced and the verdict says only "equal groups, t onto".
+    """
+    if a.coker != b.coker:
         return False
-    # injectivity: t x in im(theta_b) forces x in im(theta_a)
-    cols_t = len(t[0]) if t else 0
-    cols_b = len(theta_b[0]) if theta_b else 0
-    combined = [trow + [-x for x in brow] for trow, brow in zip(t, theta_b)]
-    for vec in kernel_basis(combined):
-        x = vec[:cols_t]
-        if any(x) and not in_column_span(theta_a, x):
-            return False
-    return True
+    keep = [i for i, x in enumerate(b.diag) if x != 1]
+    image = mat_mul([b.u[i] for i in keep], t)
+    for k, i in enumerate(keep):
+        image[k] += [b.diag[i] if m == k else 0 for m in range(len(keep))]
+    return cokernel(image, len(keep)).is_trivial
 
 
-def _kernel_map_is_iso(theta_a, theta_b, t):
+def _kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
     """Does t restrict to an isomorphism ker(theta_a) -> ker(theta_b)?"""
-    ka = kernel_basis(theta_a)
-    kb = kernel_basis(theta_b)
+    ka, kb = a.kernel, b.kernel
     if len(ka) != len(kb):
         return False
     if not ka:
@@ -386,8 +414,10 @@ def _kernel_map_is_iso(theta_a, theta_b, t):
 def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = None) -> KResult:
     """Level towers for the two groups, with a stabilization verdict.
 
-    Stabilization requires the last three levels to agree in canonical form
-    and the connecting maps between them to be isomorphisms on the computed
+    Each theta_l is factorized once; both groups of level l and the maps
+    into level l+1 are read from those factorizations.  Stabilization
+    requires the last three levels to agree in canonical form and the
+    connecting maps between them to be isomorphisms on the computed
     presentations; anything less is reported as not stabilized.
     """
     ladder = build_ladder(b, side)
@@ -403,19 +433,17 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
             inter_ok = False
 
     levels = []
-    thetas = []
-    for l in range(depth):
-        theta = ladder.theta(l)
-        thetas.append(theta)
-        g0 = cokernel(theta, len(ladder.bases[l + 1]))
-        g1 = FgAbelianGroup(len(kernel_basis(theta)))
-        levels.append((g0, g1))
-
     connecting = []
-    for l in range(depth - 1):
-        c0 = _cokernel_map_is_iso(thetas[l], thetas[l + 1], ladder.iota[l + 1])
-        c1 = _kernel_map_is_iso(thetas[l], thetas[l + 1], ladder.iota[l])
-        connecting.append((c0, c1))
+    prev = None  # only two levels' factorizations are alive at a time
+    for l in range(depth):
+        cur = _factor(ladder.theta(l))
+        levels.append((cur.coker, FgAbelianGroup(len(cur.kernel))))
+        if prev is not None:
+            connecting.append((
+                _cokernel_map_is_iso(prev, cur, ladder.iota[l]),
+                _kernel_map_is_iso(prev, cur, ladder.iota[l - 1]),
+            ))
+        prev = cur
 
     stabilized = False
     stab_level = None

@@ -146,6 +146,16 @@ def test_canonical_and_words_commands(tmp_path, capsys):
     assert main(["words", gm, "-n", "-1"]) == 2
 
 
+def test_words_of_an_invalid_smb_is_an_input_error(tmp_path, capsys):
+    node = json.loads(dump_document("smb", "gm", canonical_smb(golden_mean_pres(), 3)))
+    node["payload"]["plus"][0] = [[[] for _ in row] for row in node["payload"]["plus"][0]]
+    bad = write(tmp_path, "bad.json", json.dumps(node))
+    assert main(["validate", bad]) == 1  # a verdict on the document
+    capsys.readouterr()
+    assert main(["words", bad, "-n", "2"]) == 2  # no words to list: unusable input
+    assert "refusing to expand" in capsys.readouterr().err
+
+
 def test_duplicate_sft_symbols_are_an_input_error(tmp_path, capsys):
     dup = write(tmp_path, "dup.json", doc(
         "subshift", "dup", {"variant": "sft", "symbols": ["a", "a"], "matrix": [[1, 1], [1, 1]]}
@@ -267,3 +277,101 @@ def test_validate_json_report(tmp_path, capsys):
     assert main(["validate", bf, "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True and set(rep["axioms"]) == {"i", "ii", "iii", "iv", "v"}
+
+
+# stdout of `invariants --depth 4` for every file under docs/examples, as first
+# recorded: a change to the tower code must leave it byte-identical
+INVARIANTS_DEPTH_4 = {
+    ("even_shift.subshift.json", "minus"): (
+        "side: minus\n"
+        "level 0: K0 ~ Z^3, K1 ~ 0\n"
+        "level 1: K0 ~ Z^15, K1 ~ 0\n"
+        "level 2: K0 ~ Z^13, K1 ~ Z\n"
+        "level 3: K0 ~ Z^21, K1 ~ Z\n"
+        "not stabilized within the computed depth\n"
+    ),
+    ("even_shift.subshift.json", "plus"): (
+        "side: plus\n"
+        "level 0: K0 ~ Z^3, K1 ~ 0\n"
+        "level 1: K0 ~ Z^15, K1 ~ 0\n"
+        "level 2: K0 ~ Z^13, K1 ~ Z\n"
+        "level 3: K0 ~ Z^21, K1 ~ Z\n"
+        "not stabilized within the computed depth\n"
+    ),
+    ("full3.lgs.json", "minus"): (
+        "side: minus\n"
+        "level 0: K0 ~ Z/2, K1 ~ 0\n"
+        "level 1: K0 ~ Z/2, K1 ~ 0\n"
+        "level 2: K0 ~ Z/2, K1 ~ 0\n"
+        "level 3: K0 ~ Z/2, K1 ~ 0\n"
+        "stabilized at level <= 0\n"
+        "cross-check (I - A^t): K0 = Z/2, K1 = 0\n"
+    ),
+    ("full3.lgs.json", "plus"): (
+        "side: plus\n"
+        "level 0: K0 ~ Z^3, K1 ~ Z\n"
+        "level 1: K0 ~ Z^7, K1 ~ Z\n"
+        "level 2: K0 ~ Z^19, K1 ~ Z\n"
+        "level 3: K0 ~ Z^55, K1 ~ Z\n"
+        "not stabilized within the computed depth\n"
+    ),
+    ("golden_mean.lgs.json", "minus"): (
+        "side: minus\n"
+        "level 0: K0 ~ 0, K1 ~ 0\n"
+        "level 1: K0 ~ 0, K1 ~ 0\n"
+        "level 2: K0 ~ 0, K1 ~ 0\n"
+        "level 3: K0 ~ 0, K1 ~ 0\n"
+        "stabilized at level <= 0\n"
+        "cross-check (I - A^t): K0 = 0, K1 = 0\n"
+    ),
+    ("golden_mean.lgs.json", "plus"): (
+        "side: plus\n"
+        "level 0: K0 ~ Z^2, K1 ~ Z\n"
+        "level 1: K0 ~ Z^3, K1 ~ Z\n"
+        "level 2: K0 ~ Z^4, K1 ~ Z\n"
+        "level 3: K0 ~ Z^6, K1 ~ Z\n"
+        "not stabilized within the computed depth\n"
+    ),
+    ("golden_mean.subshift.json", "minus"): (
+        "side: minus\n"
+        "level 0: K0 ~ Z^2, K1 ~ 0\n"
+        "level 1: K0 ~ Z^5, K1 ~ 0\n"
+        "level 2: K0 ~ Z^5, K1 ~ 0\n"
+        "level 3: K0 ~ Z^8, K1 ~ 0\n"
+        "not stabilized within the computed depth\n"
+    ),
+    ("golden_mean.subshift.json", "plus"): (
+        "side: plus\n"
+        "level 0: K0 ~ Z^2, K1 ~ 0\n"
+        "level 1: K0 ~ Z^5, K1 ~ 0\n"
+        "level 2: K0 ~ Z^5, K1 ~ 0\n"
+        "level 3: K0 ~ Z^8, K1 ~ 0\n"
+        "not stabilized within the computed depth\n"
+    ),
+    ("no_121.subshift.json", "minus"): (
+        "side: minus\n"
+        "level 0: K0 ~ Z^4, K1 ~ Z\n"
+        "level 1: K0 ~ Z^7, K1 ~ Z\n"
+        "level 2: K0 ~ Z^12, K1 ~ Z\n"
+        "level 3: K0 ~ Z^17, K1 ~ Z\n"
+        "not stabilized within the computed depth\n"
+    ),
+    ("no_121.subshift.json", "plus"): (
+        "side: plus\n"
+        "level 0: K0 ~ Z^4, K1 ~ Z\n"
+        "level 1: K0 ~ Z^7, K1 ~ Z\n"
+        "level 2: K0 ~ Z^12, K1 ~ Z\n"
+        "level 3: K0 ~ Z^17, K1 ~ Z\n"
+        "not stabilized within the computed depth\n"
+    ),
+}
+
+
+def test_invariants_output_is_pinned_on_every_example(capsys):
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    names = sorted(os.listdir(examples))
+    assert sorted({name for name, _ in INVARIANTS_DEPTH_4}) == names
+    for (name, side), expected in INVARIANTS_DEPTH_4.items():
+        path = os.path.join(examples, name)
+        assert main(["invariants", path, "--side", side, "--depth", "4"]) == 0
+        assert capsys.readouterr().out == expected, (name, side)
