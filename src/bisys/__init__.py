@@ -6,11 +6,7 @@ from .core import (
     FormalSum,
     Specification,
     SymbolicMatrix,
-    find_specification,
-    formal_sum_product,
-    kappa_exchange,
     kappa_matrix,
-    specified_equivalent,
     symbolic_matrix_multiply,
 )
 from .subshift import (
@@ -31,7 +27,6 @@ from .bisystem import (
     LambdaGraphSystem,
     ValidationReport,
     fpcc_check,
-    follower_set,
     from_lambda_graph_system,
     presented_words,
     sigma1_minus,

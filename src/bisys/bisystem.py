@@ -166,33 +166,39 @@ def axiom_verdicts(b: LambdaGraphBisystem) -> tuple:
                     seen[a] = i
     v_iv = Verdict(not bad4, tuple(sorted(bad4)))
 
-    # (v): corners from u at level l to v at level l+2 through w at level
-    # l+1, minus-then-plus against plus-then-minus, as label multisets
-    # grouped by (u, v)
-    bad5 = []
-    for l in range(L - 1):
-        down: dict = {}
-        up: dict = {}
-        for w in range(b.level_sizes[l + 1]):
-            for (u, bm) in adj["minus", "upper"][l][w]:
-                for (v, ap) in adj["plus", "lower"][l + 1][w]:
-                    down.setdefault((u, v), []).append((bm, ap))
-            for (u, ap) in adj["plus", "upper"][l][w]:
-                for (v, bm) in adj["minus", "lower"][l + 1][w]:
-                    up.setdefault((u, v), []).append((bm, ap))
-        for (u, v) in down.keys() | up.keys():
-            d = sorted(down.get((u, v), ()))
-            w = sorted(up.get((u, v), ()))
-            if d != w:
-                bad5.append(
-                    f"local property fails at ({b.vertex_name(l, u)},"
-                    f"{b.vertex_name(l + 2, v)}): "
-                    f"{[f'{word_str(x)}|{word_str(y)}' for x, y in d]} vs "
-                    f"{[f'{word_str(x)}|{word_str(y)}' for x, y in w]}"
-                )
+    # (v): minus-then-plus corners against plus-then-minus ones
+    bad5 = [
+        f"local property fails at ({b.vertex_name(l, u)},{b.vertex_name(l + 2, v)}): "
+        f"{[f'{word_str(x)}|{word_str(y)}' for x, y in d]} vs "
+        f"{[f'{word_str(x)}|{word_str(y)}' for x, y in w]}"
+        for l in range(L - 1)
+        for (u, v), d, w in corners(b, l)
+        if d != w
+    ]
     v_v = Verdict(not bad5, tuple(sorted(bad5)))
 
     return (("i", v_i), ("ii", v_ii), ("iii", v_iii), ("iv", v_iv), ("v", v_v))
+
+
+def corners(b: LambdaGraphBisystem, l: int) -> list:
+    """The corners from u at level l to v at level l+2 through level l+1, as
+    ``((u, v), down, up)`` sorted by (u, v): ``down`` lists the corners that
+    go minus then plus and ``up`` those that go plus then minus, each a sorted
+    list of (minus label, plus label) pairs.  Axiom (v) is ``down == up``."""
+    adj = b.adjacency
+    down: dict = {}
+    up: dict = {}
+    for w in range(b.level_sizes[l + 1]):
+        for (u, bm) in adj["minus", "upper"][l][w]:
+            for (v, ap) in adj["plus", "lower"][l + 1][w]:
+                down.setdefault((u, v), []).append((bm, ap))
+        for (u, ap) in adj["plus", "upper"][l][w]:
+            for (v, bm) in adj["minus", "lower"][l + 1][w]:
+                up.setdefault((u, v), []).append((bm, ap))
+    return [
+        (key, sorted(down.get(key, ())), sorted(up.get(key, ())))
+        for key in sorted(down.keys() | up.keys())
+    ]
 
 
 def _word_sets(b: LambdaGraphBisystem, side: str):
@@ -222,10 +228,6 @@ def follower_sets(b: LambdaGraphBisystem):
 def predecessor_sets(b: LambdaGraphBisystem):
     """Per level, per vertex: all upward plus label words from level 0."""
     return _word_sets(b, "plus")
-
-
-def follower_set(b: LambdaGraphBisystem, level: int, i: int) -> frozenset:
-    return follower_sets(b)[level][i]
 
 
 def _fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:

@@ -71,6 +71,15 @@ def _load(path, depth=None):
         raise SystemExit(INPUT_ERROR)
 
 
+def _import_lgs(lgs):
+    """The two-sided import of a one-sided system; a system that fails the
+    one-sided axioms is an input error."""
+    try:
+        return from_lambda_graph_system(lgs)
+    except BisystemError as e:
+        _input_error(e)
+
+
 def _write(text, out):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -186,7 +195,7 @@ def cmd_invariants(args):
             for (s, t, _a) in obj.edges[0]:
                 counts[s][t] += 1
             oracle = ck_oracle(counts)
-        b = from_lambda_graph_system(obj)
+        b = _import_lgs(obj)
     elif kind == "bisystem":
         b = obj
     elif kind == "subshift":
@@ -289,8 +298,7 @@ def cmd_from_lgs(args):
     if kind != "lambda_graph_system":
         print("error: from-lgs needs a lambda_graph_system document", file=sys.stderr)
         return INPUT_ERROR
-    b = from_lambda_graph_system(obj)
-    _write(dump_document("bisystem", name or "imported", b), args.output)
+    _write(dump_document("bisystem", name or "imported", _import_lgs(obj)), args.output)
     return PASS
 
 

@@ -172,14 +172,6 @@ class FormalSum:
         )
 
 
-def formal_sum_product(x: FormalSum, y: FormalSum) -> FormalSum:
-    return x.product(y)
-
-
-def kappa_exchange(x: FormalSum, split: int = 1) -> FormalSum:
-    return x.kappa(split)
-
-
 @dataclass(frozen=True)
 class SymbolicMatrix:
     """Rectangular matrix with formal-sum entries over one alphabet."""
@@ -366,10 +358,6 @@ def specified_equivalence_failure(a: SymbolicMatrix, b: SymbolicMatrix, spec: Sp
     return None
 
 
-def specified_equivalent(a: SymbolicMatrix, b: SymbolicMatrix, spec: Specification) -> bool:
-    return specified_equivalence_failure(a, b, spec) is None
-
-
 def find_specification_multi(pairs):
     """One specification phi with A ~phi B for every (A, B) in pairs, or None.
 
@@ -431,8 +419,3 @@ def find_specification_multi(pairs):
     if not backtrack(0):
         return None
     return Specification.from_dict(dict(assign))
-
-
-def find_specification(a: SymbolicMatrix, b: SymbolicMatrix):
-    """Some specification under which a and b are equivalent, or None."""
-    return find_specification_multi([(a, b)])

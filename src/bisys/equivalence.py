@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import (
     Alphabet,
+    CoreError,
     FormalSum,
     Specification,
     SymbolicMatrix,
@@ -44,6 +45,10 @@ class PsseWitness:
     x_mats: tuple
     y_mats: tuple
 
+    def __post_init__(self):
+        if not len(self.p_mats) == len(self.q_mats) == len(self.x_mats) == len(self.y_mats):
+            raise EquivalenceError("P, Q, X and Y must have the same number of matrices")
+
     @property
     def levels(self) -> int:
         return len(self.p_mats)
@@ -61,6 +66,10 @@ class SseWitness:
     phi_d_minus: Specification  # Sigma_N^- . D -> D . Sigma_M^-
     h_mats: tuple  # m(l) x n(l+1) over C
     k_mats: tuple  # n(l) x m(l+1) over D
+
+    def __post_init__(self):
+        if len(self.h_mats) != len(self.k_mats):
+            raise EquivalenceError("H and K must have the same number of matrices")
 
     @property
     def levels(self) -> int:
@@ -112,7 +121,7 @@ def verify_psse_1step(
     def eq(family, level, lhs_fn, rhs_fn, spec=None):
         try:
             lhs, rhs = lhs_fn(), rhs_fn()
-        except Exception as e:  # inner-dimension mismatch in a product
+        except CoreError as e:  # inner-dimension mismatch in a product
             failures.append((family, level, str(e)))
             return
         if spec is None:
@@ -121,7 +130,7 @@ def verify_psse_1step(
                 return
             try:
                 k = kappa_matrix(lhs)
-            except Exception as e:  # unfactorable product term
+            except CoreError as e:  # unfactorable product term
                 failures.append((family, level, str(e)))
                 return
             if not k.same_entries(rhs):

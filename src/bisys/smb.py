@@ -8,6 +8,7 @@ two one-step products literally well-typed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -16,11 +17,9 @@ from .core import (
     Specification,
     SymbolicMatrix,
     find_specification_multi,
-    kappa_matrix,
-    symbolic_matrix_multiply,
     word_str,
 )
-from .bisystem import LambdaGraphBisystem, Verdict, axiom_verdicts
+from .bisystem import LambdaGraphBisystem, Verdict, axiom_verdicts, corners
 
 
 class SmbError(ValueError):
@@ -43,6 +42,8 @@ class SymbolicMatrixBisystem:
                 raise SmbError(f"block {l}: minus and plus shapes differ")
             if l and self.minus[l - 1].cols != mm.rows:
                 raise SmbError(f"block {l}: shape chain broken")
+            if mm.alphabet != self.sigma_minus or mp.alphabet != self.sigma_plus:
+                raise SmbError(f"block {l}: matrix alphabet differs from its side's")
 
     @property
     def depth(self) -> int:
@@ -106,98 +107,16 @@ class SmbValidationReport:
 
 def validate_smb(s: SymbolicMatrixBisystem) -> SmbValidationReport:
     """Shape, support, per-cell and per-column symbol discipline, commutation."""
-    v_i = Verdict(True)  # shapes checked on construction
-
-    bad2 = []
-    for l in range(s.depth):
-        for mat, name in ((s.minus[l], "minus"), (s.plus[l], "plus")):
-            for i in range(mat.rows):
-                if all(mat.entry(i, j).is_zero for j in range(mat.cols)):
-                    bad2.append(f"block {l} {name}: zero row {i + 1}")
-            for j in range(mat.cols):
-                if all(mat.entry(i, j).is_zero for i in range(mat.rows)):
-                    bad2.append(f"block {l} {name}: zero column {j + 1}")
-    v_ii = Verdict(not bad2, tuple(bad2))
-
-    bad3 = []
-    for l in range(s.depth):
-        for mat, name in ((s.minus[l], "minus"), (s.plus[l], "plus")):
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    if mat.entry(i, j).has_repeats:
-                        bad3.append(f"block {l} {name} cell ({i+1},{j+1}): repeated symbol")
-    v_iii = Verdict(not bad3, tuple(bad3))
-
-    bad4 = []
-    for l in range(s.depth):
-        for mat, name in ((s.minus[l], "minus"), (s.plus[l], "plus")):
-            for j in range(mat.cols):
-                seen: dict = {}
-                for i in range(mat.rows):
-                    for w in mat.entry(i, j).support():
-                        if w in seen and seen[w] != i:
-                            bad4.append(
-                                f"block {l} {name} column {j+1}: symbol "
-                                f"{word_str(w)} in rows {seen[w]+1} and {i+1}"
-                            )
-                        seen[w] = i
-    v_iv = Verdict(not bad4, tuple(bad4))
-
-    bad5 = []
-    for l in range(s.depth - 1):
-        lhs = symbolic_matrix_multiply(s.minus[l], s.plus[l + 1])
-        rhs = kappa_matrix(symbolic_matrix_multiply(s.plus[l], s.minus[l + 1]))
-        for i in range(lhs.rows):
-            for j in range(lhs.cols):
-                if lhs.entry(i, j) != rhs.entry(i, j):
-                    bad5.append(
-                        f"commutation fails at blocks {l},{l+1} cell ({i+1},{j+1}): "
-                        f"{lhs.entry(i, j)!r} vs {rhs.entry(i, j)!r}"
-                    )
-    v_v = Verdict(not bad5, tuple(bad5))
-
-    return SmbValidationReport(
-        depth=s.depth,
-        axioms=(("i", v_i), ("ii", v_ii), ("iii", v_iii), ("iv", v_iv), ("v", v_v)),
-    )
+    return _matrix_report(_expand(s))
 
 
-def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBisystem:
-    """Matrix presentation of a validated bisystem.
-
-    ``unchecked`` skips the validation gate so that defective inputs can be
-    presented and judged on the matrix side instead.
-    """
-    if not unchecked and not all(v.ok for _, v in axiom_verdicts(b)):
-        raise SmbError("bisystem fails validation; refusing to present")
+def _expand(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
+    """The bisystem whose edges are the matrix terms, a term of multiplicity c
+    making c edges.  Blocks are sorted, so each adjacency list of the result
+    is sorted by (other end, label)."""
     minus = []
     plus = []
-    for l in range(b.depth):
-        rows, cols = b.level_sizes[l], b.level_sizes[l + 1]
-        mcells: dict = {}
-        for (src, tgt, a) in b.minus_edges[l]:
-            mcells.setdefault((tgt, src), []).append(tuple(a))
-        pcells: dict = {}
-        for (src, tgt, a) in b.plus_edges[l]:
-            pcells.setdefault((src, tgt), []).append(tuple(a))
-        minus.append(SymbolicMatrix.build(
-            rows, cols, b.sigma_minus, lambda i, j: FormalSum.of(*mcells.get((i, j), ()))
-        ))
-        plus.append(SymbolicMatrix.build(
-            rows, cols, b.sigma_plus, lambda i, j: FormalSum.of(*pcells.get((i, j), ()))
-        ))
-    return SymbolicMatrixBisystem(tuple(minus), tuple(plus), b.sigma_minus, b.sigma_plus)
-
-
-def from_smb(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
-    """Edge lists from a validated matrix presentation (inverse of to_smb)."""
-    rep = validate_smb(s)
-    if not rep.ok:
-        raise SmbError("matrix bisystem fails validation; refusing to expand")
-    minus = []
-    plus = []
-    for l in range(s.depth):
-        mm, mp = s.minus[l], s.plus[l]
+    for mm, mp in zip(s.minus, s.plus):
         mblock = []
         pblock = []
         for i in range(mm.rows):
@@ -211,6 +130,80 @@ def from_smb(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
     return LambdaGraphBisystem(
         s.level_sizes, tuple(minus), tuple(plus), s.sigma_minus, s.sigma_plus
     )
+
+
+def _matrix_report(b: LambdaGraphBisystem) -> SmbValidationReport:
+    """The matrix-side verdicts of an expansion, read off its edge index.
+
+    In block l of either side, row i is the lower list of vertex i at level l
+    and column j the upper list of vertex j at level l+1.  Axiom (iv) reports
+    in the order of the upper lists, which ``_expand`` sorts by row and then
+    by symbol.
+    """
+    bad2, bad3, bad4 = [], [], []
+    for l in range(b.depth):
+        for side in ("minus", "plus"):
+            rows, cols = b.adjacency[side, "lower"][l], b.adjacency[side, "upper"][l]
+            bad2 += [f"block {l} {side}: zero row {i + 1}" for i, e in enumerate(rows) if not e]
+            bad2 += [f"block {l} {side}: zero column {j + 1}" for j, e in enumerate(cols) if not e]
+            for i, edges in enumerate(rows):
+                twice = sorted({j for (j, _), c in Counter(edges).items() if c > 1})
+                bad3 += [f"block {l} {side} cell ({i+1},{j+1}): repeated symbol" for j in twice]
+            for j, edges in enumerate(cols):
+                seen: dict = {}
+                for (i, w) in edges:
+                    if w in seen and seen[w] != i:
+                        bad4.append(
+                            f"block {l} {side} column {j+1}: symbol "
+                            f"{word_str(w)} in rows {seen[w]+1} and {i+1}"
+                        )
+                    seen[w] = i
+
+    # cell (u, v) of M-_l M+_{l+1} sums the minus-then-plus corners, and of
+    # kappa(M+_l M-_{l+1}) the plus-then-minus ones, each read minus label first
+    bad5 = [
+        f"commutation fails at blocks {l},{l+1} cell ({u+1},{v+1}): "
+        f"{FormalSum(x + y for x, y in d)!r} vs {FormalSum(x + y for x, y in w)!r}"
+        for l in range(b.depth - 1)
+        for (u, v), d, w in corners(b, l)
+        if d != w
+    ]
+
+    verdicts = [Verdict(not bad, tuple(bad)) for bad in ([], bad2, bad3, bad4, bad5)]
+    return SmbValidationReport(b.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
+
+
+def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBisystem:
+    """Matrix presentation of a validated bisystem.
+
+    ``unchecked`` skips the validation gate so that defective inputs can be
+    presented and judged on the matrix side instead.
+    """
+    if not unchecked and not all(v.ok for _, v in axiom_verdicts(b)):
+        raise SmbError("bisystem fails validation; refusing to present")
+    zero = FormalSum()
+    blocks = {}
+    for side, alphabet in (("minus", b.sigma_minus), ("plus", b.sigma_plus)):
+        mats = []
+        for l, rows in enumerate(b.adjacency[side, "lower"]):
+            cols = b.level_sizes[l + 1]
+            grid = []
+            for edges in rows:
+                cells: dict = {}
+                for (j, a) in edges:
+                    cells.setdefault(j, []).append(a)
+                grid.append(tuple(FormalSum(cells[j]) if j in cells else zero for j in range(cols)))
+            mats.append(SymbolicMatrix(len(rows), cols, tuple(grid), alphabet))
+        blocks[side] = tuple(mats)
+    return SymbolicMatrixBisystem(blocks["minus"], blocks["plus"], b.sigma_minus, b.sigma_plus)
+
+
+def from_smb(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
+    """Edge lists from a validated matrix presentation (inverse of to_smb)."""
+    b = _expand(s)
+    if not _matrix_report(b).ok:
+        raise SmbError("matrix bisystem fails validation; refusing to expand")
+    return b
 
 
 def sft_smb(a: SymbolicMatrix, identify: bool = False, depth: int = 3) -> SymbolicMatrixBisystem:

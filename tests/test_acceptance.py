@@ -5,7 +5,7 @@ of structures, exact group forms, boolean verdicts.
 
 import random
 
-from bisys.core import FormalSum, kappa_exchange, kappa_matrix, symbolic_matrix_multiply
+from bisys.core import FormalSum, kappa_matrix, symbolic_matrix_multiply
 from bisys.bisystem import (
     from_lambda_graph_system,
     fpcc_check,
@@ -228,7 +228,7 @@ def test_criterion_7_kappa_involution():
             for _ in range(rng.randint(0, 6))
         ]
         s = FormalSum(terms)
-        assert kappa_exchange(kappa_exchange(s)) == s
+        assert s.kappa().kappa() == s
 
 
 def test_criterion_7_snf_oracle_agreement():

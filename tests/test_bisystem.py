@@ -7,7 +7,6 @@ from bisys.bisystem import (
     BisystemError,
     LambdaGraphBisystem,
     fpcc_check,
-    follower_set,
     follower_sets,
     from_lambda_graph_system,
     predecessor_sets,
@@ -132,16 +131,17 @@ def test_follower_sets_match_enumeration_oracle():
 
 def test_full_shift_follower_set_is_everything():
     b = full_shift_bisystem(2, 5)
-    assert follower_set(b, 3, 0) == frozenset(cartesian(("a", "b"), repeat=3))
+    assert follower_sets(b)[3][0] == frozenset(cartesian(("a", "b"), repeat=3))
 
 
 def test_golden_mean_beta_edge_family_into_v3():
     # the beta-minus edge v_1^{l+1} -> v_3^l injects beta-prefixed words of
     # F(v_3^l) into F(v_1^{l+1}); v_3^l itself only continues downward by alpha
     b = paper_golden_mean_bisystem(5)
+    F = follower_sets(b)
     for l in range(2, 5):
-        f3 = follower_set(b, l, 2)  # v_3^l
-        f1_up = follower_set(b, l + 1, 0) if l + 1 <= b.depth else None
+        f3 = F[l][2]  # v_3^l
+        f1_up = F[l + 1][0] if l + 1 <= b.depth else None
         assert all(w[0] == "am" for w in f3)
         if f1_up is not None:
             assert {("bm",) + w for w in f3} <= f1_up

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -199,6 +201,65 @@ def test_check_equivalence_command(tmp_path, capsys):
     assert main(["check-equivalence", sf, sf, brokenf, "--mode", "psse"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_witness_families_of_unequal_length_are_input_errors(tmp_path, capsys):
+    s = canonical_smb(golden_mean_pres(), 4)
+    w = trivial_psse_witness(s)
+    sf = write(tmp_path, "s.json", dump_document("smb", "gm", s))
+    from bisys.equivalence import psse_to_sse
+
+    for kind, mode, w, family in (
+        ("psse_witness", "psse", w, "Q"),
+        ("psse_witness", "psse", w, "Y"),
+        ("sse_witness", "sse", psse_to_sse(w), "K"),
+    ):
+        node = json.loads(dump_document(kind, "short", w))
+        node["payload"][family].pop()
+        wf = write(tmp_path, f"short_{family}.json", json.dumps(node))
+        assert main(["check-equivalence", sf, sf, wf, "--mode", mode]) == 2, family
+        captured = capsys.readouterr()
+        assert "same number of matrices" in captured.err and captured.out == ""
+
+
+def test_invalid_lambda_graph_system_is_an_input_error(tmp_path, capsys):
+    node = json.loads(FULL3_LGS)
+    node["payload"]["level_sizes"] = [2, 1, 1]
+    node["payload"]["edges"][0] = [[1, 1, "x"], [2, 1, "y"]]
+    node["payload"]["iota"][0] = [1]  # level-0 vertex 2 is never hit
+    bad = write(tmp_path, "bad.json", json.dumps(node))
+    assert main(["validate", bad]) == 1  # a verdict on the document
+    capsys.readouterr()
+    for command in (["invariants", bad, "--depth", "2"], ["from-lgs", bad]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert "iota block 0 is not surjective" in captured.err and captured.out == ""
+
+
+def test_smb_column_report_order_is_independent_of_the_hash_seed(tmp_path):
+    # two rows of one column share four symbols: four axiom (iv) messages a side
+    symbols = ["a", "b", "c", "d"]
+    block = [[symbols], [symbols]]
+    smb = write(tmp_path, "shared.json", doc("smb", "shared", {
+        "depth": 1, "level_sizes": [2, 1],
+        "sigma_minus": {"symbols": symbols}, "sigma_plus": {"symbols": symbols},
+        "minus": [block], "plus": [block], "repeat_from": None,
+    }))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "bisys.cli.main", "validate", smb, "--json"],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["axioms"]["iv"]["counterexamples"] == [
+        f"block 0 {side} column 1: symbol {w} in rows 1 and 2"
+        for side in ("minus", "plus") for w in symbols
+    ]
 
 
 def test_bipartite_command(tmp_path, capsys):

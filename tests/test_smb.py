@@ -1,10 +1,20 @@
+import random
+
 import pytest
 
-from bisys.core import Alphabet, FormalSum, SymbolicMatrix
-from bisys.bisystem import from_lambda_graph_system, fpcc_check, validate
-from bisys.canonical import canonical_smb
+from bisys.core import (
+    Alphabet,
+    FormalSum,
+    SymbolicMatrix,
+    kappa_matrix,
+    symbolic_matrix_multiply,
+    word_str,
+)
+from bisys.bisystem import Verdict, from_lambda_graph_system, fpcc_check, transpose, validate
+from bisys.canonical import canonical_bisystem, canonical_smb
 from bisys.smb import (
     SmbError,
+    SmbValidationReport,
     SymbolicMatrixBisystem,
     from_smb,
     sft_smb,
@@ -13,7 +23,9 @@ from bisys.smb import (
     validate_smb,
 )
 from fixtures import (
+    alternating_pres,
     edge_shift_pres,
+    even_shift_pres,
     full_shift_bisystem,
     full_shift_pres,
     golden_mean_lgs,
@@ -192,3 +204,124 @@ def test_extension_requires_marker():
     s = canonical_smb(golden_mean_pres(), 4)
     with pytest.raises(SmbError):
         s.extended(6)
+
+
+def test_block_alphabet_must_be_its_sides():
+    s = sft_smb(symbolic_2x2(), depth=3)
+    other = Alphabet.of("a+", "b+", "c+", "d+", "e+")
+    wider = SymbolicMatrix(s.plus[1].rows, s.plus[1].cols, s.plus[1].entries, other)
+    plus = (s.plus[0], wider) + s.plus[2:]
+    with pytest.raises(SmbError, match="block 1: matrix alphabet differs"):
+        SymbolicMatrixBisystem(s.minus, plus, s.sigma_minus, s.sigma_plus)
+    with pytest.raises(SmbError, match="block 0: matrix alphabet differs"):
+        SymbolicMatrixBisystem(s.minus, s.minus, s.sigma_minus, s.sigma_plus)
+
+
+# -- reference: the matrix-side validator as dense scans and symbolic products
+
+
+def product_validate_smb(s):
+    """Reference validator: dense cell scans for (ii)-(iv), and (v) as the two
+    one-step products compared cell by cell after the factor exchange."""
+    bad2 = []
+    for l in range(s.depth):
+        for mat, name in ((s.minus[l], "minus"), (s.plus[l], "plus")):
+            for i in range(mat.rows):
+                if all(mat.entry(i, j).is_zero for j in range(mat.cols)):
+                    bad2.append(f"block {l} {name}: zero row {i + 1}")
+            for j in range(mat.cols):
+                if all(mat.entry(i, j).is_zero for i in range(mat.rows)):
+                    bad2.append(f"block {l} {name}: zero column {j + 1}")
+
+    bad3 = []
+    for l in range(s.depth):
+        for mat, name in ((s.minus[l], "minus"), (s.plus[l], "plus")):
+            for i in range(mat.rows):
+                for j in range(mat.cols):
+                    if mat.entry(i, j).has_repeats:
+                        bad3.append(f"block {l} {name} cell ({i+1},{j+1}): repeated symbol")
+
+    bad4 = []
+    for l in range(s.depth):
+        for mat, name in ((s.minus[l], "minus"), (s.plus[l], "plus")):
+            for j in range(mat.cols):
+                seen = {}
+                for i in range(mat.rows):
+                    for w in sorted(mat.entry(i, j).support()):
+                        if w in seen and seen[w] != i:
+                            bad4.append(
+                                f"block {l} {name} column {j+1}: symbol "
+                                f"{word_str(w)} in rows {seen[w]+1} and {i+1}"
+                            )
+                        seen[w] = i
+
+    bad5 = []
+    for l in range(s.depth - 1):
+        lhs = symbolic_matrix_multiply(s.minus[l], s.plus[l + 1])
+        rhs = kappa_matrix(symbolic_matrix_multiply(s.plus[l], s.minus[l + 1]))
+        for i in range(lhs.rows):
+            for j in range(lhs.cols):
+                if lhs.entry(i, j) != rhs.entry(i, j):
+                    bad5.append(
+                        f"commutation fails at blocks {l},{l+1} cell ({i+1},{j+1}): "
+                        f"{lhs.entry(i, j)!r} vs {rhs.entry(i, j)!r}"
+                    )
+
+    verdicts = [Verdict(True)] + [Verdict(not b, tuple(b)) for b in (bad2, bad3, bad4, bad5)]
+    return SmbValidationReport(s.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
+
+
+def single_cell_mutant(s, rng):
+    """s with one term of one cell dropped, duplicated, replaced by another
+    symbol of the side, or moved to another cell of the same block."""
+    side = rng.choice(("minus", "plus"))
+    blocks = list(getattr(s, side))
+    l = rng.randrange(len(blocks))
+    m = blocks[l]
+    grid = [list(row) for row in m.entries]
+    cells = [(i, j) for i in range(m.rows) for j in range(m.cols)]
+    i, j = rng.choice([c for c in cells if not m.entry(*c).is_zero] or cells)
+    terms = [w for w, c in grid[i][j].items() for _ in range(c)]
+    op = rng.choice(("drop", "duplicate", "replace", "move")) if terms else "replace"
+    k = rng.randrange(len(terms)) if terms else 0
+    if op == "drop":
+        del terms[k]
+    elif op == "duplicate":
+        terms.append(terms[k])
+    elif op == "replace":
+        terms[k:k + 1] = [rng.choice(m.alphabet.symbols)]
+    else:
+        moved = terms.pop(k)
+    grid[i][j] = FormalSum(terms)
+    if op == "move":
+        i2, j2 = rng.choice(cells)
+        grid[i2][j2] += FormalSum([moved])
+    blocks[l] = SymbolicMatrix(m.rows, m.cols, tuple(map(tuple, grid)), m.alphabet)
+    other = "plus" if side == "minus" else "minus"
+    parts = {side: tuple(blocks), other: getattr(s, other)}
+    return SymbolicMatrixBisystem(parts["minus"], parts["plus"], s.sigma_minus, s.sigma_plus)
+
+
+def test_validate_smb_report_matches_product_oracle():
+    rng = random.Random(7)
+    builds = [canonical_bisystem(p, 4).bisystem for p in (
+        golden_mean_pres(), even_shift_pres(), alternating_pres(), full_shift_pres(2)
+    )]
+    valid = [to_smb(b) for b in builds] + [to_smb(transpose(b)) for b in builds] + [
+        to_smb(paper_golden_mean_bisystem(4)),
+        to_smb(full_shift_bisystem(3, 3)),
+        sft_smb(symbolic_2x2(), depth=4),
+        sft_smb(golden_mean_symbolic(), identify=True, depth=4),
+    ]
+    alph = Alphabet.of("a", "b")
+    shared = SymbolicMatrix.build(3, 1, alph, lambda i, j: FormalSum.of("a", "b"))
+    cases = valid + [single_cell_mutant(rng.choice(valid), rng) for _ in range(300)] + [
+        SymbolicMatrixBisystem((shared,), (shared,), alph, alph),  # one symbol in three rows
+    ]
+    failed = set()
+    for s in cases:
+        rep = validate_smb(s)
+        assert rep == product_validate_smb(s)
+        failed |= {name for name, v in rep.axioms if not v.ok}
+    assert all(validate_smb(s).ok for s in valid)
+    assert failed == {"ii", "iii", "iv", "v"}
