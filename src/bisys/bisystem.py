@@ -79,6 +79,16 @@ class LambdaGraphBisystem:
             index[side, "upper"] = upper
         return index
 
+    @cached_property
+    def _axioms(self) -> tuple:
+        """``axiom_verdicts(self)``, computed on first use."""
+        return axiom_verdicts(self)
+
+    @cached_property
+    def _fpcc(self) -> Verdict:
+        """``_fpcc_verdict(self)``, computed on first use."""
+        return _fpcc_verdict(self)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -120,9 +130,7 @@ class ValidationReport:
 def validate(b: LambdaGraphBisystem) -> ValidationReport:
     """Check the structural axioms to depth L; failures become verdicts."""
     standard = Verdict(b.is_standard, () if b.is_standard else ("|V_0| != 1",))
-    return ValidationReport(
-        depth=b.depth, axioms=axiom_verdicts(b), fpcc=_fpcc_verdict(b), standard=standard
-    )
+    return ValidationReport(depth=b.depth, axioms=b._axioms, fpcc=b._fpcc, standard=standard)
 
 
 def axiom_verdicts(b: LambdaGraphBisystem) -> tuple:
@@ -250,7 +258,7 @@ def _fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:
 
 
 def fpcc_check(b: LambdaGraphBisystem) -> bool:
-    return _fpcc_verdict(b).ok
+    return b._fpcc.ok
 
 
 def presented_words(b: LambdaGraphBisystem, side: str, n: int):
@@ -389,20 +397,19 @@ def validate_lambda_graph_system(lgs: LambdaGraphSystem):
             if j not in ins:
                 bad.append(f"vertex {j+1} at level {l+1} has no predecessor")
     # local property: labels into v from iota-collapsed sources match labels
-    # into iota(v) level-wise, as multisets
+    # into iota(v) level-wise, as multisets; both blocks grouped once
     for l in range(L - 1):
+        into = {}  # (iota(s), t) -> labels of the block-(l+1) edges s -> t
+        for (s, t, a) in lgs.edges[l + 1]:
+            if t in range(lgs.level_sizes[l + 2]):
+                into.setdefault((lgs.iota[l][s], t), []).append(a)
+        out = {}  # s -> t -> labels of the block-l edges s -> t
+        for (s, t, a) in lgs.edges[l]:
+            out.setdefault(s, {}).setdefault(t, []).append(a)
         for u in range(lgs.level_sizes[l]):
             for v in range(lgs.level_sizes[l + 2]):
-                upper = sorted(
-                    a
-                    for (s, t, a) in lgs.edges[l + 1]
-                    if t == v and lgs.iota[l][s] == u
-                )
-                lower = sorted(
-                    a
-                    for (s, t, a) in lgs.edges[l]
-                    if s == u and t == lgs.iota[l + 1][v]
-                )
+                upper = sorted(into.get((u, v), ()))
+                lower = sorted(out[u].get(lgs.iota[l + 1][v], ())) if u in out else []
                 if upper != lower:
                     bad.append(
                         f"one-sided local property fails at (v{u+1}^{l}, v{v+1}^{l+2}): "
@@ -532,9 +539,7 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
         for xi in sorted(F[level][i]):
             items.append((i, xi))
 
-    plus_ok = {
-        l: {(s, t, tuple(a)) for (s, t, a) in b.plus_edges[l]} for l in range(b.depth)
-    }
+    plus_lower = b.adjacency["plus", "lower"]
 
     def label_chunks(w):
         return [w[p : p + lam] for p in range(0, len(w), lam)]
@@ -565,14 +570,11 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
                         path = _column(b, level, top, labs)
                         if path is None:
                             continue
-                        ok = True
-                        for j in range(level):
-                            # plus edge: prev column level j -> new column level j+1
-                            if (prev_path[level - j], path[level - (j + 1)], alpha) \
-                                    not in plus_ok[j]:
-                                ok = False
-                                break
-                        if not ok:
+                        # plus edges: prev column level j -> new column level j+1
+                        if not all(
+                            (path[level - j - 1], alpha) in plus_lower[j][prev_path[level - j]]
+                            for j in range(level)
+                        ):
                             continue
                         if extend(cols + [(path, tuple(labs))], alphas + [alpha],
                                   bottoms + [bot]):

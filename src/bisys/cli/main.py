@@ -23,6 +23,7 @@ from ..bisystem import (
 )
 from ..canonical import canonical_bisystem
 from ..equivalence import (
+    EquivalenceError,
     bipartite_split,
     detect_bipartite,
     psse_to_sse,
@@ -233,7 +234,11 @@ def cmd_check_equivalence(args):
     for line in rep.lines():
         print(line)
     if args.convert and args.mode == "psse" and rep.ok:
-        save_document(args.convert, "sse_witness", "converted", psse_to_sse(w))
+        try:
+            sw = psse_to_sse(w)
+        except EquivalenceError as e:  # fewer than two levels
+            _input_error(e)
+        save_document(args.convert, "sse_witness", "converted", sw)
         print(f"wrote converted witness to {args.convert}")
     return PASS if rep.ok else FAIL
 

@@ -307,12 +307,6 @@ class Specification:
     def as_dict(self) -> dict:
         return dict(self.pairs)
 
-    def get(self, w: Word):
-        return self.as_dict().get(tuple(w))
-
-    def domain(self) -> frozenset:
-        return frozenset(s for s, _ in self.pairs)
-
     def apply_word(self, w: Word) -> Word:
         d = self.as_dict()
         if tuple(w) not in d:

@@ -10,7 +10,7 @@ constructors are the self-witness and the bipartite split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Alphabet,
@@ -34,7 +34,11 @@ class EquivalenceError(ValueError):
 
 @dataclass(frozen=True)
 class PsseWitness:
-    """Matrices P, Q, X, Y indexed by half-levels, with the two symbol maps."""
+    """Matrices P, Q, X, Y indexed by half-levels, with the two symbol maps.
+
+    The relation is symmetric: ``swapped()`` is the same witness read from
+    N's side, so this module writes each M/N twin once, for the M side.
+    """
 
     alphabet_c: Alphabet
     alphabet_d: Alphabet
@@ -52,6 +56,12 @@ class PsseWitness:
     @property
     def levels(self) -> int:
         return len(self.p_mats)
+
+    def swapped(self) -> "PsseWitness":
+        """The same witness read from N to M: C and D, phi_m and phi_n, P and
+        Q, and X and Y exchanged."""
+        return PsseWitness(self.alphabet_d, self.alphabet_c, self.phi_n, self.phi_m,
+                           self.q_mats, self.p_mats, self.y_mats, self.x_mats)
 
 
 @dataclass(frozen=True)
@@ -90,10 +100,6 @@ class VerifyReport:
         return out
 
 
-def _shape(m: SymbolicMatrix):
-    return (m.rows, m.cols)
-
-
 def verify_psse_1step(
     s_m: SymbolicMatrixBisystem,
     s_n: SymbolicMatrixBisystem,
@@ -105,16 +111,15 @@ def verify_psse_1step(
         depth if depth is not None else s_m.depth, s_m.depth, s_n.depth
     )
     failures = []
-    m_sizes, n_sizes = s_m.level_sizes, s_n.level_sizes
+    # each side with its reading of the witness and the names of its P, X, Y
+    sides = (("M", s_m, w, "PXY"), ("N", s_n, w.swapped(), "QYX"))
 
     # horizontal anchors of the witness shape chain
-    for idx in range(min(w.levels, 2 * depth)):
-        l, odd = divmod(idx, 2)
-        if not odd:
-            if _shape(w.p_mats[idx])[0] != m_sizes[l]:
-                failures.append(("shape", idx, f"P_{idx} must have {m_sizes[l]} rows"))
-            if _shape(w.q_mats[idx])[0] != n_sizes[l]:
-                failures.append(("shape", idx, f"Q_{idx} must have {n_sizes[l]} rows"))
+    for idx in range(0, min(w.levels, 2 * depth), 2):
+        for _, s, v, names in sides:
+            rows = s.level_sizes[idx // 2]
+            if v.p_mats[idx].rows != rows:
+                failures.append(("shape", idx, f"{names[0]}_{idx} must have {rows} rows"))
     if failures:
         return VerifyReport(False, depth, tuple(failures))
 
@@ -125,7 +130,7 @@ def verify_psse_1step(
             failures.append((family, level, str(e)))
             return
         if spec is None:
-            if _shape(lhs) != _shape(rhs):
+            if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
                 failures.append((family, level, "shape mismatch"))
                 return
             try:
@@ -140,34 +145,20 @@ def verify_psse_1step(
             if msg is not None:
                 failures.append((family, level, msg))
 
-    kphi_m = w.phi_m.then_kappa(w.alphabet_c.word_length)
-    kphi_n = w.phi_n.then_kappa(w.alphabet_d.word_length)
-
     mul = symbolic_matrix_multiply
-    for l in range(depth):
-        if 2 * l + 1 >= w.levels:
-            break
-        eq("plus-factorisation(M)", l, lambda l=l: s_m.plus[l],
-           lambda l=l: mul(w.p_mats[2 * l], w.q_mats[2 * l + 1]), w.phi_m)
-        eq("plus-factorisation(N)", l, lambda l=l: s_n.plus[l],
-           lambda l=l: mul(w.q_mats[2 * l], w.p_mats[2 * l + 1]), w.phi_n)
-        eq("minus-factorisation(M)", l, lambda l=l: s_m.minus[l],
-           lambda l=l: mul(w.x_mats[2 * l], w.y_mats[2 * l + 1]), kphi_m)
-        eq("minus-factorisation(N)", l, lambda l=l: s_n.minus[l],
-           lambda l=l: mul(w.y_mats[2 * l], w.x_mats[2 * l + 1]), kphi_n)
-
-    for idx in range(min(w.levels - 1, 2 * depth - 1)):
-        a, b = idx, idx + 1
-        if idx % 2 == 1:
-            eq("intertwine YP", idx, lambda a=a, b=b: mul(w.y_mats[a], w.p_mats[b]),
-               lambda a=a, b=b: mul(w.p_mats[a], w.y_mats[b]))
-            eq("intertwine XQ", idx, lambda a=a, b=b: mul(w.x_mats[a], w.q_mats[b]),
-               lambda a=a, b=b: mul(w.q_mats[a], w.x_mats[b]))
-        else:
-            eq("intertwine XP", idx, lambda a=a, b=b: mul(w.x_mats[a], w.p_mats[b]),
-               lambda a=a, b=b: mul(w.p_mats[a], w.x_mats[b]))
-            eq("intertwine YQ", idx, lambda a=a, b=b: mul(w.y_mats[a], w.q_mats[b]),
-               lambda a=a, b=b: mul(w.q_mats[a], w.y_mats[b]))
+    for side, s, v, names in sides:
+        p, q, x, y = v.p_mats, v.q_mats, v.x_mats, v.y_mats
+        kphi = v.phi_m.then_kappa(v.alphabet_c.word_length)
+        for l in range(min(depth, w.levels // 2)):
+            eq(f"plus-factorisation({side})", l, lambda: s.plus[l],
+               lambda: mul(p[2 * l], q[2 * l + 1]), v.phi_m)
+            eq(f"minus-factorisation({side})", l, lambda: s.minus[l],
+               lambda: mul(x[2 * l], y[2 * l + 1]), kphi)
+        # Y and P commute up to kappa across odd half-levels, X and P across even
+        for a in range(min(w.levels - 1, 2 * depth - 1)):
+            z, name = (y, names[2]) if a % 2 else (x, names[1])
+            eq(f"intertwine {name}{names[0]}", a, lambda: mul(z[a], p[a + 1]),
+               lambda: mul(p[a], z[a + 1]))
 
     failures.sort(key=lambda t: (t[1], t[0]))
     return VerifyReport(not failures, depth, tuple(failures))
@@ -266,29 +257,22 @@ def detect_bipartite(s: SymbolicMatrixBisystem):
                 for i in range(mm.rows):
                     for j in range(mm.cols):
                         for w in mm.entry(i, j).support():
-                            want = "C" if w in cset else "D"
-                            if l % 2 == 0:
-                                want_src = want_tgt = {"C": "D", "D": "C"}[want]
-                            else:
-                                want_src = want_tgt = want
-                            src_col = colors[l + 1][j]
-                            tgt_col = colors[l][i] if l > 0 else "CD"
-                            if src_col != want_src:
-                                return False
-                            if l > 0 and tgt_col != want_tgt:
+                            # both ends take the symbol's colour on odd
+                            # blocks and the other colour on even ones
+                            want = "C" if (w in cset) == (l % 2 == 1) else "D"
+                            if colors[l + 1][j] != want or (l > 0 and colors[l][i] != want):
                                 return False
             return True
 
         if not minus_ok():
             continue
 
-        vc = tuple(
-            tuple(sorted(i for i, col in colors[l].items() if col in ("C", "CD")))
-            for l in range(s.depth + 1)
-        )
-        vd = tuple(
-            tuple(sorted(i for i, col in colors[l].items() if col in ("D", "CD")))
-            for l in range(s.depth + 1)
+        vc, vd = (
+            tuple(
+                tuple(sorted(i for i, col in colors[l].items() if mine in col))
+                for l in range(s.depth + 1)
+            )
+            for mine in "CD"
         )
         alpha_c = Alphabet.from_words(sorted(cset))
         alpha_d = Alphabet.from_words(sorted(dset))
@@ -305,90 +289,60 @@ def detect_bipartite(s: SymbolicMatrixBisystem):
                 len(rows), len(cols), tuple(tuple(r) for r in cells), alph
             )
 
-        p_blocks, q_blocks, x_blocks, y_blocks = [], [], [], []
+        # per colour: its plus block (P for C, Q for D) runs from its own
+        # vertices to the other colour's, and its minus block (Y for C, X for
+        # D) stays among the other colour's vertices on even blocks, its own
+        # on odd ones
+        plus_blocks, minus_blocks = ([], []), ([], [])
         for l in range(s.depth):
-            mp, mm = s.plus[l], s.minus[l]
-            p_blocks.append(sub(mp, vc[l], vd[l + 1], cset, alpha_c))
-            q_blocks.append(sub(mp, vd[l], vc[l + 1], dset, alpha_d))
-            if l % 2 == 0:
-                x_blocks.append(sub(mm, vc[l], vc[l + 1], dset, alpha_d))
-                y_blocks.append(sub(mm, vd[l], vd[l + 1], cset, alpha_c))
-            else:
-                x_blocks.append(sub(mm, vd[l], vd[l + 1], dset, alpha_d))
-                y_blocks.append(sub(mm, vc[l], vc[l + 1], cset, alpha_c))
+            for k, (own, other, keep, alph) in enumerate(
+                ((vc, vd, cset, alpha_c), (vd, vc, dset, alpha_d))
+            ):
+                plus_blocks[k].append(sub(s.plus[l], own[l], other[l + 1], keep, alph))
+                at = other if l % 2 == 0 else own
+                minus_blocks[k].append(sub(s.minus[l], at[l], at[l + 1], keep, alph))
+        (p_blocks, q_blocks), (y_blocks, x_blocks) = plus_blocks, minus_blocks
 
         # color propagation plus the parity rules force every nonzero entry
         # into its block, so the pattern is exact at this point
-        return BipartiteStructure(
-            alpha_c,
-            alpha_d,
-            vc,
-            vd,
-            tuple(p_blocks),
-            tuple(q_blocks),
-            tuple(x_blocks),
-            tuple(y_blocks),
-        )
+        return BipartiteStructure(alpha_c, alpha_d, vc, vd, *map(
+            tuple, (p_blocks, q_blocks, x_blocks, y_blocks)))
     return None
 
 
 def bipartite_split(s: SymbolicMatrixBisystem, bip: BipartiteStructure):
-    """The two half-depth systems and the one-step witness relating them."""
+    """The two half-depth systems and the one-step witness relating them.
+
+    s_dc is built by the lines that build s_cd, read on the swapped witness.
+    """
     half = s.depth // 2
     if half < 1:
         raise EquivalenceError("need depth >= 2 to split")
-    cd = Alphabet.product(bip.alphabet_c, bip.alphabet_d)
-    dc = Alphabet.product(bip.alphabet_d, bip.alphabet_c)
-
-    def cast(mat, alph):
-        return SymbolicMatrix(mat.rows, mat.cols, mat.entries, alph)
-
-    cd_plus, cd_minus, dc_plus, dc_minus = [], [], [], []
-    for l in range(half):
-        cd_plus.append(
-            cast(symbolic_matrix_multiply(bip.p_blocks[2 * l], bip.q_blocks[2 * l + 1]), cd)
+    # the symbol maps are the identities on the halves' symbols, set below
+    w = PsseWitness(bip.alphabet_c, bip.alphabet_d, None, None,
+                    bip.p_blocks, bip.q_blocks, bip.x_blocks, bip.y_blocks)
+    mul = symbolic_matrix_multiply
+    systems = []
+    for v in (w, w.swapped()):
+        cd = Alphabet.product(v.alphabet_c, v.alphabet_d)
+        plus = tuple(_cast(mul(v.p_mats[2 * l], v.q_mats[2 * l + 1]), cd) for l in range(half))
+        minus = tuple(
+            _cast(kappa_matrix(mul(v.x_mats[2 * l], v.y_mats[2 * l + 1])), cd)
+            for l in range(half)
         )
-        dc_plus.append(
-            cast(symbolic_matrix_multiply(bip.q_blocks[2 * l], bip.p_blocks[2 * l + 1]), dc)
-        )
-        cd_minus.append(
-            cast(
-                kappa_matrix(
-                    symbolic_matrix_multiply(bip.x_blocks[2 * l], bip.y_blocks[2 * l + 1])
-                ),
-                cd,
-            )
-        )
-        dc_minus.append(
-            cast(
-                kappa_matrix(
-                    symbolic_matrix_multiply(bip.y_blocks[2 * l], bip.x_blocks[2 * l + 1])
-                ),
-                dc,
-            )
-        )
-    s_cd = SymbolicMatrixBisystem(tuple(cd_minus), tuple(cd_plus), cd, cd)
-    s_dc = SymbolicMatrixBisystem(tuple(dc_minus), tuple(dc_plus), dc, dc)
-    for sys in (s_cd, s_dc):
+        systems.append(SymbolicMatrixBisystem(minus, plus, cd, cd))
+    specs = []
+    for sys in systems:
         rep = validate_smb(sys)
         if not rep.ok:
             raise EquivalenceError(
                 "split produced an invalid system: "
                 + "; ".join(c for _, v in rep.axioms for c in v.counterexamples[:2])
             )
-    occurring_cd = sorted(set().union(*[m.occurring() for m in s_cd.plus + s_cd.minus]))
-    occurring_dc = sorted(set().union(*[m.occurring() for m in s_dc.plus + s_dc.minus]))
-    w = PsseWitness(
-        bip.alphabet_c,
-        bip.alphabet_d,
-        Specification.identity_on(occurring_cd, cd),
-        Specification.identity_on(occurring_dc, dc),
-        tuple(bip.p_blocks),
-        tuple(bip.q_blocks),
-        tuple(bip.x_blocks),
-        tuple(bip.y_blocks),
-    )
-    return s_cd, s_dc, w
+        occurring = sorted(set().union(*[m.occurring() for m in sys.plus + sys.minus]))
+        specs.append(Specification.identity_on(occurring, sys.sigma_plus))
+    s_cd, s_dc = systems
+    return s_cd, s_dc, replace(w, phi_m=specs[0], phi_n=specs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -401,69 +355,40 @@ def verify_sse_1step(
     w: SseWitness,
     depth: int | None = None,
 ) -> VerifyReport:
-    """Check the six equation families to the stored depth."""
+    """Check the six equation families to the stored depth.
+
+    Each family is written once: for M with H, phi1 and the phi_c maps, and
+    for N with K, phi2 and the phi_d maps.
+    """
     depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
     failures = []
+    sides = (
+        ("M", "H", s_m, s_n, w.h_mats, w.k_mats, w.phi1, w.phi_c_plus, w.phi_c_minus),
+        ("N", "K", s_n, s_m, w.k_mats, w.h_mats, w.phi2, w.phi_d_plus, w.phi_d_minus),
+    )
+
+    for l in range(min(w.levels, depth)):
+        for _, name, s, t, h, *_ in sides:
+            rows, cols = s.level_sizes[l], t.level_sizes[l + 1]
+            if (h[l].rows, h[l].cols) != (rows, cols):
+                failures.append(("shape", l, f"{name}_{l} is not {rows}x{cols}"))
+    if failures:
+        return VerifyReport(False, depth, tuple(failures))
 
     def eq(family, level, lhs, rhs, spec):
         msg = specified_equivalence_failure(lhs, rhs, spec)
         if msg is not None:
             failures.append((family, level, msg))
 
-    m_sizes, n_sizes = s_m.level_sizes, s_n.level_sizes
-    for l in range(min(w.levels, depth)):
-        if _shape(w.h_mats[l]) != (m_sizes[l], n_sizes[l + 1]):
-            failures.append(("shape", l, f"H_{l} is not {m_sizes[l]}x{n_sizes[l+1]}"))
-        if _shape(w.k_mats[l]) != (n_sizes[l], m_sizes[l + 1]):
-            failures.append(("shape", l, f"K_{l} is not {n_sizes[l]}x{m_sizes[l+1]}"))
-    if failures:
-        return VerifyReport(False, depth, tuple(failures))
-
-    for l in range(depth - 1):
-        if l + 1 >= w.levels:
-            break
-        eq(
-            "square-factorisation(M)",
-            l,
-            symbolic_matrix_multiply(s_m.minus[l], s_m.plus[l + 1]),
-            symbolic_matrix_multiply(w.h_mats[l], w.k_mats[l + 1]),
-            w.phi1,
-        )
-        eq(
-            "square-factorisation(N)",
-            l,
-            symbolic_matrix_multiply(s_n.minus[l], s_n.plus[l + 1]),
-            symbolic_matrix_multiply(w.k_mats[l], w.h_mats[l + 1]),
-            w.phi2,
-        )
-        eq(
-            "plus-intertwine(M)",
-            l,
-            symbolic_matrix_multiply(s_m.plus[l], w.h_mats[l + 1]),
-            symbolic_matrix_multiply(w.h_mats[l], s_n.plus[l + 1]),
-            w.phi_c_plus,
-        )
-        eq(
-            "plus-intertwine(N)",
-            l,
-            symbolic_matrix_multiply(s_n.plus[l], w.k_mats[l + 1]),
-            symbolic_matrix_multiply(w.k_mats[l], s_m.plus[l + 1]),
-            w.phi_d_plus,
-        )
-        eq(
-            "minus-intertwine(M)",
-            l,
-            symbolic_matrix_multiply(s_m.minus[l], w.h_mats[l + 1]),
-            symbolic_matrix_multiply(w.h_mats[l], s_n.minus[l + 1]),
-            w.phi_c_minus,
-        )
-        eq(
-            "minus-intertwine(N)",
-            l,
-            symbolic_matrix_multiply(s_n.minus[l], w.k_mats[l + 1]),
-            symbolic_matrix_multiply(w.k_mats[l], s_m.minus[l + 1]),
-            w.phi_d_minus,
-        )
+    mul = symbolic_matrix_multiply
+    for side, _, s, t, h, k, phi, phi_plus, phi_minus in sides:
+        for l in range(min(depth - 1, w.levels - 1)):
+            eq(f"square-factorisation({side})", l,
+               mul(s.minus[l], s.plus[l + 1]), mul(h[l], k[l + 1]), phi)
+            eq(f"plus-intertwine({side})", l,
+               mul(s.plus[l], h[l + 1]), mul(h[l], t.plus[l + 1]), phi_plus)
+            eq(f"minus-intertwine({side})", l,
+               mul(s.minus[l], h[l + 1]), mul(h[l], t.minus[l + 1]), phi_minus)
 
     failures.sort(key=lambda t: (t[1], t[0]))
     return VerifyReport(not failures, depth, tuple(failures))
@@ -475,89 +400,54 @@ def psse_to_sse(w: PsseWitness) -> SseWitness:
     The six symbol maps are computed from the witness maps by the middle
     exchanges that relate the corresponding four-factor products; a missing
     inverse image means the witness was not verifiable in the first place.
+    K and its three maps are H and its maps read on the swapped witness.
     """
+    if w.levels < 2:
+        raise EquivalenceError("witness too short to convert")
+    h_mats, c_sse, phi1, phi_c_plus, phi_c_minus = _sse_half(w)
+    k_mats, d_sse, phi2, phi_d_plus, phi_d_minus = _sse_half(w.swapped())
+    return SseWitness(
+        c_sse, d_sse, phi1, phi2, phi_c_plus, phi_d_plus, phi_c_minus, phi_d_minus,
+        h_mats, k_mats,
+    )
+
+
+def _sse_half(w: PsseWitness):
+    """H_l = X_2l P_2l+1 over D.C, with phi1 (Sigma_M^- . Sigma_M^+ -> D.C.C.D),
+    phi_c_plus (Sigma_M^+ . D.C -> D.C . Sigma_N^+) and phi_c_minus
+    (Sigma_M^- . D.C -> D.C . Sigma_N^-)."""
     kc = w.alphabet_c.word_length
     kd = w.alphabet_d.word_length
-    phi_m = w.phi_m.as_dict()
-    phi_n = w.phi_n.as_dict()
-    kphi_m = {s: d[kc:] + d[:kc] for s, d in phi_m.items()}  # image in D.C
-    kphi_n = {s: d[kd:] + d[:kd] for s, d in phi_n.items()}  # image in C.D
-    inv_phi_m = {v: s for s, v in phi_m.items()}
+    phi_m = w.phi_m.as_dict()  # images (c, d); kappa-exchanged (d, c)
+    phi_n = w.phi_n.as_dict()  # images (d, c); kappa-exchanged (c, d)
     inv_phi_n = {v: s for s, v in phi_n.items()}
-    inv_kphi_m = {v: s for s, v in kphi_m.items()}
-    inv_kphi_n = {v: s for s, v in kphi_n.items()}
+    inv_kphi_n = {v[kd:] + v[:kd]: s for s, v in phi_n.items()}
 
-    c_sse = Alphabet.product(w.alphabet_d, w.alphabet_c)  # H-matrix alphabet
-    d_sse = Alphabet.product(w.alphabet_c, w.alphabet_d)  # K-matrix alphabet
-
-    if len(w.p_mats) < 2:
-        raise EquivalenceError("witness too short to convert")
+    c_sse = Alphabet.product(w.alphabet_d, w.alphabet_c)
     h_mats = tuple(
         _cast(symbolic_matrix_multiply(w.x_mats[2 * l], w.p_mats[2 * l + 1]), c_sse)
-        for l in range(len(w.p_mats) // 2)
+        for l in range(w.levels // 2)
     )
-    k_mats = tuple(
-        _cast(symbolic_matrix_multiply(w.y_mats[2 * l], w.q_mats[2 * l + 1]), d_sse)
-        for l in range(len(w.p_mats) // 2)
-    )
-
-    phi1 = {}
-    for b, bw in kphi_m.items():  # bw = (d_b, c_b)
-        for a, aw in phi_m.items():  # aw = (c_a, d_a)
-            d_b, c_b = bw[:kd], bw[kd:]
-            c_a, d_a = aw[:kc], aw[kc:]
-            phi1[b + a] = d_b + c_a + c_b + d_a
-    phi2 = {}
-    for b, bw in kphi_n.items():  # bw = (c1, d1)
-        for a, aw in phi_n.items():  # aw = (d2, c2)
-            c1, d1 = bw[:kc], bw[kc:]
-            d2, c2 = aw[:kd], aw[kd:]
-            phi2[b + a] = c1 + d2 + d1 + c2
-
-    phi_c_plus = {}
-    for a, aw in phi_m.items():  # aw = (c_a, d_a)
+    phi1 = {
+        b + a: bw[kc:] + aw[:kc] + bw[:kc] + aw[kc:]
+        for b, bw in phi_m.items()
+        for a, aw in phi_m.items()
+    }
+    phi_plus, phi_minus = {}, {}
+    for a, aw in phi_m.items():
         c_a, d_a = aw[:kc], aw[kc:]
-        for h in c_sse.symbols:  # h = (d, c)
-            d, c = h[:kd], h[kd:]
-            target = d_a + c
-            if target in inv_phi_n:
-                phi_c_plus[a + h] = d + c_a + inv_phi_n[target]
-    phi_d_plus = {}
-    for a, aw in phi_n.items():  # aw = (d_a, c_a)
-        d_a, c_a = aw[:kd], aw[kd:]
-        for k in d_sse.symbols:  # k = (c, d)
-            c, d = k[:kc], k[kc:]
-            target = c_a + d
-            if target in inv_phi_m:
-                phi_d_plus[a + k] = c + d_a + inv_phi_m[target]
-    phi_c_minus = {}
-    for b, bw in kphi_m.items():  # bw = (d_b, c_b)
-        d_b, c_b = bw[:kd], bw[kd:]
         for h in c_sse.symbols:
             d, c = h[:kd], h[kd:]
-            target = c_b + d
-            if target in inv_kphi_n:
-                phi_c_minus[b + h] = d_b + c + inv_kphi_n[target]
-    phi_d_minus = {}
-    for b, bw in kphi_n.items():  # bw = (c_b, d_b)
-        c_b, d_b = bw[:kc], bw[kc:]
-        for k in d_sse.symbols:
-            c, d = k[:kc], k[kc:]
-            target = d_b + c
-            if target in inv_kphi_m:
-                phi_d_minus[b + k] = c_b + d + inv_kphi_m[target]
-
-    return SseWitness(
-        c_sse,
-        d_sse,
-        Specification.from_dict(phi1),
-        Specification.from_dict(phi2),
-        Specification.from_dict(phi_c_plus),
-        Specification.from_dict(phi_d_plus),
-        Specification.from_dict(phi_c_minus),
-        Specification.from_dict(phi_d_minus),
+            if d_a + c in inv_phi_n:
+                phi_plus[a + h] = d + c_a + inv_phi_n[d_a + c]
+            if c_a + d in inv_kphi_n:
+                phi_minus[a + h] = d_a + c + inv_kphi_n[c_a + d]
+    return (
         h_mats,
-        k_mats,
+        c_sse,
+        Specification.from_dict(phi1),
+        Specification.from_dict(phi_plus),
+        Specification.from_dict(phi_minus),
     )
 
 
@@ -580,25 +470,20 @@ def conjugacy_block_map(
     For a passing witness, the pair (second half of the first symbol's image,
     first half of the next symbol's image) has a unique preimage symbol on the
     other side; failure of that uniqueness falsifies the witness and raises.
-    With ``reverse`` the roles of the two systems (and symbol maps) swap.
+    With ``reverse`` the map runs from the second system, on the swapped
+    witness.
     """
+    if reverse:
+        s_m, s_n, w = s_n, s_m, w.swapped()
     rep = verify_psse_1step(s_m, s_n, w)
     if not rep.ok:
         raise EquivalenceError("witness does not verify; no block code")
-    kc = w.alphabet_c.word_length
-    kd = w.alphabet_d.word_length
-    if reverse:
-        src, spec_src, spec_dst = s_n, w.phi_n, w.phi_m
-        cut, out_chunk = kd, s_m.sigma_plus.word_length
-    else:
-        src, spec_src, spec_dst = s_m, w.phi_m, w.phi_n
-        cut, out_chunk = kc, s_n.sigma_plus.word_length
-    inv_dst = {v: s for s, v in spec_dst.as_dict().items()}
-    src_map = spec_src.as_dict()
+    cut = w.alphabet_c.word_length
+    src_map = w.phi_m.as_dict()
+    inv_dst = {v: s for s, v in w.phi_n.as_dict().items()}
 
-    chunk = src.sigma_plus.word_length
-    b = from_smb(src)
-    two_blocks = presented_words(b, "plus", 2)
+    chunk = s_m.sigma_plus.word_length
+    two_blocks = presented_words(from_smb(s_m), "plus", 2)
     mapping = {}
     for wrd in two_blocks:
         x1, x2 = wrd[:chunk], wrd[chunk:]
@@ -610,4 +495,4 @@ def conjugacy_block_map(
                 f"no symbol on the other side presents {word_str(mid)}; witness falsified"
             )
         mapping[(x1, x2)] = inv_dst[mid]
-    return BlockCode.from_dict(mapping, in_chunk=chunk, out_chunk=out_chunk)
+    return BlockCode.from_dict(mapping, in_chunk=chunk, out_chunk=s_n.sigma_plus.word_length)

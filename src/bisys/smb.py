@@ -19,7 +19,7 @@ from .core import (
     find_specification_multi,
     word_str,
 )
-from .bisystem import LambdaGraphBisystem, Verdict, axiom_verdicts, corners
+from .bisystem import LambdaGraphBisystem, Verdict, corners
 
 
 class SmbError(ValueError):
@@ -179,7 +179,7 @@ def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBis
     ``unchecked`` skips the validation gate so that defective inputs can be
     presented and judged on the matrix side instead.
     """
-    if not unchecked and not all(v.ok for _, v in axiom_verdicts(b)):
+    if not unchecked and not all(v.ok for _, v in b._axioms):
         raise SmbError("bisystem fails validation; refusing to present")
     zero = FormalSum()
     blocks = {}

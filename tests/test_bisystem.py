@@ -333,3 +333,28 @@ def test_transition_tensor_entries_match_fixture_edges():
     assert tm.a_minus(2, 0, ("am",), 0) == 1
     assert tm.a_minus(2, 2, ("bm",), 0) == 1
     assert tm.a_minus(2, 0, ("bm",), 0) == 0
+
+
+def test_lgs_local_property_messages_are_pinned():
+    lgs = golden_mean_lgs(4)
+    from bisys.bisystem import LambdaGraphSystem
+
+    iota = list(lgs.iota)
+    iota[1] = (1, 0)
+    edges = [list(block) for block in lgs.edges]
+    edges[1].append((0, 0, "a12"))
+    edges[2][0] = (0, 0, "a21")
+    broken = LambdaGraphSystem(
+        lgs.level_sizes, tuple(map(tuple, edges)), tuple(iota), lgs.alphabet
+    )
+    assert validate_lambda_graph_system(broken) == [
+        "not left-resolving: two a21-edges into vertex 1 at level 3",
+        "one-sided local property fails at (v1^0, v1^2): ['a11', 'a12'] vs ['a12']",
+        "one-sided local property fails at (v1^0, v2^2): ['a12'] vs ['a11']",
+        "one-sided local property fails at (v2^0, v1^2): ['a21'] vs []",
+        "one-sided local property fails at (v2^0, v2^2): [] vs ['a21']",
+        "one-sided local property fails at (v1^1, v1^3): ['a21'] vs ['a11', 'a12']",
+        "one-sided local property fails at (v1^1, v2^3): [] vs ['a12']",
+        "one-sided local property fails at (v2^1, v2^3): ['a12'] vs []",
+        "one-sided local property fails at (v1^2, v1^4): ['a11'] vs ['a21']",
+    ]

@@ -231,3 +231,26 @@ def test_sweep_matches_per_pair_fill_in_reference(pres, depth):
             g, build.class_table, level
         )
     assert central_classes(pres, depth) == build.class_table[depth]
+
+
+def test_verdicts_are_computed_once_per_bisystem(monkeypatch):
+    import bisys.bisystem as bs
+
+    calls = {"axioms": 0, "fpcc": 0}
+    real_axioms, real_fpcc = bs.axiom_verdicts, bs._fpcc_verdict
+
+    def axioms(b):
+        calls["axioms"] += 1
+        return real_axioms(b)
+
+    def fpcc(b):
+        calls["fpcc"] += 1
+        return real_fpcc(b)
+
+    monkeypatch.setattr(bs, "axiom_verdicts", axioms)
+    monkeypatch.setattr(bs, "_fpcc_verdict", fpcc)
+    b = canonical_bisystem(even_shift_pres(), 4).bisystem  # gates on validate
+    rep = validate(b)
+    to_smb(b)  # gates on the axioms
+    assert calls == {"axioms": 1, "fpcc": 1}
+    assert rep.axioms == real_axioms(b) and rep.fpcc == real_fpcc(b)

@@ -222,6 +222,21 @@ def test_witness_families_of_unequal_length_are_input_errors(tmp_path, capsys):
         assert "same number of matrices" in captured.err and captured.out == ""
 
 
+def test_convert_of_a_witness_too_short_is_an_input_error(tmp_path, capsys):
+    s = canonical_smb(golden_mean_pres(), 3)
+    sf = write(tmp_path, "s.json", dump_document("smb", "gm", s))
+    node = json.loads(dump_document("psse_witness", "one-level", trivial_psse_witness(s)))
+    for family in "PQXY":
+        del node["payload"][family][1:]
+    wf = write(tmp_path, "w.json", json.dumps(node))
+    conv = tmp_path / "conv.json"
+    assert main(["check-equivalence", sf, sf, wf, "--depth", "3", "--convert", str(conv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "pass (checked to witness level 3)\n"
+    assert captured.err == "error: witness too short to convert\n"
+    assert not conv.exists()
+
+
 def test_invalid_lambda_graph_system_is_an_input_error(tmp_path, capsys):
     node = json.loads(FULL3_LGS)
     node["payload"]["level_sizes"] = [2, 1, 1]

@@ -1,11 +1,26 @@
+import random
+from dataclasses import replace
+
 import pytest
 
-from bisys.core import FormalSum, SymbolicMatrix, kappa_matrix, symbolic_matrix_multiply
+from bisys.core import (
+    Alphabet,
+    CoreError,
+    FormalSum,
+    Specification,
+    SymbolicMatrix,
+    kappa_matrix,
+    specified_equivalence_failure,
+    symbolic_matrix_multiply,
+)
 from bisys.bisystem import presented_words
 from bisys.canonical import canonical_smb
+from bisys.cli.documents import dump_document
 from bisys.equivalence import (
     EquivalenceError,
     PsseWitness,
+    SseWitness,
+    VerifyReport,
     bipartite_split,
     conjugacy_block_map,
     detect_bipartite,
@@ -15,7 +30,7 @@ from bisys.equivalence import (
     verify_sse_1step,
 )
 from bisys.smb import from_smb
-from bisys.subshift import apply_block_code
+from bisys.subshift import LabeledGraph, SubshiftPresentation, apply_block_code
 from fixtures import (
     alternating_pres,
     even_shift_pres,
@@ -68,17 +83,18 @@ def test_detect_bipartite_absent_for_golden_mean():
     assert detect_bipartite(canonical_smb(golden_mean_pres(), 5)) is None
 
 
-def test_detect_bipartite_two_power_alternation():
-    from bisys.subshift import LabeledGraph, SubshiftPresentation
-
+def two_power_alternation_pres():
+    """The golden-mean graph doubled into even and odd copies, labels marked c
+    on even-to-odd edges and d on odd-to-even ones."""
     edges = []
     for (s0, t0, lab) in (("1", "1", "1"), ("1", "2", "2"), ("2", "1", "1")):
         edges.append((s0 + "e", t0 + "o", lab + "c"))
         edges.append((s0 + "o", t0 + "e", lab + "d"))
-    pres = SubshiftPresentation.from_graph(
-        LabeledGraph(("1e", "1o", "2e", "2o"), tuple(edges))
-    )
-    s = canonical_smb(pres, 6)
+    return SubshiftPresentation.from_graph(LabeledGraph(("1e", "1o", "2e", "2o"), tuple(edges)))
+
+
+def test_detect_bipartite_two_power_alternation():
+    s = canonical_smb(two_power_alternation_pres(), 6)
     bip = detect_bipartite(s)
     assert bip is not None
     s_cd, s_dc, w = bipartite_split(s, bip)
@@ -231,3 +247,240 @@ def test_conversion_after_corrupt_then_repair():
     )
     assert verify_psse_1step(s, s, fixed).ok
     assert verify_sse_1step(s, s, psse_to_sse(fixed)).ok
+
+
+# -- the verifiers and the conversion with every M/N twin written out by hand,
+# kept as the oracle for the versions that derive the N side from the M side
+
+
+def oracle_verify_psse_1step(s_m, s_n, w, depth=None):
+    depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
+    failures = []
+    m_sizes, n_sizes = s_m.level_sizes, s_n.level_sizes
+    for idx in range(min(w.levels, 2 * depth)):
+        l, odd = divmod(idx, 2)
+        if not odd:
+            if w.p_mats[idx].rows != m_sizes[l]:
+                failures.append(("shape", idx, f"P_{idx} must have {m_sizes[l]} rows"))
+            if w.q_mats[idx].rows != n_sizes[l]:
+                failures.append(("shape", idx, f"Q_{idx} must have {n_sizes[l]} rows"))
+    if failures:
+        return VerifyReport(False, depth, tuple(failures))
+
+    def eq(family, level, lhs_fn, rhs_fn, spec=None):
+        try:
+            lhs, rhs = lhs_fn(), rhs_fn()
+        except CoreError as e:
+            failures.append((family, level, str(e)))
+            return
+        if spec is None:
+            if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+                failures.append((family, level, "shape mismatch"))
+                return
+            try:
+                k = kappa_matrix(lhs)
+            except CoreError as e:
+                failures.append((family, level, str(e)))
+                return
+            if not k.same_entries(rhs):
+                failures.append((family, level, "kappa-exchanged products differ"))
+        else:
+            msg = specified_equivalence_failure(lhs, rhs, spec)
+            if msg is not None:
+                failures.append((family, level, msg))
+
+    kphi_m = w.phi_m.then_kappa(w.alphabet_c.word_length)
+    kphi_n = w.phi_n.then_kappa(w.alphabet_d.word_length)
+    mul = symbolic_matrix_multiply
+    P, Q, X, Y = w.p_mats, w.q_mats, w.x_mats, w.y_mats
+    for l in range(depth):
+        if 2 * l + 1 >= w.levels:
+            break
+        a, b = 2 * l, 2 * l + 1
+        eq("plus-factorisation(M)", l, lambda: s_m.plus[l], lambda: mul(P[a], Q[b]), w.phi_m)
+        eq("plus-factorisation(N)", l, lambda: s_n.plus[l], lambda: mul(Q[a], P[b]), w.phi_n)
+        eq("minus-factorisation(M)", l, lambda: s_m.minus[l], lambda: mul(X[a], Y[b]), kphi_m)
+        eq("minus-factorisation(N)", l, lambda: s_n.minus[l], lambda: mul(Y[a], X[b]), kphi_n)
+    for a in range(min(w.levels - 1, 2 * depth - 1)):
+        b = a + 1
+        if a % 2 == 1:
+            eq("intertwine YP", a, lambda: mul(Y[a], P[b]), lambda: mul(P[a], Y[b]))
+            eq("intertwine XQ", a, lambda: mul(X[a], Q[b]), lambda: mul(Q[a], X[b]))
+        else:
+            eq("intertwine XP", a, lambda: mul(X[a], P[b]), lambda: mul(P[a], X[b]))
+            eq("intertwine YQ", a, lambda: mul(Y[a], Q[b]), lambda: mul(Q[a], Y[b]))
+    failures.sort(key=lambda t: (t[1], t[0]))
+    return VerifyReport(not failures, depth, tuple(failures))
+
+
+def oracle_verify_sse_1step(s_m, s_n, w, depth=None):
+    depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
+    failures = []
+    m_sizes, n_sizes = s_m.level_sizes, s_n.level_sizes
+    for l in range(min(w.levels, depth)):
+        h, k = w.h_mats[l], w.k_mats[l]
+        if (h.rows, h.cols) != (m_sizes[l], n_sizes[l + 1]):
+            failures.append(("shape", l, f"H_{l} is not {m_sizes[l]}x{n_sizes[l+1]}"))
+        if (k.rows, k.cols) != (n_sizes[l], m_sizes[l + 1]):
+            failures.append(("shape", l, f"K_{l} is not {n_sizes[l]}x{m_sizes[l+1]}"))
+    if failures:
+        return VerifyReport(False, depth, tuple(failures))
+    mul = symbolic_matrix_multiply
+    H, K = w.h_mats, w.k_mats
+    for l in range(depth - 1):
+        if l + 1 >= w.levels:
+            break
+        for family, lhs, rhs, spec in (
+            ("square-factorisation(M)", mul(s_m.minus[l], s_m.plus[l + 1]),
+             mul(H[l], K[l + 1]), w.phi1),
+            ("square-factorisation(N)", mul(s_n.minus[l], s_n.plus[l + 1]),
+             mul(K[l], H[l + 1]), w.phi2),
+            ("plus-intertwine(M)", mul(s_m.plus[l], H[l + 1]),
+             mul(H[l], s_n.plus[l + 1]), w.phi_c_plus),
+            ("plus-intertwine(N)", mul(s_n.plus[l], K[l + 1]),
+             mul(K[l], s_m.plus[l + 1]), w.phi_d_plus),
+            ("minus-intertwine(M)", mul(s_m.minus[l], H[l + 1]),
+             mul(H[l], s_n.minus[l + 1]), w.phi_c_minus),
+            ("minus-intertwine(N)", mul(s_n.minus[l], K[l + 1]),
+             mul(K[l], s_m.minus[l + 1]), w.phi_d_minus),
+        ):
+            msg = specified_equivalence_failure(lhs, rhs, spec)
+            if msg is not None:
+                failures.append((family, l, msg))
+    failures.sort(key=lambda t: (t[1], t[0]))
+    return VerifyReport(not failures, depth, tuple(failures))
+
+
+def oracle_psse_to_sse(w):
+    kc, kd = w.alphabet_c.word_length, w.alphabet_d.word_length
+    phi_m, phi_n = w.phi_m.as_dict(), w.phi_n.as_dict()
+    kphi_m = {s: d[kc:] + d[:kc] for s, d in phi_m.items()}
+    kphi_n = {s: d[kd:] + d[:kd] for s, d in phi_n.items()}
+    inv_phi_m = {v: s for s, v in phi_m.items()}
+    inv_phi_n = {v: s for s, v in phi_n.items()}
+    inv_kphi_m = {v: s for s, v in kphi_m.items()}
+    inv_kphi_n = {v: s for s, v in kphi_n.items()}
+    c_sse = Alphabet.product(w.alphabet_d, w.alphabet_c)
+    d_sse = Alphabet.product(w.alphabet_c, w.alphabet_d)
+    if len(w.p_mats) < 2:
+        raise EquivalenceError("witness too short to convert")
+
+    def cast(m, alph):
+        return SymbolicMatrix(m.rows, m.cols, m.entries, alph)
+
+    half = range(len(w.p_mats) // 2)
+    mul = symbolic_matrix_multiply
+    h_mats = tuple(cast(mul(w.x_mats[2 * l], w.p_mats[2 * l + 1]), c_sse) for l in half)
+    k_mats = tuple(cast(mul(w.y_mats[2 * l], w.q_mats[2 * l + 1]), d_sse) for l in half)
+    phi1, phi2 = {}, {}
+    for b, bw in kphi_m.items():
+        for a, aw in phi_m.items():
+            phi1[b + a] = bw[:kd] + aw[:kc] + bw[kd:] + aw[kc:]
+    for b, bw in kphi_n.items():
+        for a, aw in phi_n.items():
+            phi2[b + a] = bw[:kc] + aw[:kd] + bw[kc:] + aw[kd:]
+    phi_c_plus, phi_d_plus, phi_c_minus, phi_d_minus = {}, {}, {}, {}
+    for a, aw in phi_m.items():
+        for h in c_sse.symbols:
+            if aw[kc:] + h[kd:] in inv_phi_n:
+                phi_c_plus[a + h] = h[:kd] + aw[:kc] + inv_phi_n[aw[kc:] + h[kd:]]
+    for a, aw in phi_n.items():
+        for k in d_sse.symbols:
+            if aw[kd:] + k[kc:] in inv_phi_m:
+                phi_d_plus[a + k] = k[:kc] + aw[:kd] + inv_phi_m[aw[kd:] + k[kc:]]
+    for b, bw in kphi_m.items():
+        for h in c_sse.symbols:
+            if bw[kd:] + h[:kd] in inv_kphi_n:
+                phi_c_minus[b + h] = bw[:kd] + h[kd:] + inv_kphi_n[bw[kd:] + h[:kd]]
+    for b, bw in kphi_n.items():
+        for k in d_sse.symbols:
+            if bw[kc:] + k[:kc] in inv_kphi_m:
+                phi_d_minus[b + k] = bw[:kc] + k[kc:] + inv_kphi_m[bw[kc:] + k[:kc]]
+    spec = Specification.from_dict
+    return SseWitness(c_sse, d_sse, spec(phi1), spec(phi2), spec(phi_c_plus),
+                      spec(phi_d_plus), spec(phi_c_minus), spec(phi_d_minus), h_mats, k_mats)
+
+
+def mutant_matrix(m, rng):
+    """m with one term of one cell dropped, duplicated or replaced, or with its
+    last row or column cut off."""
+    grid = [list(row) for row in m.entries]
+    op = rng.choice(("drop", "duplicate", "replace", "replace", "cut"))
+    if op == "cut":
+        if m.rows > 1 and rng.random() < 0.5:
+            return SymbolicMatrix(m.rows - 1, m.cols, tuple(map(tuple, grid[:-1])), m.alphabet)
+        if m.cols > 1:
+            return SymbolicMatrix(m.rows, m.cols - 1, tuple(tuple(r[:-1]) for r in grid),
+                                  m.alphabet)
+    cells = [(i, j) for i in range(m.rows) for j in range(m.cols)]
+    i, j = rng.choice([c for c in cells if not m.entry(*c).is_zero] or cells)
+    terms = [w for w, c in grid[i][j].items() for _ in range(c)]
+    k = rng.randrange(len(terms)) if terms else 0
+    if op == "drop" and terms:
+        del terms[k]
+    elif op == "duplicate" and terms:
+        terms.append(terms[k])
+    else:
+        terms[k:k + 1] = [rng.choice(m.alphabet.symbols)]
+    grid[i][j] = FormalSum(terms)
+    return SymbolicMatrix(m.rows, m.cols, tuple(map(tuple, grid)), m.alphabet)
+
+
+def mutant_witness(w, families, rng):
+    """w with one matrix of one of its families replaced by a mutant."""
+    fam = rng.choice(families)
+    mats = list(getattr(w, fam))
+    k = rng.randrange(len(mats))
+    mats[k] = mutant_matrix(mats[k], rng)
+    return replace(w, **{fam: tuple(mats)})
+
+
+def witness_cases():
+    """(s_m, s_n, w): self-witnesses of the fixture systems and the witnesses
+    of bipartite splits."""
+    cases = []
+    for pres, depth in ((golden_mean_pres(), 4), (even_shift_pres(), 3), (full_shift_pres(2), 4)):
+        s = canonical_smb(pres, depth)
+        cases.append((s, s, trivial_psse_witness(s)))
+    for pres in (alternating_pres(), two_power_alternation_pres()):
+        s = canonical_smb(pres, 6)
+        cases.append(bipartite_split(s, detect_bipartite(s)))
+    return cases
+
+
+def test_verifiers_and_conversion_match_the_hand_mirrored_oracle():
+    rng = random.Random(5)
+    failed = set()
+    for s_m, s_n, w in witness_cases():
+        for v in [w] + [mutant_witness(w, ("p_mats", "q_mats", "x_mats", "y_mats"), rng)
+                        for _ in range(6)]:
+            rep = verify_psse_1step(s_m, s_n, v)
+            assert rep == oracle_verify_psse_1step(s_m, s_n, v)
+            assert dump_document("sse_witness", "v", psse_to_sse(v)) == dump_document(
+                "sse_witness", "v", oracle_psse_to_sse(v))
+            failed |= {fam for fam, _, _ in rep.failures}
+        assert verify_psse_1step(s_m, s_n, w, 2) == oracle_verify_psse_1step(s_m, s_n, w, 2)
+        sw = psse_to_sse(w)
+        for v in [sw] + [mutant_witness(sw, ("h_mats", "k_mats"), rng) for _ in range(4)]:
+            rep = verify_sse_1step(s_m, s_n, v)
+            assert rep == oracle_verify_sse_1step(s_m, s_n, v)
+            failed |= {fam for fam, _, _ in rep.failures}
+    assert len(failed) == 15, failed  # shape and all four plus six equation families
+
+
+SWAP = str.maketrans("MNPQXY", "NMQPYX")
+
+
+def test_swapped_witness_gives_the_renamed_failures():
+    rng = random.Random(3)
+    for s_m, s_n, w in witness_cases():
+        for v in [w] + [mutant_witness(w, ("p_mats", "q_mats", "x_mats", "y_mats"), rng)
+                        for _ in range(3)]:
+            rep = verify_psse_1step(s_m, s_n, v)
+            back = verify_psse_1step(s_n, s_m, v.swapped())
+            assert v.swapped().swapped() == v
+            assert (back.ok, back.checked_levels) == (rep.ok, rep.checked_levels)
+            assert sorted(
+                (lvl, fam.translate(SWAP), msg.translate(SWAP) if fam == "shape" else msg)
+                for fam, lvl, msg in back.failures
+            ) == sorted((lvl, fam, msg) for fam, lvl, msg in rep.failures)
