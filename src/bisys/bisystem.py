@@ -369,13 +369,21 @@ def validate_lambda_graph_system(lgs: LambdaGraphSystem):
     """List of defects; empty when the one-sided axioms hold to depth."""
     bad = []
     L = lgs.depth
+    if len(lgs.edges) < L or len(lgs.iota) < L:
+        return [
+            f"{len(lgs.edges)} edge blocks and {len(lgs.iota)} iota blocks "
+            f"for {L + 1} levels"
+        ]
+    broken = set()  # blocks whose iota cannot be read as a map V_{l+1} -> V_l
     for l in range(L):
         m, m1 = lgs.level_sizes[l], lgs.level_sizes[l + 1]
         if len(lgs.iota[l]) != m1:
             bad.append(f"iota block {l} has wrong length")
+            broken.add(l)
             continue
         if any(not (0 <= v < m) for v in lgs.iota[l]):
             bad.append(f"iota block {l} leaves the level")
+            broken.add(l)
         if set(lgs.iota[l]) != set(range(m)):
             bad.append(f"iota block {l} is not surjective")
         for (s, t, a) in lgs.edges[l]:
@@ -397,11 +405,14 @@ def validate_lambda_graph_system(lgs: LambdaGraphSystem):
             if j not in ins:
                 bad.append(f"vertex {j+1} at level {l+1} has no predecessor")
     # local property: labels into v from iota-collapsed sources match labels
-    # into iota(v) level-wise, as multisets; both blocks grouped once
+    # into iota(v) level-wise, as multisets; both blocks grouped once, and
+    # skipped where either iota block is already reported broken
     for l in range(L - 1):
+        if l in broken or l + 1 in broken:
+            continue
         into = {}  # (iota(s), t) -> labels of the block-(l+1) edges s -> t
         for (s, t, a) in lgs.edges[l + 1]:
-            if t in range(lgs.level_sizes[l + 2]):
+            if s in range(lgs.level_sizes[l + 1]) and t in range(lgs.level_sizes[l + 2]):
                 into.setdefault((lgs.iota[l][s], t), []).append(a)
         out = {}  # s -> t -> labels of the block-l edges s -> t
         for (s, t, a) in lgs.edges[l]:

@@ -1,7 +1,9 @@
 """Batch front door: parse documents, run constructions and verifiers.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input error.  Output
-is deterministic for fixed inputs and flags; BISYS_MAX_DEPTH caps every
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input error, 3
+internal error (an exception that is not one of bisys's own: stdout stays
+empty, and BISYS_DEBUG adds a traceback on stderr).  Output is
+deterministic for fixed inputs and flags; BISYS_MAX_DEPTH caps every
 --depth as a safety valve.  A --depth below 1, or a cap that is not a
 positive integer, is an input error.
 """
@@ -9,8 +11,11 @@ positive integer, is an input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
+import traceback
 
 from .. import __version__
 from ..bisystem import (
@@ -21,7 +26,8 @@ from ..bisystem import (
     validate,
     validate_lambda_graph_system,
 )
-from ..canonical import canonical_bisystem
+from ..canonical import CanonicalError, canonical_bisystem
+from ..core import CoreError
 from ..equivalence import (
     EquivalenceError,
     bipartite_split,
@@ -30,13 +36,18 @@ from ..equivalence import (
     verify_psse_1step,
     verify_sse_1step,
 )
-from ..ktheory import ck_oracle, k_groups
+from ..ktheory import KtheoryError, ck_oracle, k_groups
 from ..smb import SmbError, from_smb, to_smb, validate_smb
 from ..subshift import SubshiftError, admissible_words
 from .documents import DocumentError, dump_document, load_document, save_document
 from .dot import bisystem_dot
 
-PASS, FAIL, INPUT_ERROR = 0, 1, 2
+PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+# bisys's own errors that reach main keep the code of a failed verdict
+LIBRARY_ERRORS = (
+    BisystemError, CanonicalError, CoreError, EquivalenceError, KtheoryError, SmbError,
+    SubshiftError,
+)
 
 
 def _input_error(message):
@@ -367,18 +378,32 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def _run(args):
     try:
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else INPUT_ERROR
-    except DocumentError as e:
+    except (DocumentError, OSError) as e:  # OSError: an output file that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    except Exception as e:
+    except LIBRARY_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return FAIL
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    out = io.StringIO()  # held back, so an internal error prints nothing
+    try:
+        with contextlib.redirect_stdout(out):
+            code = _run(args)
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        if os.environ.get("BISYS_DEBUG"):
+            traceback.print_exc()
+        return INTERNAL_ERROR
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -97,8 +97,15 @@ class FormalSum:
         object.__setattr__(self, "_terms", acc)
 
     @staticmethod
+    def _trusted(terms: dict) -> "FormalSum":
+        """Wrap a dict already in normal form: tuple keys, positive counts."""
+        fs = object.__new__(FormalSum)
+        object.__setattr__(fs, "_terms", terms)
+        return fs
+
+    @staticmethod
     def zero() -> "FormalSum":
-        return FormalSum()
+        return _ZERO
 
     @staticmethod
     def of(*words) -> "FormalSum":
@@ -130,7 +137,7 @@ class FormalSum:
         acc = dict(self._terms)
         for w, c in other._terms.items():
             acc[w] = acc.get(w, 0) + c
-        return FormalSum(acc)
+        return FormalSum._trusted(acc)
 
     def product(self, other: "FormalSum") -> "FormalSum":
         """Bilinear concatenation product; 0 annihilates."""
@@ -139,7 +146,7 @@ class FormalSum:
             for v, cv in other._terms.items():
                 w = u + v
                 acc[w] = acc.get(w, 0) + cu * cv
-        return FormalSum(acc)
+        return FormalSum._trusted(acc)
 
     def kappa(self, split: int = 1) -> "FormalSum":
         """Exchange the two factors of every term, split after ``split`` letters."""
@@ -149,14 +156,14 @@ class FormalSum:
                 raise CoreError(f"term {word_str(w)} does not factor at position {split}")
             sw = w[split:] + w[:split]
             acc[sw] = acc.get(sw, 0) + c
-        return FormalSum(acc)
+        return FormalSum._trusted(acc)
 
     def map_terms(self, fn) -> "FormalSum":
         acc: dict = {}
         for w, c in self._terms.items():
             v = tuple(fn(w))
             acc[v] = acc.get(v, 0) + c
-        return FormalSum(acc)
+        return FormalSum._trusted(acc)
 
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self._terms == other._terms
@@ -170,6 +177,9 @@ class FormalSum:
         return "+".join(
             word_str(w) if c == 1 else f"{c}{word_str(w)}" for w, c in self.items()
         )
+
+
+_ZERO = FormalSum()  # shared by every empty cell; a FormalSum is never mutated
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ class SymbolicMatrix:
         allowed = set(self.alphabet.symbols)
         for row in self.entries:
             for cell in row:
-                for w in cell.support():
+                for w in cell._terms:
                     if w not in allowed:
                         raise CoreError(f"symbol {word_str(w)} not in matrix alphabet")
 
@@ -246,18 +256,36 @@ class SymbolicMatrix:
 
 
 def symbolic_matrix_multiply(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
-    """Matrix product with formal-sum entries over the product alphabet."""
+    """Matrix product with formal-sum entries over the product alphabet.
+
+    Row by row over the nonzero cells only (Gustavson's sparse product):
+    each term u.v of a result cell goes into one dict, and each nonzero cell
+    becomes one FormalSum.
+    """
     if a.cols != b.rows:
         raise CoreError(f"inner dimensions disagree: {a.cols} vs {b.rows}")
     alph = Alphabet.product(a.alphabet, b.alphabet)
-
-    def cell(i, j):
-        acc = FormalSum.zero()
-        for k in range(a.cols):
-            acc = acc + a.entries[i][k].product(b.entries[k][j])
-        return acc
-
-    return SymbolicMatrix.build(a.rows, b.cols, alph, cell)
+    b_rows = [
+        [(j, cell._terms.items()) for j, cell in enumerate(row) if cell._terms]
+        for row in b.entries
+    ]
+    grid = []
+    for a_row in a.entries:
+        acc: dict = {}  # column -> {word: multiplicity}
+        for k, left in enumerate(a_row):
+            if not left._terms:
+                continue
+            left_terms = left._terms.items()
+            for j, right in b_rows[k]:
+                cell = acc.setdefault(j, {})
+                for u, cu in left_terms:
+                    for v, cv in right:
+                        w = u + v
+                        cell[w] = cell.get(w, 0) + cu * cv
+        grid.append(
+            tuple(FormalSum._trusted(acc[j]) if j in acc else _ZERO for j in range(b.cols))
+        )
+    return SymbolicMatrix(a.rows, b.cols, tuple(grid), alph)
 
 
 def kappa_matrix(m: SymbolicMatrix) -> SymbolicMatrix:

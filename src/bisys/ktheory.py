@@ -227,9 +227,14 @@ def kernel_basis(theta):
 
 def solve(theta, b):
     """Some integer x with theta x = b, or None."""
-    rows = len(theta)
-    cols = len(theta[0]) if rows else 0
-    u, d, v = smith_normal_form(theta)
+    return _solve_factored(smith_normal_form(theta), b)
+
+
+def _solve_factored(snf, b):
+    """solve() against a factorization (U, D, V) of theta made once."""
+    u, d, v = snf
+    rows = len(d)
+    cols = len(d[0]) if rows else 0
     ub = mat_vec(u, b)
     y = [0] * cols
     r = min(rows, cols)
@@ -400,10 +405,10 @@ def _kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
         return True
     # coordinates of t * ka in the kb basis must form a unimodular matrix
     kb_mat = [[kb[j][i] for j in range(len(kb))] for i in range(len(kb[0]))]
+    kb_snf = smith_normal_form(kb_mat)  # one factorization for every image
     coords = []
     for vec in ka:
-        img = mat_vec(t, vec)
-        c = solve(kb_mat, img)
+        c = _solve_factored(kb_snf, mat_vec(t, vec))
         if c is None:
             return False
         coords.append(c)

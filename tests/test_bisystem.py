@@ -24,6 +24,7 @@ from bisys.ktheory import build_ladder
 from bisys.smb import to_smb, validate_smb
 from fixtures import (
     alternating_pres,
+    full_n_lgs,
     full_shift_bisystem,
     full_shift_pres,
     golden_mean_lgs,
@@ -243,6 +244,47 @@ def test_lgs_rejects_broken_local_property():
     assert validate_lambda_graph_system(broken)
     with pytest.raises(BisystemError):
         from_lambda_graph_system(broken)
+
+
+def test_malformed_iota_and_edge_blocks_are_reported_not_raised():
+    from bisys.bisystem import LambdaGraphSystem, lgs_from_matrix
+
+    rng = random.Random(53)
+    bases = [
+        golden_mean_lgs(4),
+        full_n_lgs(2, 4),
+        lgs_from_matrix([[1, 1, 0], [0, 0, 1], [1, 1, 1]], 4),
+    ]
+    for _ in range(300):
+        lgs = rng.choice(bases)
+        iota = [list(block) for block in lgs.iota]
+        edges = [list(block) for block in lgs.edges]
+        l = rng.randrange(lgs.depth)
+        kind = rng.choice(("short", "long", "range", "edge", "blocks"))
+        if kind == "short":
+            del iota[l][rng.randrange(len(iota[l])):]
+            expected = f"iota block {l} has wrong length"
+        elif kind == "long":
+            iota[l] += [0] * rng.randint(1, 3)
+            expected = f"iota block {l} has wrong length"
+        elif kind == "range":
+            out_of_range = rng.choice((-1, lgs.level_sizes[l] + rng.randint(0, 2)))
+            iota[l][rng.randrange(len(iota[l]))] = out_of_range
+            expected = f"iota block {l} leaves the level"
+        elif kind == "edge":
+            s, t, a = edges[l][rng.randrange(len(edges[l]))]
+            edges[l].append((lgs.level_sizes[l] + rng.randint(0, 2), t, a))
+            expected = "out of range at block"
+        else:
+            del (iota if rng.random() < 0.5 else edges)[rng.randrange(lgs.depth):]
+            expected = "iota blocks for"
+        broken = LambdaGraphSystem(
+            lgs.level_sizes, tuple(map(tuple, edges)), tuple(map(tuple, iota)), lgs.alphabet
+        )
+        defects = validate_lambda_graph_system(broken)
+        assert any(expected in d for d in defects), (kind, defects)
+        with pytest.raises(BisystemError):
+            from_lambda_graph_system(broken)
 
 
 def test_tensor_round_trip():

@@ -251,6 +251,52 @@ def test_invalid_lambda_graph_system_is_an_input_error(tmp_path, capsys):
         assert "iota block 0 is not surjective" in captured.err and captured.out == ""
 
 
+def test_wrong_length_iota_is_a_verdict_and_an_input_error(tmp_path, capsys):
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    with open(os.path.join(examples, "golden_mean.lgs.json")) as fh:
+        node = json.load(fh)
+    node["payload"]["iota"][0] = []
+    bad = write(tmp_path, "bad.json", json.dumps(node))
+    assert main(["validate", bad]) == 1
+    assert capsys.readouterr().out == (
+        "one-sided system: INVALID\n  iota block 0 has wrong length\n"
+    )
+    for command in (["invariants", bad], ["from-lgs", bad]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert "iota block 0 has wrong length" in captured.err and captured.out == ""
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    import bisys.cli.main as cli
+
+    def broken(args):
+        print("partial output")
+        raise IndexError("tuple index out of range")
+
+    gm = write(tmp_path, "gm.json", GM_SUBSHIFT)
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    monkeypatch.delenv("BISYS_DEBUG", raising=False)
+    assert main(["validate", gm]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: IndexError: tuple index out of range\n"
+    monkeypatch.setenv("BISYS_DEBUG", "1")
+    assert main(["validate", gm]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: IndexError")
+    assert "Traceback" in captured.err and "in broken" in captured.err
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    gm = write(tmp_path, "gm.json", GM_SUBSHIFT)
+    out = str(tmp_path / "missing" / "out.json")
+    assert main(["canonical", gm, "--depth", "3", "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_smb_column_report_order_is_independent_of_the_hash_seed(tmp_path):
     # two rows of one column share four symbols: four axiom (iv) messages a side
     symbols = ["a", "b", "c", "d"]

@@ -62,21 +62,70 @@ def random_matrix(rng, rows, cols, alphabet, max_terms=2):
     )
 
 
+def dense_matrix_multiply(a, b):
+    """The dense product: every cell summed over every k, zeros included."""
+
+    def cell(i, j):
+        acc = FormalSum.zero()
+        for k in range(a.cols):
+            acc = acc + a.entry(i, k).product(b.entry(k, j))
+        return acc
+
+    return SymbolicMatrix.build(
+        a.rows, b.cols, Alphabet.product(a.alphabet, b.alphabet), cell
+    )
+
+
+def assert_same_product(a, b):
+    got, want = symbolic_matrix_multiply(a, b), dense_matrix_multiply(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.alphabet == want.alphabet
+    for i in range(want.rows):
+        for j in range(want.cols):
+            assert got.entry(i, j).items() == want.entry(i, j).items(), (i, j)
+
+
 def test_matrix_multiply_matches_triple_loop():
     rng = random.Random(2)
     for _ in range(60):
         alph_a = Alphabet.of("a", "b", "c")
         alph_b = Alphabet.of("x", "y", "z")
         n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, n, k, alph_a)
-        b = random_matrix(rng, k, m, alph_b)
-        prod = symbolic_matrix_multiply(a, b)
-        for i in range(n):
-            for j in range(m):
-                acc = FormalSum.zero()
-                for t in range(k):
-                    acc = acc + a.entry(i, t).product(b.entry(t, j))
-                assert prod.entry(i, j) == acc
+        assert_same_product(random_matrix(rng, n, k, alph_a), random_matrix(rng, k, m, alph_b))
+
+
+def sparse_matrix(rng, rows, cols, alphabet, density, zero_rows=(), zero_cols=()):
+    """Cells nonzero with probability density, of up to three terms, each
+    repeated up to three times, some words drawn twice."""
+
+    def cell(i, j):
+        if i in zero_rows or j in zero_cols or rng.random() >= density:
+            return FormalSum.zero()
+        words = [rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 3))]
+        return FormalSum([w for w in words for _ in range(rng.randint(1, 3))])
+
+    return SymbolicMatrix.build(rows, cols, alphabet, cell)
+
+
+def test_sparse_product_matches_dense_oracle():
+    rng = random.Random(47)
+    base_a = Alphabet.of("a", "b", "c")
+    base_b = Alphabet.of("x", "y")
+    alphabets = (base_a, base_b, Alphabet.product(base_a, base_b), Alphabet.product(base_b, base_b))
+    for _ in range(400):
+        n, k, m = (rng.randint(1, 8) for _ in range(3))
+        density = rng.uniform(0.1, 0.6)
+        a = sparse_matrix(
+            rng, n, k, rng.choice(alphabets), density,
+            zero_rows=rng.sample(range(n), rng.randint(0, n)),
+            zero_cols=rng.sample(range(k), rng.randint(0, k // 2)),
+        )
+        b = sparse_matrix(
+            rng, k, m, rng.choice(alphabets), density,
+            zero_rows=rng.sample(range(k), rng.randint(0, k // 2)),
+            zero_cols=rng.sample(range(m), rng.randint(0, m)),
+        )
+        assert_same_product(a, b)
 
 
 def test_matrix_multiply_dimension_error():

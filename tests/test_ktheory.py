@@ -13,6 +13,7 @@ from bisys.ktheory import (
     KtheoryError,
     _cokernel_map_is_iso,
     _factor,
+    _kernel_map_is_iso,
     build_ladder,
     ck_oracle,
     cokernel,
@@ -351,3 +352,35 @@ def test_cokernel_map_verdict_matches_reference():
         seen[expected, same, onto] += 1
     # a verdict that checked only one half would fail on these
     assert seen[True, True, True] and seen[False, True, False] and seen[False, False, True]
+
+
+def test_kernel_map_verdict_matches_reference(monkeypatch):
+    import bisys.ktheory as kt
+
+    factorized = []
+    real_snf = kt.smith_normal_form
+    monkeypatch.setattr(kt, "smith_normal_form", lambda m: factorized.append(m) or real_snf(m))
+    rng = random.Random(59)
+    seen = Counter()
+    for _ in range(300):
+        cols = rng.randint(3, 5)
+        rows = rng.randint(1, cols - 2)
+        theta_b = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        # theta_a = theta_b t, so t carries ker(theta_a) into ker(theta_b);
+        # a t made of row operations is unimodular, a random one mostly not
+        t = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        if rng.random() < 0.5:
+            for _ in range(6):
+                i, j = rng.sample(range(cols), 2)
+                t[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(t[i], t[j])]
+        else:
+            t = [[rng.randint(-1, 2) for _ in range(cols)] for _ in range(cols)]
+        theta_a = mat_mul(theta_b, t)
+        a, b = _factor(theta_a), _factor(theta_b)
+        factorized.clear()
+        verdict = _kernel_map_is_iso(a, b, t)
+        # one factorization of the kernel basis, however many kernel vectors
+        assert len(factorized) <= 1
+        assert verdict == reference_kernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
+        seen[verdict, len(b.kernel) > 1] += 1
+    assert seen[True, True] and seen[False, True]
