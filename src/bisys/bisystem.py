@@ -369,7 +369,7 @@ def validate_lambda_graph_system(lgs: LambdaGraphSystem):
     """List of defects; empty when the one-sided axioms hold to depth."""
     bad = []
     L = lgs.depth
-    if len(lgs.edges) < L or len(lgs.iota) < L:
+    if len(lgs.edges) != L or len(lgs.iota) != L:
         return [
             f"{len(lgs.edges)} edge blocks and {len(lgs.iota)} iota blocks "
             f"for {L + 1} levels"
@@ -534,8 +534,9 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
     distinct under n shifts when their visible symbol words or their columns
     (vertices or labels) disagree.  Outcomes are three-valued: a witness,
     absent at this depth (exhaustive failure over the window class), or
-    inconclusive when the level is out of range or the candidate cap cut the
-    enumeration short.
+    inconclusive when the level is out of range, the candidate cap cut the
+    enumeration short, or the backtracking tried more than max_candidates
+    windows per item in all.
     """
     if not (1 <= bound <= level):
         raise BisystemError("need 1 <= bound <= level")
@@ -615,12 +616,18 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
         return False
 
     chosen = {}
+    budget = max_candidates * len(items)  # windows the backtracking may try
 
     def assign(pos):
+        nonlocal budget, capped
         if pos == len(items):
             return True
         it = items[pos]
         for win in cand[it]:
+            if not budget:
+                capped = True
+                return False
+            budget -= 1
             ok = True
             for other, owin in list(chosen.items()) + [(it, win)]:
                 for n in range(1, bound + 1):

@@ -350,50 +350,144 @@ class KResult:
 
 @dataclass(frozen=True)
 class _Factored:
-    """What the tower reads from one Smith normal form U theta V = D of a level.
+    """What the tower reads from one factorization U theta V = D of a level.
 
-    ``diag`` holds D's diagonal entry for every row (0 past the rank), so
-    coker(theta) = sum of Z/diag[i] with coordinates U y; ``kernel`` holds
-    the columns of V past the rank, a basis of ker(theta).
+    ``coker`` is coker(theta) in canonical form.  ``coker_rows`` pairs every
+    invariant factor f of theta that is not 1 (0 past the rank) with its row
+    of U iota, iota the map the level was factorized with: coker(theta) is the
+    sum of the Z/f, and the class of iota x has coordinates (row . x).
+    ``kernel`` is a basis of ker(theta).
     """
 
-    u: list
-    diag: list
     coker: FgAbelianGroup
+    coker_rows: list | None
     kernel: list
 
 
-def _factor(theta) -> _Factored:
+def _factor(theta, iota=None) -> _Factored:
+    """Sparse unit-pivot elimination of theta, then a Smith normal form of the rest.
+
+    Rows are dicts with a column -> rows index.  While an unpivoted row and
+    an unpivoted column meet in a +-1, the one of least Markowitz cost
+    (row nnz - 1) * (column nnz - 1), ties to the least (row, column), is the
+    next pivot, and its column is cleared from every other row, earlier pivot
+    rows included (Gauss-Jordan).  The same row operations act on the rows of
+    iota, so U iota is carried without U.  A pivot (p, q) with sign s leaves
+    row p reading s x_q + sum_f a_pf x_f over the unpivoted columns f; the
+    unpivoted rows are zero outside those columns and form the residual
+    block, the only part that goes to the dense ``smith_normal_form``, and
+    only when it is not zero.
+    """
     rows = len(theta)
     cols = len(theta[0]) if rows else 0
-    u, d, v = smith_normal_form(theta)
-    diag = [d[i][i] if i < cols else 0 for i in range(rows)]
-    rank = sum(1 for x in diag if x)
+    mat = [{j: x for j, x in enumerate(row) if x} for row in theta]
+    carried = [{j: x for j, x in enumerate(row) if x} for row in iota or ()]
+    holders = [set() for _ in range(cols)]  # column -> rows with an entry there
+    for i, row in enumerate(mat):
+        for j in row:
+            holders[j].add(i)
+
+    pivots = []  # (row, column, sign)
+    free = list(range(rows))  # unpivoted rows, ascending
+    while True:
+        best = None
+        for i in free:
+            row = mat[i]
+            row_cost = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    key = (row_cost * (len(holders[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[0] == 0:
+                break  # later rows cannot beat a pivot without fill-in
+        if best is None:
+            break
+        _, p, q = best
+        prow = mat[p]
+        pcarried = carried[p] if carried else None
+        s = prow[q]
+        for r in [r for r in holders[q] if r != p]:
+            row = mat[r]
+            c = row[q] * s
+            for j, x in prow.items():
+                y = row.get(j, 0) - c * x
+                if y:
+                    if j not in row:
+                        holders[j].add(r)
+                    row[j] = y
+                else:
+                    del row[j]
+                    holders[j].discard(r)
+            if pcarried is not None:
+                crow = carried[r]
+                for j, x in pcarried.items():
+                    y = crow.get(j, 0) - c * x
+                    if y:
+                        crow[j] = y
+                    else:
+                        del crow[j]
+        pivots.append((p, q, s))
+        free.remove(p)
+
+    pivot_cols = {q for (_, q, _) in pivots}
+    rest = [j for j in range(cols) if j not in pivot_cols]
+    block = [[mat[i].get(j, 0) for j in rest] for i in free]
+    if any(any(row) for row in block):
+        u, d, v = smith_normal_form(block)
+        diag = [d[k][k] if k < len(rest) else 0 for k in range(len(free))]
+        mix = [[(m, x) for m, x in enumerate(row) if x] for row in u]
+        block_rank = sum(1 for f in diag if f)
+        residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
+    else:  # a zero block: D = 0, and U and V are identities
+        diag = [0] * len(free)
+        mix = [[(k, 1)] for k in range(len(free))]
+        residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
+
+    coker_rows = None
+    if iota is not None:
+        width = len(iota[0]) if iota else 0
+        coker_rows = []
+        for f, combo in zip(diag, mix):
+            if f != 1:
+                vec = [0] * width
+                for m, x in combo:
+                    for j, y in carried[free[m]].items():
+                        vec[j] += x * y
+                coker_rows.append((f, vec))
+
+    kernel = []
+    for z in residual_kernel:
+        x = [0] * cols
+        for j, value in zip(rest, z):
+            x[j] = value
+        for p, q, s in pivots:
+            x[q] = -s * sum(a * x[j] for j, a in mat[p].items() if j != q)
+        kernel.append(x)
+
+    rank = len(pivots) + sum(1 for f in diag if f)
     return _Factored(
-        u,
-        diag,
-        FgAbelianGroup(rows - rank, tuple(x for x in diag if x > 1)),
-        [[v[i][j] for i in range(cols)] for j in range(rank, cols)],
+        FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), coker_rows, kernel
     )
 
 
-def _cokernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
-    """Is the map coker(theta_a) -> coker(theta_b) induced by t an isomorphism?
+def _cokernel_map_is_iso(a: _Factored, b: _Factored) -> bool:
+    """Is the map coker(theta_a) -> coker(theta_b) induced by b's iota an isomorphism?
 
     Finitely generated abelian groups are Hopfian, so between isomorphic
-    groups a surjection is an isomorphism.  t is onto when, in the
-    coordinates U y, the rows of U t whose invariant factor is not 1, beside
-    those factors, span everything.  This needs t to carry im(theta_a) into
-    im(theta_b), as it does where the ladder maps intertwine; elsewhere no
-    map is induced and the verdict says only "equal groups, t onto".
+    groups a surjection is an isomorphism.  iota is onto when its rows in
+    ``b.coker_rows``, beside their invariant factors, span everything.  This
+    needs iota to carry im(theta_a) into im(theta_b), as it does where the
+    ladder maps intertwine; elsewhere no map is induced and the verdict says
+    only "equal groups, iota onto".
     """
     if a.coker != b.coker:
         return False
-    keep = [i for i, x in enumerate(b.diag) if x != 1]
-    image = mat_mul([b.u[i] for i in keep], t)
-    for k, i in enumerate(keep):
-        image[k] += [b.diag[i] if m == k else 0 for m in range(len(keep))]
-    return cokernel(image, len(keep)).is_trivial
+    n = len(b.coker_rows)
+    image = [
+        row + [f if m == k else 0 for m in range(n)] for k, (f, row) in enumerate(b.coker_rows)
+    ]
+    return cokernel(image, n).is_trivial
 
 
 def _kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
@@ -441,11 +535,11 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
     connecting = []
     prev = None  # only two levels' factorizations are alive at a time
     for l in range(depth):
-        cur = _factor(ladder.theta(l))
+        cur = _factor(ladder.theta(l), ladder.iota[l])
         levels.append((cur.coker, FgAbelianGroup(len(cur.kernel))))
         if prev is not None:
             connecting.append((
-                _cokernel_map_is_iso(prev, cur, ladder.iota[l]),
+                _cokernel_map_is_iso(prev, cur),
                 _kernel_map_is_iso(prev, cur, ladder.iota[l - 1]),
             ))
         prev = cur

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product as cartesian
 
 import pytest
@@ -24,6 +25,7 @@ from bisys.ktheory import build_ladder
 from bisys.smb import to_smb, validate_smb
 from fixtures import (
     alternating_pres,
+    even_shift_pres,
     full_n_lgs,
     full_shift_bisystem,
     full_shift_pres,
@@ -316,6 +318,19 @@ def test_sigma_condition_witness():
     assert sigma_condition_I_witness(gm, 7, 2).status == "inconclusive"
     with pytest.raises(BisystemError):
         sigma_condition_I_witness(gm, 2, 3)
+
+
+def test_sigma_condition_search_is_bounded():
+    # the backtracking tries at most max_candidates windows per item, and
+    # a search cut short by that budget is inconclusive, never absent
+    gm = canonical_bisystem(golden_mean_pres(), 4).bisystem
+    start = time.perf_counter()
+    assert sigma_condition_I_witness(gm, 1, 1, max_candidates=200).found
+    assert time.perf_counter() - start < 1.0
+    even = canonical_bisystem(even_shift_pres(), 6).bisystem
+    start = time.perf_counter()
+    assert sigma_condition_I_witness(even, 3, 1, max_candidates=200).status == "inconclusive"
+    assert time.perf_counter() - start < 1.0
 
 
 def random_single_edge_mutations(b, rng, count):

@@ -267,6 +267,22 @@ def test_wrong_length_iota_is_a_verdict_and_an_input_error(tmp_path, capsys):
         assert "iota block 0 has wrong length" in captured.err and captured.out == ""
 
 
+def test_more_blocks_than_levels_is_a_verdict_and_an_input_error(tmp_path, capsys):
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    with open(os.path.join(examples, "golden_mean.lgs.json")) as fh:
+        node = json.load(fh)
+    node["payload"]["level_sizes"] = [2, 2]  # two blocks for two levels
+    bad = write(tmp_path, "bad.json", json.dumps(node))
+    assert main(["validate", bad]) == 1
+    assert capsys.readouterr().out == (
+        "one-sided system: INVALID\n  2 edge blocks and 2 iota blocks for 2 levels\n"
+    )
+    for command in (["invariants", bad], ["from-lgs", bad]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert "iota blocks for" in captured.err and captured.out == ""
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     import bisys.cli.main as cli
 
@@ -497,3 +513,20 @@ def test_invariants_output_is_pinned_on_every_example(capsys):
         path = os.path.join(examples, name)
         assert main(["invariants", path, "--side", side, "--depth", "4"]) == 0
         assert capsys.readouterr().out == expected, (name, side)
+
+
+def test_full3_plus_tower_at_the_default_depth_is_pinned(monkeypatch, capsys):
+    # depth 6: theta_5 is 729 x 243, factorized by sparse unit-pivot elimination
+    monkeypatch.delenv("BISYS_MAX_DEPTH", raising=False)
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "examples", "full3.lgs.json")
+    assert main(["invariants", path, "--side", "plus"]) == 0
+    assert capsys.readouterr().out == (
+        "side: plus\n"
+        "level 0: K0 ~ Z^3, K1 ~ Z\n"
+        "level 1: K0 ~ Z^7, K1 ~ Z\n"
+        "level 2: K0 ~ Z^19, K1 ~ Z\n"
+        "level 3: K0 ~ Z^55, K1 ~ Z\n"
+        "level 4: K0 ~ Z^163, K1 ~ Z\n"
+        "level 5: K0 ~ Z^487, K1 ~ Z\n"
+        "not stabilized within the computed depth\n"
+    )

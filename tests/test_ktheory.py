@@ -22,6 +22,7 @@ from bisys.ktheory import (
     kernel_basis,
     kernel_contains_constant,
     mat_mul,
+    mat_vec,
     smith_diagonal,
     smith_normal_form,
     solve,
@@ -321,7 +322,7 @@ def test_k_groups_matches_per_query_reference(side):
 
 
 def cokernel_verdict(theta_a, theta_b, t):
-    return _cokernel_map_is_iso(_factor(theta_a), _factor(theta_b), t)
+    return _cokernel_map_is_iso(_factor(theta_a), _factor(theta_b, t))
 
 
 def test_cokernel_map_verdict_matches_reference():
@@ -384,3 +385,106 @@ def test_kernel_map_verdict_matches_reference(monkeypatch):
         assert verdict == reference_kernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
         seen[verdict, len(b.kernel) > 1] += 1
     assert seen[True, True] and seen[False, True]
+
+
+# -- the sparse factorization against the dense one it replaced
+
+
+def dense_factor(theta):
+    """One dense Smith normal form with U carried whole: (U, diagonal, coker, kernel)."""
+    rows = len(theta)
+    cols = len(theta[0]) if rows else 0
+    u, d, v = smith_normal_form(theta)
+    diag = [d[i][i] if i < cols else 0 for i in range(rows)]
+    rank = sum(1 for x in diag if x)
+    coker = FgAbelianGroup(rows - rank, tuple(x for x in diag if x > 1))
+    return u, diag, coker, [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
+
+
+def dense_cokernel_verdict(theta_a, theta_b, t):
+    """The connecting-map verdict read from U t, the rows of U t whose factor is not 1."""
+    u, diag, coker_b, _ = dense_factor(theta_b)
+    if dense_factor(theta_a)[2] != coker_b:
+        return False
+    keep = [i for i, x in enumerate(diag) if x != 1]
+    image = mat_mul([u[i] for i in keep], t)
+    for k, i in enumerate(keep):
+        image[k] += [diag[i] if m == k else 0 for m in range(len(keep))]
+    return cokernel(image, len(keep)).is_trivial
+
+
+def coordinates_are_unimodular(basis, other):
+    """Does every vector of basis lie in the lattice spanned by other, with a
+    unimodular coordinate matrix?"""
+    if len(basis) != len(other):
+        return False
+    if not basis:
+        return True
+    other_mat = [list(row) for row in zip(*other)]
+    coords = [solve(other_mat, vec) for vec in basis]
+    return None not in coords and abs(determinant(coords)) == 1
+
+
+def random_factor_cases(rng, count):
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, -4)
+    no_unit = (0, 0, 2, -2, 3, -4)
+    for n in range(count):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        m = [[rng.choice(no_unit if n % 4 == 0 else entries) for _ in range(cols)]
+             for _ in range(rows)]
+        if n % 4 == 1:  # a trailing block with no unit entry
+            r0, c0 = rng.randrange(rows), rng.randrange(cols)
+            for i in range(r0, rows):
+                for j in range(c0, cols):
+                    m[i][j] = rng.choice(no_unit)
+        if n % 3 == 2:  # a zero row and a zero column
+            m[rng.randrange(rows)] = [0] * cols
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        yield m
+
+
+def test_sparse_factor_matches_dense_factor(monkeypatch):
+    import bisys.ktheory as kt
+
+    residual_snfs = []
+    real_snf = kt.smith_normal_form
+    monkeypatch.setattr(kt, "smith_normal_form", lambda m: residual_snfs.append(m) or real_snf(m))
+    rng = random.Random(61)
+    seen = Counter()
+    for theta_a in random_factor_cases(rng, 160):
+        rows = len(theta_a)
+        # theta_b = t theta_a beside some extra columns, so t carries
+        # im(theta_a) into im(theta_b); a t made of row operations is
+        # unimodular, a random one mostly not
+        t = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        if rng.random() < 0.5:
+            for _ in range(rows):
+                if rows > 1:
+                    i, j = rng.sample(range(rows), 2)
+                    t[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(t[i], t[j])]
+        else:
+            t = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(rows)] for _ in range(rows)]
+        extra = rng.choice((0, 0, 1, 2))
+        theta_b = [
+            row + [rng.choice((0, 1, -2, 3)) for _ in range(extra)]
+            for row in mat_mul(t, theta_a)
+        ]
+        for theta in (theta_a, theta_b):
+            residual_snfs.clear()
+            sparse = _factor(theta, t)
+            took_residual = bool(residual_snfs)
+            _, _, coker, kernel = dense_factor(theta)
+            assert sparse.coker == coker, theta
+            assert len(sparse.kernel) == len(kernel), theta
+            assert all(not any(mat_vec(theta, x)) for x in sparse.kernel), theta
+            assert coordinates_are_unimodular(sparse.kernel, kernel), theta
+            assert coordinates_are_unimodular(kernel, sparse.kernel), theta
+            seen["residual" if took_residual else "units only"] += 1
+        verdict = _cokernel_map_is_iso(_factor(theta_a), _factor(theta_b, t))
+        assert verdict == dense_cokernel_verdict(theta_a, theta_b, t), (theta_a, theta_b, t)
+        assert verdict == reference_cokernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
+        seen[verdict] += 1
+    # both elimination paths and both verdicts occur
+    assert seen["residual"] and seen["units only"] and seen[True] and seen[False], seen
