@@ -535,8 +535,8 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
     (vertices or labels) disagree.  Outcomes are three-valued: a witness,
     absent at this depth (exhaustive failure over the window class), or
     inconclusive when the level is out of range, the candidate cap cut the
-    enumeration short, or the backtracking tried more than max_candidates
-    windows per item in all.
+    enumeration short, or the backtracking compared more than max_candidates
+    pairs of windows per item in all.
     """
     if not (1 <= bound <= level):
         raise BisystemError("need 1 <= bound <= level")
@@ -616,7 +616,7 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
         return False
 
     chosen = {}
-    budget = max_candidates * len(items)  # windows the backtracking may try
+    budget = max_candidates * len(items)  # window comparisons the backtracking may make
 
     def assign(pos):
         nonlocal budget, capped
@@ -624,12 +624,12 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
             return True
         it = items[pos]
         for win in cand[it]:
-            if not budget:
-                capped = True
-                return False
-            budget -= 1
             ok = True
             for other, owin in list(chosen.items()) + [(it, win)]:
+                if not budget:
+                    capped = True
+                    return False
+                budget -= 1
                 for n in range(1, bound + 1):
                     if not distinct(win, owin, n) or (
                         other != it and not distinct(owin, win, n)

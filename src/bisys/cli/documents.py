@@ -10,6 +10,7 @@ requested depth.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix
 from ..bisystem import LambdaGraphBisystem, LambdaGraphSystem
@@ -70,6 +71,7 @@ def _alphabet_out(a: Alphabet):
 def _matrix(node, rows, cols, alphabet, loc):
     if len(node) != rows:
         raise DocumentError(f"expected {rows} rows", loc)
+    zero = FormalSum.zero()
     grid = []
     for i, row in enumerate(node):
         if len(row) != cols:
@@ -78,23 +80,16 @@ def _matrix(node, rows, cols, alphabet, loc):
         for j, cell in enumerate(row):
             if not isinstance(cell, list):
                 raise DocumentError("cell must be a list of terms", f"{loc}[{i}][{j}]")
-            out.append(FormalSum(_word(t, f"{loc}[{i}][{j}]") for t in cell))
+            if not cell:
+                out.append(zero)
+                continue
+            counts = {}
+            for t in cell:
+                w = (t,) if isinstance(t, str) else _word(t, f"{loc}[{i}][{j}]")
+                counts[w] = counts.get(w, 0) + 1
+            out.append(FormalSum._trusted(counts))
         grid.append(tuple(out))
     return SymbolicMatrix(rows, cols, tuple(grid), alphabet)
-
-
-def _matrix_out(m: SymbolicMatrix):
-    return [
-        [
-            [
-                _word_out(w)
-                for (w, c) in m.entry(i, j).items()
-                for _ in range(c)
-            ]
-            for j in range(m.cols)
-        ]
-        for i in range(m.rows)
-    ]
 
 
 def _spec(node, loc, source=None, target=None):
@@ -174,7 +169,120 @@ def dump_document(kind: str, name: str, obj) -> str:
         "name": name,
         "payload": payload,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _write(doc)
+
+
+# -- writer -------------------------------------------------------------------
+
+
+class _Newlines(dict):
+    """newline[d]: a newline and the indent of depth d, made on first use."""
+
+    def __missing__(self, depth):
+        text = self[depth] = "\n" + "  " * depth
+        return text
+
+
+def _write(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    A SymbolicMatrix in the tree is written where it stands, as its grid of
+    term lists: each cell's words in sorted order, each repeated by its
+    multiplicity, and a product symbol as a list of strings.
+    """
+    out = []
+    emit = out.append
+    escaped = {}
+    newline = _Newlines()
+
+    def string(s):
+        text = escaped.get(s)
+        if text is None:
+            text = escaped[s] = encode_basestring_ascii(s)
+        return text
+
+    def word(w, depth):
+        """A symbol: a string, or a list of strings for a product symbol."""
+        if len(w) == 1:
+            return string(w[0])
+        if not w:
+            return "[]"
+        inner = newline[depth + 1]
+        return "[" + inner + ("," + inner).join(map(string, w)) + newline[depth] + "]"
+
+    def matrix(m, depth):
+        texts = {}  # word -> its text at the depth of a term
+        row_nl, cell_nl, term_nl = newline[depth + 1], newline[depth + 2], newline[depth + 3]
+        row_first, cell_first, term_first = "[" + row_nl, "[" + cell_nl, "[" + term_nl
+        row_next, cell_next, term_next = "," + row_nl, "," + cell_nl, "," + term_nl
+        row_close, cell_close = row_nl + "]", cell_nl + "]"
+        row_sep = row_first
+        for row in m.entries:
+            emit(row_sep)
+            row_sep = row_next
+            cell_sep = cell_first
+            for cell in row:
+                emit(cell_sep)
+                cell_sep = cell_next
+                terms = cell._terms
+                if not terms:
+                    emit("[]")
+                    continue
+                term_sep = term_first
+                for w in sorted(terms):
+                    text = texts.get(w)
+                    if text is None:
+                        text = texts[w] = word(w, depth + 3)
+                    for _ in range(terms[w]):
+                        emit(term_sep)
+                        emit(text)
+                        term_sep = term_next
+                emit(cell_close)
+            emit("[]" if cell_sep is cell_first else row_close)
+        emit("[]" if row_sep is row_first else newline[depth] + "]")
+
+    def value(x, depth):
+        if isinstance(x, str):
+            emit(string(x))
+        elif x is None:
+            emit("null")
+        elif x is True:
+            emit("true")
+        elif x is False:
+            emit("false")
+        elif isinstance(x, int):
+            emit(int.__repr__(x))
+        elif isinstance(x, SymbolicMatrix):
+            matrix(x, depth)
+        elif isinstance(x, dict):
+            first = sep = "{" + newline[depth + 1]
+            next_sep = "," + newline[depth + 1]
+            for key in sorted(x):
+                emit(sep)
+                sep = next_sep
+                emit(string(key))
+                emit(": ")
+                value(x[key], depth + 1)
+            emit("{}" if sep is first else newline[depth] + "}")
+        elif isinstance(x, (list, tuple)):
+            first = sep = "[" + newline[depth + 1]
+            next_sep = "," + newline[depth + 1]
+            for item in x:
+                emit(sep)
+                sep = next_sep
+                if type(item) is str:  # the common leaves, without a call
+                    emit(escaped.get(item) or string(item))
+                elif type(item) is int:
+                    emit(int.__repr__(item))
+                else:
+                    value(item, depth + 1)
+            emit("[]" if sep is first else newline[depth] + "]")
+        else:
+            emit(json.dumps(x))
+
+    value(doc, 0)
+    emit("\n")
+    return "".join(out)
 
 
 def save_document(path, kind, name, obj):
@@ -280,10 +388,12 @@ def _emit_bisystem(b: LambdaGraphBisystem):
 def _parse_lgs(p, depth):
     loc = "$.payload"
     sizes = [int(x) for x in p["level_sizes"]]
-    edges = [
-        tuple(sorted((int(s) - 1, int(t) - 1, str(a)) for (s, t, a) in block))
-        for block in p["edges"]
-    ]
+    edges = []
+    for l, block in enumerate(p["edges"]):
+        for k, (_, _, a) in enumerate(block):
+            if not isinstance(a, str):
+                raise DocumentError("label must be a string", f"{loc}.edges[{l}][{k}]")
+        edges.append(tuple(sorted((int(s) - 1, int(t) - 1, a) for (s, t, a) in block)))
     iota = [tuple(int(v) - 1 for v in block) for block in p["iota"]]
     repeat = p.get("repeat_from")
     if depth is not None and depth > len(edges) and repeat is not None:
@@ -293,6 +403,9 @@ def _parse_lgs(p, depth):
             edges.append(edges[-1])
             iota.append(iota[-1])
             sizes.append(sizes[-1])
+    for i, a in enumerate(p["alphabet"]):
+        if not isinstance(a, str):
+            raise DocumentError("symbol must be a string", f"{loc}.alphabet[{i}]")
     alphabet = Alphabet.of(*p["alphabet"])
     return LambdaGraphSystem(tuple(sizes), tuple(edges), tuple(iota), alphabet)
 
@@ -341,8 +454,8 @@ def _emit_smb(s: SymbolicMatrixBisystem):
         "level_sizes": list(s.level_sizes),
         "sigma_minus": _alphabet_out(s.sigma_minus),
         "sigma_plus": _alphabet_out(s.sigma_plus),
-        "minus": [_matrix_out(m) for m in s.minus],
-        "plus": [_matrix_out(m) for m in s.plus],
+        "minus": s.minus,
+        "plus": s.plus,
         "repeat_from": s.repeat_from,
     }
 
@@ -368,10 +481,10 @@ def _emit_psse(w: PsseWitness):
         "D": _alphabet_out(w.alphabet_d),
         "phi_m": _spec_out(w.phi_m),
         "phi_n": _spec_out(w.phi_n),
-        "P": [_matrix_out(m) for m in w.p_mats],
-        "Q": [_matrix_out(m) for m in w.q_mats],
-        "X": [_matrix_out(m) for m in w.x_mats],
-        "Y": [_matrix_out(m) for m in w.y_mats],
+        "P": w.p_mats,
+        "Q": w.q_mats,
+        "X": w.x_mats,
+        "Y": w.y_mats,
     }
 
 
@@ -404,6 +517,6 @@ def _emit_sse(w: SseWitness):
         "phi_d_plus": _spec_out(w.phi_d_plus),
         "phi_c_minus": _spec_out(w.phi_c_minus),
         "phi_d_minus": _spec_out(w.phi_d_minus),
-        "H": [_matrix_out(m) for m in w.h_mats],
-        "K": [_matrix_out(m) for m in w.k_mats],
+        "H": w.h_mats,
+        "K": w.k_mats,
     }

@@ -333,6 +333,16 @@ def test_sigma_condition_search_is_bounded():
     assert time.perf_counter() - start < 1.0
 
 
+def test_sigma_condition_budget_counts_every_window_comparison():
+    # each window is compared with every chosen one, and each comparison is
+    # charged, so the default budget ends these searches within seconds
+    even = canonical_bisystem(even_shift_pres(), 6).bisystem
+    for level in (3, 4):
+        start = time.perf_counter()
+        assert sigma_condition_I_witness(even, level, 1).status != "absent"
+        assert time.perf_counter() - start < 2.0, level
+
+
 def random_single_edge_mutations(b, rng, count):
     """Mutations that keep the edge grid well-typed: move one endpoint."""
     out = []

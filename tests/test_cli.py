@@ -106,6 +106,83 @@ def test_parse_errors_have_locations():
         assert str(exc.value) == message
 
 
+def _set_cell(value):
+    def mutate(block):
+        block[0][0] = value
+    return mutate
+
+
+def _drop_row(block):
+    block.pop()
+
+
+def _drop_column(block):
+    block[1].pop()
+
+
+# faults in block 1 of one matrix family, with the exact error each raises
+MATRIX_FAULTS = {
+    "smb": ("minus", ["validate"], {
+        "cell not a list": (
+            _set_cell("1"), "$.payload.minus[1][0][0]: cell must be a list of terms"),
+        "int term": (
+            _set_cell([7]),
+            "$.payload.minus[1][0][0]: symbol must be a string or list of strings"),
+        "list term with a non-string": (
+            _set_cell([["1", 7]]),
+            "$.payload.minus[1][0][0]: symbol must be a string or list of strings"),
+        "symbol outside the alphabet": (
+            _set_cell(["zz"]), "$.payload: symbol zz not in matrix alphabet"),
+        "wrong row count": (_drop_row, "$.payload.minus[1]: expected 2 rows"),
+        "wrong column count": (_drop_column, "$.payload.minus[1][1]: expected 4 columns"),
+    }),
+    "psse_witness": ("X", ["check-equivalence", "{s}", "{s}"], {
+        "cell not a list": (
+            _set_cell("1"), "$.payload.X[1][0][0]: cell must be a list of terms"),
+        "int term": (
+            _set_cell([7]),
+            "$.payload.X[1][0][0]: symbol must be a string or list of strings"),
+        "list term with a non-string": (
+            _set_cell([["1", 7]]),
+            "$.payload.X[1][0][0]: symbol must be a string or list of strings"),
+        "symbol outside the alphabet": (
+            _set_cell(["zz"]), "$.payload: symbol zz not in matrix alphabet"),
+        "wrong column count": (_drop_column, "$.payload.X[1][1]: expected 2 columns"),
+    }),
+}
+
+
+def test_matrix_cell_errors_are_pinned(tmp_path, capsys):
+    s = canonical_smb(golden_mean_pres(), 3)
+    sf = write(tmp_path, "s.json", dump_document("smb", "gm", s))
+    nodes = {
+        "smb": json.loads(dump_document("smb", "gm", s)),
+        "psse_witness": json.loads(
+            dump_document("psse_witness", "w", trivial_psse_witness(s))),
+    }
+    bad = str(tmp_path / "bad.json")
+    for kind, (family, command, faults) in MATRIX_FAULTS.items():
+        for fault, (mutate, message) in faults.items():
+            node = json.loads(json.dumps(nodes[kind]))
+            mutate(node["payload"][family][1])
+            text = json.dumps(node)
+            with pytest.raises(DocumentError) as exc:
+                parse_document(text)
+            assert str(exc.value) == message, (kind, fault)
+            write(tmp_path, "bad.json", text)
+            assert main([arg.format(s=sf) for arg in command] + [bad]) == 2, (kind, fault)
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {bad}: {message}\n" and captured.out == ""
+    # a witness matrix takes its shape from the file, so a missing row is a
+    # shape mismatch the verifier reports, not a parse error
+    node = json.loads(json.dumps(nodes["psse_witness"]))
+    _drop_row(node["payload"]["X"][1])
+    parse_document(json.dumps(node))
+    write(tmp_path, "bad.json", json.dumps(node))
+    assert main(["check-equivalence", sf, sf, bad, "--depth", "3"]) == 1
+    assert "inner dimensions disagree: 2 vs 1" in capsys.readouterr().out
+
+
 def test_validate_command_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "gm.json", GM_SUBSHIFT)
     assert main(["validate", good]) == 0
@@ -265,6 +342,26 @@ def test_wrong_length_iota_is_a_verdict_and_an_input_error(tmp_path, capsys):
         assert main(command) == 2
         captured = capsys.readouterr()
         assert "iota block 0 has wrong length" in captured.err and captured.out == ""
+
+
+def test_non_string_lgs_labels_are_input_errors(tmp_path, capsys):
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    with open(os.path.join(examples, "golden_mean.lgs.json")) as fh:
+        good = json.load(fh)
+    for label in (["a12"], 7):
+        node = json.loads(json.dumps(good))
+        node["payload"]["edges"][0][1][2] = label
+        bad = write(tmp_path, "bad.json", json.dumps(node))
+        for command in (["validate", bad], ["invariants", bad], ["from-lgs", bad]):
+            assert main(command) == 2, (label, command)
+            assert capsys.readouterr().err == (
+                f"error: {bad}: $.payload.edges[0][1]: label must be a string\n"
+            )
+    node = json.loads(json.dumps(good))
+    node["payload"]["alphabet"][2] = 7
+    bad = write(tmp_path, "bad.json", json.dumps(node))
+    assert main(["validate", bad]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: $.payload.alphabet[2]: symbol must be a string\n"
 
 
 def test_more_blocks_than_levels_is_a_verdict_and_an_input_error(tmp_path, capsys):
