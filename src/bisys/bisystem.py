@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .core import Alphabet, word_str
 
@@ -625,7 +626,7 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
         it = items[pos]
         for win in cand[it]:
             ok = True
-            for other, owin in list(chosen.items()) + [(it, win)]:
+            for other, owin in chain(chosen.items(), ((it, win),)):
                 if not budget:
                     capped = True
                     return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix
+from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix, word_str
 from ..bisystem import LambdaGraphBisystem, LambdaGraphSystem
 from ..smb import SymbolicMatrixBisystem
 from ..subshift import LabeledGraph, SftMatrix, SubshiftPresentation
@@ -72,6 +72,7 @@ def _matrix(node, rows, cols, alphabet, loc):
     if len(node) != rows:
         raise DocumentError(f"expected {rows} rows", loc)
     zero = FormalSum.zero()
+    allowed = set(alphabet.symbols)
     grid = []
     for i, row in enumerate(node):
         if len(row) != cols:
@@ -87,6 +88,11 @@ def _matrix(node, rows, cols, alphabet, loc):
             for t in cell:
                 w = (t,) if isinstance(t, str) else _word(t, f"{loc}[{i}][{j}]")
                 counts[w] = counts.get(w, 0) + 1
+            for w in counts:
+                if w not in allowed:
+                    raise DocumentError(
+                        f"symbol {word_str(w)} not in matrix alphabet", f"{loc}[{i}][{j}]"
+                    )
             out.append(FormalSum._trusted(counts))
         grid.append(tuple(out))
     return SymbolicMatrix(rows, cols, tuple(grid), alphabet)

@@ -20,39 +20,14 @@ class KtheoryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices as lists of lists
-
-
-def _mat(rows, cols, fill=0):
-    return [[fill] * cols for _ in range(rows)]
+# integer matrices as lists of lists (the ladder's are lists of row dicts)
 
 
 def _identity(n):
-    m = _mat(n, n)
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = 1
     return m
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != k:
-        raise KtheoryError("inner dimensions disagree")
-    out = _mat(n, m)
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                oi = out[i]
-                for j in range(m):
-                    oi[j] += v * bt[j]
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_vec(a, v):
@@ -257,19 +232,44 @@ def is_unimodular(m) -> bool:
 # level ladders
 
 
+def _subtract(row, other, c=1):
+    """row -= c * other, in place, for rows as {column: value} dicts without zeros."""
+    for j, x in other.items():
+        y = row.get(j, 0) - c * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _row_times(row, mat):
+    """The row vector row * mat, rows as {column: value} dicts without zeros."""
+    out = {}
+    for t, x in row.items():
+        for j, y in mat[t].items():
+            out[j] = out.get(j, 0) + x * y
+    return {j: x for j, x in out.items() if x}
+
+
 @dataclass(frozen=True)
 class LevelLadder:
     side: str
     bases: tuple  # per level: tuple of (vertex index, word)
-    iota: tuple   # per block l: d(l+1) x d(l) integer matrix
-    rho: tuple    # per block l: d(l+1) x d(l) integer matrix
+    iota: tuple   # per block l: d(l+1) rows, each a {column: value} dict over d(l) columns
+    rho: tuple    # per block l: the same shape as iota
 
     @property
     def depth(self) -> int:
         return len(self.bases) - 1
 
     def theta(self, l: int):
-        return mat_sub(self.iota[l], self.rho[l])
+        """The rows of iota_l - rho_l, in the same form."""
+        out = []
+        for irow, rrow in zip(self.iota[l], self.rho[l]):
+            row = dict(irow)
+            _subtract(row, rrow)
+            out.append(row)
+        return out
 
 
 def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
@@ -278,7 +278,9 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
     Minus side: words are follower words, refined by prepending a minus label
     and transported by appending one, weighted by the number of plus labels
     between the vertices.  Plus side symmetric with the roles swapped: words
-    are predecessor words, plus labels join them at the other end.
+    are predecessor words, plus labels join them at the other end.  Each
+    matrix is a list of rows, each row a {column: value} dict of its nonzero
+    entries.
     """
     if side not in ("minus", "plus"):
         raise KtheoryError("side must be 'minus' or 'plus'")
@@ -298,19 +300,21 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
     iota_mats = []
     rho_mats = []
     for l in range(b.depth):
-        dl, dl1 = len(bases[l]), len(bases[l + 1])
-        iota_l = _mat(dl1, dl)
-        rho_l = _mat(dl1, dl)
-        # a repeated edge counts once, as in transition_matrices
+        up = pos[l + 1]
+        iota_l = [{} for _ in bases[l + 1]]
+        rho_l = [{} for _ in bases[l + 1]]
+        # a repeated edge counts once, as in transition_matrices; within one
+        # column every (vertex, word) key below is distinct, so each cell is
+        # written once
         for col, (i, w) in enumerate(bases[l]):
             for (j, a) in set(own[l][i]):
-                iota_l[pos[l + 1][(j, a + w if minus else w + a)]][col] += 1
+                iota_l[up[(j, a + w if minus else w + a)]][col] = 1
             counts = Counter(j for (j, _) in set(across[l][i]))
             for j, count in counts.items():
                 for a in symbols:
-                    key = (j, w + a if minus else a + w)
-                    if key in pos[l + 1]:
-                        rho_l[pos[l + 1][key]][col] += count
+                    row = up.get((j, w + a if minus else a + w))
+                    if row is not None:
+                        rho_l[row][col] = count
         iota_mats.append(iota_l)
         rho_mats.append(rho_l)
     return LevelLadder(side, bases, tuple(iota_mats), tuple(rho_mats))
@@ -352,42 +356,73 @@ class KResult:
 class _Factored:
     """What the tower reads from one factorization U theta V = D of a level.
 
-    ``coker`` is coker(theta) in canonical form.  ``coker_rows`` pairs every
-    invariant factor f of theta that is not 1 (0 past the rank) with its row
-    of U iota, iota the map the level was factorized with: coker(theta) is the
-    sum of the Z/f, and the class of iota x has coordinates (row . x).
-    ``kernel`` is a basis of ker(theta).
+    ``coker`` is coker(theta) in canonical form and ``kernel`` a basis of
+    ker(theta).  U is not kept.  ``ops`` lists, per unit pivot row p in the
+    order of elimination, the pairs (r, c) of the steps row r -= c * row p
+    made on rows r that were not yet pivots; the steps on earlier pivot rows
+    are left out, since a row of U is read only when it becomes a pivot, or
+    at the end if it never does.
+    ``residual`` pairs every invariant factor f of theta that is not 1 (0
+    past the rank) with its row of U, as (row, coefficient) pairs over the
+    rows left after elimination.  ``coker_rows`` replays both on a map into
+    the level.
     """
 
     coker: FgAbelianGroup
-    coker_rows: list | None
     kernel: list
+    ops: list
+    residual: list
+
+    def coker_rows(self, iota, width):
+        """(f, row of U iota) for each invariant factor f in ``residual``.
+
+        coker(theta) is the sum of the Z/f, and the class of iota x has
+        coordinates (row . x).  iota is given by its rows, {column: value}
+        dicts over ``width`` columns; a row is copied before its first change.
+        """
+        carried = list(iota)
+        copied = set()
+        for p, steps in self.ops:
+            prow = carried[p]
+            for r, c in steps:
+                if r not in copied:
+                    carried[r] = dict(carried[r])
+                    copied.add(r)
+                _subtract(carried[r], prow, c)
+        out = []
+        for f, combo in self.residual:
+            vec = [0] * width
+            for r, x in combo:
+                for j, y in carried[r].items():
+                    vec[j] += x * y
+            out.append((f, vec))
+        return out
 
 
-def _factor(theta, iota=None) -> _Factored:
+def _factor(theta, cols) -> _Factored:
     """Sparse unit-pivot elimination of theta, then a Smith normal form of the rest.
 
-    Rows are dicts with a column -> rows index.  While an unpivoted row and
-    an unpivoted column meet in a +-1, the one of least Markowitz cost
-    (row nnz - 1) * (column nnz - 1), ties to the least (row, column), is the
-    next pivot, and its column is cleared from every other row, earlier pivot
-    rows included (Gauss-Jordan).  The same row operations act on the rows of
-    iota, so U iota is carried without U.  A pivot (p, q) with sign s leaves
-    row p reading s x_q + sum_f a_pf x_f over the unpivoted columns f; the
-    unpivoted rows are zero outside those columns and form the residual
-    block, the only part that goes to the dense ``smith_normal_form``, and
-    only when it is not zero.
+    theta is given by its rows, {column: value} dicts over ``cols`` columns,
+    and is not changed.  The rows are copied and indexed by column.  While an
+    unpivoted row and an unpivoted column meet in a +-1, the one of least
+    Markowitz cost (row nnz - 1) * (column nnz - 1), ties to the least (row,
+    column), is the next pivot, and its column is cleared from every other
+    row, earlier pivot rows included (Gauss-Jordan).  A pivot (p, q) with
+    sign s leaves row p reading s x_q + sum_f a_pf x_f over the unpivoted
+    columns f; the unpivoted rows are zero outside those columns and form the
+    residual block, the only part that goes to the dense
+    ``smith_normal_form``, and only when it is not zero.
     """
     rows = len(theta)
-    cols = len(theta[0]) if rows else 0
-    mat = [{j: x for j, x in enumerate(row) if x} for row in theta]
-    carried = [{j: x for j, x in enumerate(row) if x} for row in iota or ()]
+    mat = [dict(row) for row in theta]
     holders = [set() for _ in range(cols)]  # column -> rows with an entry there
     for i, row in enumerate(mat):
         for j in row:
             holders[j].add(i)
 
     pivots = []  # (row, column, sign)
+    ops = []
+    pivoted = [False] * rows
     free = list(range(rows))  # unpivoted rows, ascending
     while True:
         best = None
@@ -405,8 +440,8 @@ def _factor(theta, iota=None) -> _Factored:
             break
         _, p, q = best
         prow = mat[p]
-        pcarried = carried[p] if carried else None
         s = prow[q]
+        steps = []
         for r in [r for r in holders[q] if r != p]:
             row = mat[r]
             c = row[q] * s
@@ -419,15 +454,11 @@ def _factor(theta, iota=None) -> _Factored:
                 else:
                     del row[j]
                     holders[j].discard(r)
-            if pcarried is not None:
-                crow = carried[r]
-                for j, x in pcarried.items():
-                    y = crow.get(j, 0) - c * x
-                    if y:
-                        crow[j] = y
-                    else:
-                        del crow[j]
+            if not pivoted[r]:
+                steps.append((r, c))
+        ops.append((p, steps))
         pivots.append((p, q, s))
+        pivoted[p] = True
         free.remove(p)
 
     pivot_cols = {q for (_, q, _) in pivots}
@@ -436,25 +467,16 @@ def _factor(theta, iota=None) -> _Factored:
     if any(any(row) for row in block):
         u, d, v = smith_normal_form(block)
         diag = [d[k][k] if k < len(rest) else 0 for k in range(len(free))]
-        mix = [[(m, x) for m, x in enumerate(row) if x] for row in u]
+        residual = [
+            (f, [(free[m], x) for m, x in enumerate(row) if x])
+            for f, row in zip(diag, u) if f != 1
+        ]
         block_rank = sum(1 for f in diag if f)
         residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
     else:  # a zero block: D = 0, and U and V are identities
         diag = [0] * len(free)
-        mix = [[(k, 1)] for k in range(len(free))]
+        residual = [(0, [(i, 1)]) for i in free]
         residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
-
-    coker_rows = None
-    if iota is not None:
-        width = len(iota[0]) if iota else 0
-        coker_rows = []
-        for f, combo in zip(diag, mix):
-            if f != 1:
-                vec = [0] * width
-                for m, x in combo:
-                    for j, y in carried[free[m]].items():
-                        vec[j] += x * y
-                coker_rows.append((f, vec))
 
     kernel = []
     for z in residual_kernel:
@@ -467,13 +489,14 @@ def _factor(theta, iota=None) -> _Factored:
 
     rank = len(pivots) + sum(1 for f in diag if f)
     return _Factored(
-        FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), coker_rows, kernel
+        FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), kernel, ops, residual
     )
 
 
-def _cokernel_map_is_iso(a: _Factored, b: _Factored) -> bool:
-    """Is the map coker(theta_a) -> coker(theta_b) induced by b's iota an isomorphism?
+def _cokernel_map_is_iso(a: _Factored, b: _Factored, iota, width) -> bool:
+    """Is the map coker(theta_a) -> coker(theta_b) induced by iota an isomorphism?
 
+    iota maps Z^width into the rows of theta_b and is given by its rows.
     Finitely generated abelian groups are Hopfian, so between isomorphic
     groups a surjection is an isomorphism.  iota is onto when its rows in
     ``b.coker_rows``, beside their invariant factors, span everything.  This
@@ -483,27 +506,54 @@ def _cokernel_map_is_iso(a: _Factored, b: _Factored) -> bool:
     """
     if a.coker != b.coker:
         return False
-    n = len(b.coker_rows)
-    image = [
-        row + [f if m == k else 0 for m in range(n)] for k, (f, row) in enumerate(b.coker_rows)
-    ]
+    rows = b.coker_rows(iota, width)
+    n = len(rows)
+    image = [row + [f if m == k else 0 for m in range(n)] for k, (f, row) in enumerate(rows)]
     return cokernel(image, n).is_trivial
 
 
+def _independent_rows(vectors):
+    """Indices of len(vectors) linearly independent rows of the matrix whose
+    columns are ``vectors``, which must have full column rank; the first such
+    rows, found by fraction-free elimination."""
+    picked = []
+    echelon = []  # (pivot column, row reduced against the earlier ones)
+    for i, row in enumerate(zip(*vectors)):
+        v = list(row)
+        for c, e in echelon:
+            if v[c]:
+                f, g = e[c], v[c]
+                v = [f * x - g * y for x, y in zip(v, e)]
+        if any(v):
+            echelon.append((next(j for j, x in enumerate(v) if x), v))
+            picked.append(i)
+            if len(picked) == len(vectors):
+                break
+    return picked
+
+
 def _kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
-    """Does t restrict to an isomorphism ker(theta_a) -> ker(theta_b)?"""
+    """Does t restrict to an isomorphism ker(theta_a) -> ker(theta_b)?
+
+    t is given by its rows.  The kb basis has full column rank, so the
+    coordinates of an image in it are unique when they exist: they are
+    solved on k independent rows of the basis and checked on all the others.
+    """
     ka, kb = a.kernel, b.kernel
     if len(ka) != len(kb):
         return False
     if not ka:
         return True
-    # coordinates of t * ka in the kb basis must form a unimodular matrix
-    kb_mat = [[kb[j][i] for j in range(len(kb))] for i in range(len(kb[0]))]
-    kb_snf = smith_normal_form(kb_mat)  # one factorization for every image
+    basis_rows = list(zip(*kb))
+    picked = _independent_rows(kb)
+    block_snf = smith_normal_form([list(basis_rows[i]) for i in picked])
     coords = []
     for vec in ka:
-        c = _solve_factored(kb_snf, mat_vec(t, vec))
-        if c is None:
+        image = [sum(x * vec[j] for j, x in row.items()) for row in t]
+        c = _solve_factored(block_snf, [image[i] for i in picked])
+        if c is None or any(
+            sum(x * y for x, y in zip(row, c)) != value for row, value in zip(basis_rows, image)
+        ):
             return False
         coords.append(c)
     m = [[coords[j][i] for j in range(len(coords))] for i in range(len(coords[0]))]
@@ -524,23 +574,24 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
     if depth < 1:
         raise KtheoryError("need depth >= 1")
 
-    inter_ok = True
-    for l in range(depth - 1):
-        if mat_mul(ladder.iota[l + 1], ladder.rho[l]) != mat_mul(
-            ladder.rho[l + 1], ladder.iota[l]
-        ):
-            inter_ok = False
+    iota, rho = ladder.iota, ladder.rho
+    inter_ok = all(
+        _row_times(up_iota, rho[l]) == _row_times(up_rho, iota[l])
+        for l in range(depth - 1)
+        for up_iota, up_rho in zip(iota[l + 1], rho[l + 1])
+    )
 
     levels = []
     connecting = []
     prev = None  # only two levels' factorizations are alive at a time
     for l in range(depth):
-        cur = _factor(ladder.theta(l), ladder.iota[l])
+        width = len(ladder.bases[l])
+        cur = _factor(ladder.theta(l), width)
         levels.append((cur.coker, FgAbelianGroup(len(cur.kernel))))
         if prev is not None:
             connecting.append((
-                _cokernel_map_is_iso(prev, cur),
-                _kernel_map_is_iso(prev, cur, ladder.iota[l - 1]),
+                _cokernel_map_is_iso(prev, cur, iota[l], width),
+                _kernel_map_is_iso(prev, cur, iota[l - 1]),
             ))
         prev = cur
 
@@ -570,10 +621,7 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
 
 def kernel_contains_constant(b: LambdaGraphBisystem, side: str, level: int) -> bool:
     """Does the all-ones vector lie in ker(iota - rho) at the given block?"""
-    ladder = build_ladder(b, side)
-    theta = ladder.theta(level)
-    one = [1] * len(ladder.bases[level])
-    return not any(mat_vec(theta, one))
+    return not any(sum(row.values()) for row in build_ladder(b, side).theta(level))
 
 
 def ck_oracle(a):

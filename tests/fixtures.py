@@ -270,3 +270,26 @@ def even_window_bisystem(depth: int = 5) -> LambdaGraphBisystem:
 
 def golden_window_ok(w) -> bool:
     return "22" not in "".join(w)
+
+
+# -- dense integer matrices, for the references the sparse paths are checked against
+
+
+def dense(rows, width):
+    """The list-of-lists matrix whose rows are the {column: value} dicts ``rows``."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+def mat_mul(a, b):
+    """Dense integer matrix product."""
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    assert not a or len(a[0]) == k, "inner dimensions disagree"
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            v = a[i][t]
+            if v:
+                bt, oi = b[t], out[i]
+                for j in range(m):
+                    oi[j] += v * bt[j]
+    return out

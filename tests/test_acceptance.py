@@ -30,7 +30,6 @@ from bisys.ktheory import (
     determinant,
     k_groups,
     kernel_contains_constant,
-    mat_mul,
     smith_normal_form,
 )
 from bisys.smb import from_smb, sft_smb, smb_isomorphic, to_smb, validate_smb
@@ -42,6 +41,7 @@ from fixtures import (
     full_shift_bisystem,
     full_shift_pres,
     golden_mean_pres,
+    mat_mul,
     paper_golden_mean_bisystem,
     random_irreducible_01,
     symbolic_2x2,

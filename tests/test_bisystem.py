@@ -25,6 +25,7 @@ from bisys.ktheory import build_ladder
 from bisys.smb import to_smb, validate_smb
 from fixtures import (
     alternating_pres,
+    dense,
     even_shift_pres,
     full_n_lgs,
     full_shift_bisystem,
@@ -208,11 +209,14 @@ def test_transpose_involution_and_swap():
         for l, basis in enumerate(lad.bases):
             assert sorted(basis) == sorted(pos_t[l])
         for l in range(b.depth):
+            width = len(lad.bases[l])
+            iota, rho = dense(lad.iota[l], width), dense(lad.rho[l], width)
+            iota_t, rho_t = dense(lad_t.iota[l], width), dense(lad_t.rho[l], width)
             for r, key_r in enumerate(lad.bases[l + 1]):
                 for c, key_c in enumerate(lad.bases[l]):
                     rt, ct = pos_t[l + 1][key_r], pos_t[l][key_c]
-                    assert lad.iota[l][r][c] == lad_t.iota[l][rt][ct]
-                    assert lad.rho[l][r][c] == lad_t.rho[l][rt][ct]
+                    assert iota[r][c] == iota_t[rt][ct]
+                    assert rho[r][c] == rho_t[rt][ct]
     # transpose of an FPCC system: status recomputed, not assumed
     common = paper_golden_mean_bisystem(5, sm=("a", "b"), sp=("a", "b"))
     assert isinstance(fpcc_check(transpose(common)), bool)

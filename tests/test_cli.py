@@ -132,7 +132,7 @@ MATRIX_FAULTS = {
             _set_cell([["1", 7]]),
             "$.payload.minus[1][0][0]: symbol must be a string or list of strings"),
         "symbol outside the alphabet": (
-            _set_cell(["zz"]), "$.payload: symbol zz not in matrix alphabet"),
+            _set_cell(["zz"]), "$.payload.minus[1][0][0]: symbol zz not in matrix alphabet"),
         "wrong row count": (_drop_row, "$.payload.minus[1]: expected 2 rows"),
         "wrong column count": (_drop_column, "$.payload.minus[1][1]: expected 4 columns"),
     }),
@@ -146,7 +146,7 @@ MATRIX_FAULTS = {
             _set_cell([["1", 7]]),
             "$.payload.X[1][0][0]: symbol must be a string or list of strings"),
         "symbol outside the alphabet": (
-            _set_cell(["zz"]), "$.payload: symbol zz not in matrix alphabet"),
+            _set_cell(["zz"]), "$.payload.X[1][0][0]: symbol zz not in matrix alphabet"),
         "wrong column count": (_drop_column, "$.payload.X[1][1]: expected 2 columns"),
     }),
 }

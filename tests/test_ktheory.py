@@ -5,7 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from bisys.bisystem import from_lambda_graph_system, lgs_from_matrix
+from bisys.bisystem import (
+    follower_sets,
+    from_lambda_graph_system,
+    lgs_from_matrix,
+    predecessor_sets,
+)
 from bisys.canonical import canonical_bisystem
 from bisys.ktheory import (
     FgAbelianGroup,
@@ -13,6 +18,7 @@ from bisys.ktheory import (
     KtheoryError,
     _cokernel_map_is_iso,
     _factor,
+    _Factored,
     _kernel_map_is_iso,
     build_ladder,
     ck_oracle,
@@ -21,18 +27,19 @@ from bisys.ktheory import (
     k_groups,
     kernel_basis,
     kernel_contains_constant,
-    mat_mul,
     mat_vec,
     smith_diagonal,
     smith_normal_form,
     solve,
 )
 from fixtures import (
+    dense,
     even_shift_pres,
     full_n_lgs,
     full_shift_pres,
     golden_mean_lgs,
     golden_mean_pres,
+    mat_mul,
     random_irreducible_01,
     two_power_split_bisystem,
 )
@@ -119,8 +126,8 @@ def test_import_ladder_structure():
     lad = build_ladder(b, "minus")
     a = [[1, 1], [1, 0]]
     for l in range(lad.depth):
-        assert lad.iota[l] == [[1, 0], [0, 1]]
-        assert lad.rho[l] == [[a[j][i] for j in range(2)] for i in range(2)]
+        assert dense(lad.iota[l], 2) == [[1, 0], [0, 1]]
+        assert dense(lad.rho[l], 2) == [[a[j][i] for j in range(2)] for i in range(2)]
 
 
 def test_plus_side_kernel_contains_constants():
@@ -142,8 +149,8 @@ def test_full_shift_canonical_ladder_basis_growth():
     lad = build_ladder(b, "minus")
     assert [len(x) for x in lad.bases] == [1, 2, 4, 8, 16, 32]
     # each refined basis element has a unique coarse parent
-    for mat in lad.iota:
-        for row in mat:
+    for l, mat in enumerate(lad.iota):
+        for row in dense(mat, len(lad.bases[l])):
             assert sum(row) == 1 and all(x in (0, 1) for x in row)
 
 
@@ -254,23 +261,64 @@ def reference_kernel_map_is_iso(theta_a, theta_b, t):
     return abs(determinant([list(col) for col in zip(*coords)])) == 1
 
 
+def dense_ladder(b, side):
+    """The ladder as dense lists of lists: (bases, iota blocks, rho blocks)."""
+    minus = side == "minus"
+    words = follower_sets(b) if minus else predecessor_sets(b)
+    own = b.adjacency[side, "lower"]
+    across = b.adjacency["plus" if minus else "minus", "lower"]
+    symbols = (b.sigma_minus if minus else b.sigma_plus).symbols
+    bases = tuple(
+        tuple((i, w) for i in range(b.level_sizes[l]) for w in sorted(words[l][i]))
+        for l in range(b.depth + 1)
+    )
+    pos = [{key: idx for idx, key in enumerate(level)} for level in bases]
+    iotas, rhos = [], []
+    for l in range(b.depth):
+        dl, dl1 = len(bases[l]), len(bases[l + 1])
+        iota_l = [[0] * dl for _ in range(dl1)]
+        rho_l = [[0] * dl for _ in range(dl1)]
+        for col, (i, w) in enumerate(bases[l]):
+            for (j, a) in set(own[l][i]):
+                iota_l[pos[l + 1][(j, a + w if minus else w + a)]][col] += 1
+            counts = Counter(j for (j, _) in set(across[l][i]))
+            for j, count in counts.items():
+                for a in symbols:
+                    key = (j, w + a if minus else a + w)
+                    if key in pos[l + 1]:
+                        rho_l[pos[l + 1][key]][col] += count
+        iotas.append(iota_l)
+        rhos.append(rho_l)
+    return bases, iotas, rhos
+
+
+def dense_theta(iota, rho):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(iota, rho)]
+
+
+def rows_of(m):
+    """The {column: value} rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def reference_k_groups(b, side, depth):
-    """The tower with every group and connecting map computed on its own."""
-    ladder = build_ladder(b, side)
-    depth = min(depth, ladder.depth)
-    thetas = [ladder.theta(l) for l in range(depth)]
+    """The tower with every group and connecting map computed on its own,
+    from the dense ladder."""
+    bases, iotas, rhos = dense_ladder(b, side)
+    depth = min(depth, len(bases) - 1)
+    thetas = [dense_theta(iotas[l], rhos[l]) for l in range(depth)]
     levels = tuple(
-        (cokernel(th, len(ladder.bases[l + 1])), FgAbelianGroup(len(kernel_basis(th))))
+        (cokernel(th, len(bases[l + 1])), FgAbelianGroup(len(kernel_basis(th))))
         for l, th in enumerate(thetas)
     )
     inter_ok = all(
-        mat_mul(ladder.iota[l + 1], ladder.rho[l]) == mat_mul(ladder.rho[l + 1], ladder.iota[l])
+        mat_mul(iotas[l + 1], rhos[l]) == mat_mul(rhos[l + 1], iotas[l])
         for l in range(depth - 1)
     )
     connecting = tuple(
         (
-            reference_cokernel_map_is_iso(thetas[l], thetas[l + 1], ladder.iota[l + 1]),
-            reference_kernel_map_is_iso(thetas[l], thetas[l + 1], ladder.iota[l]),
+            reference_cokernel_map_is_iso(thetas[l], thetas[l + 1], iotas[l + 1]),
+            reference_kernel_map_is_iso(thetas[l], thetas[l + 1], iotas[l]),
         )
         for l in range(depth - 1)
     )
@@ -311,6 +359,23 @@ def tower_cases():
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
+def test_build_ladder_matches_dense_ladder(side):
+    for name, b in tower_cases():
+        ladder = build_ladder(b, side)
+        bases, iotas, rhos = dense_ladder(b, side)
+        assert ladder.bases == bases, name
+        assert len(ladder.iota) == len(ladder.rho) == len(iotas), name
+        for l in range(len(iotas)):
+            width = len(bases[l])
+            for sparse, full in ((ladder.iota[l], iotas[l]), (ladder.rho[l], rhos[l]),
+                                 (ladder.theta(l), dense_theta(iotas[l], rhos[l]))):
+                assert len(sparse) == len(full) == len(bases[l + 1]), (name, l)
+                # no stored zeros, no column past the width, every entry equal
+                assert all(x and 0 <= j < width for row in sparse for j, x in row.items())
+                assert dense(sparse, width) == full, (name, l)
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
 def test_k_groups_matches_per_query_reference(side):
     for name, b in tower_cases():
         # to depth 5, less where the ladder passes 100 basis words: the
@@ -321,8 +386,12 @@ def test_k_groups_matches_per_query_reference(side):
         assert k_groups(b, side, depth) == reference_k_groups(b, side, depth), name
 
 
+def factor(theta):
+    return _factor(rows_of(theta), len(theta[0]))
+
+
 def cokernel_verdict(theta_a, theta_b, t):
-    return _cokernel_map_is_iso(_factor(theta_a), _factor(theta_b, t))
+    return _cokernel_map_is_iso(factor(theta_a), factor(theta_b), rows_of(t), len(theta_a))
 
 
 def test_cokernel_map_verdict_matches_reference():
@@ -377,14 +446,61 @@ def test_kernel_map_verdict_matches_reference(monkeypatch):
         else:
             t = [[rng.randint(-1, 2) for _ in range(cols)] for _ in range(cols)]
         theta_a = mat_mul(theta_b, t)
-        a, b = _factor(theta_a), _factor(theta_b)
+        a, b = factor(theta_a), factor(theta_b)
         factorized.clear()
-        verdict = _kernel_map_is_iso(a, b, t)
+        verdict = _kernel_map_is_iso(a, b, rows_of(t))
         # one factorization of the kernel basis, however many kernel vectors
         assert len(factorized) <= 1
         assert verdict == reference_kernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
         seen[verdict, len(b.kernel) > 1] += 1
     assert seen[True, True] and seen[False, True]
+
+
+def random_full_row_rank(rng, rows, cols):
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        if len(kernel_basis(m)) == cols - rows:
+            return m
+
+
+def test_kernel_map_verdict_on_kernels_of_rank_two_and_three(monkeypatch):
+    import bisys.ktheory as kt
+
+    factorized = []
+    real_snf = kt.smith_normal_form
+    monkeypatch.setattr(kt, "smith_normal_form", lambda m: factorized.append(m) or real_snf(m))
+    rng = random.Random(67)
+    seen = Counter()
+    for n in range(240):
+        rank = 2 + n % 2
+        cols = rank + rng.randint(1, 3)
+        theta_b = random_full_row_rank(rng, cols - rank, cols)
+        t = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        kind = n % 3
+        if kind == 0:  # row operations: unimodular, so an isomorphism
+            for _ in range(cols):
+                i, j = rng.sample(range(cols), 2)
+                t[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(t[i], t[j])]
+        else:  # random: the images mostly have coordinates of det other than +-1
+            t = [[rng.randint(-1, 2) for _ in range(cols)] for _ in range(cols)]
+        # kinds 0 and 1 carry ker(theta_a) into ker(theta_b); kind 2 takes an
+        # unrelated theta_a, whose kernel t mostly does not carry there
+        theta_a = mat_mul(theta_b, t) if kind < 2 else random_full_row_rank(rng, cols - rank, cols)
+        a, b = factor(theta_a), factor(theta_b)
+        assert len(b.kernel) == rank
+        factorized.clear()
+        verdict = _kernel_map_is_iso(a, b, rows_of(t))
+        if len(a.kernel) == rank:
+            # one SNF, of a rank x rank block of the basis, not of cols x cols
+            assert [(len(m), len(m[0])) for m in factorized] == [(rank, rank)]
+        assert verdict == reference_kernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
+        kb_mat = [list(row) for row in zip(*kernel_basis(theta_b))]
+        images = [[sum(x * y for x, y in zip(row, v)) for row in t] for v in kernel_basis(theta_a)]
+        solvable = all(solve(kb_mat, image) is not None for image in images)
+        seen[verdict, solvable, rank] += 1
+    for rank in (2, 3):
+        # isomorphisms, images outside the lattice, and coordinates not unimodular
+        assert seen[True, True, rank] and seen[False, False, rank] and seen[False, True, rank], seen
 
 
 # -- the sparse factorization against the dense one it replaced
@@ -411,6 +527,88 @@ def dense_cokernel_verdict(theta_a, theta_b, t):
     for k, i in enumerate(keep):
         image[k] += [diag[i] if m == k else 0 for m in range(len(keep))]
     return cokernel(image, len(keep)).is_trivial
+
+
+def parent_factor(theta, iota):
+    """The sparse factorization as it was before the recorded row operations:
+    dense theta and iota, with U iota carried through every step.  Returns
+    (coker, coker rows, kernel)."""
+    rows = len(theta)
+    cols = len(theta[0]) if rows else 0
+    mat = rows_of(theta)
+    carried = rows_of(iota)
+    holders = [set() for _ in range(cols)]
+    for i, row in enumerate(mat):
+        for j in row:
+            holders[j].add(i)
+    pivots = []
+    free = list(range(rows))
+    while True:
+        best = None
+        for i in free:
+            row = mat[i]
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    key = ((len(row) - 1) * (len(holders[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, p, q = best
+        prow, pcarried = mat[p], carried[p]
+        s = prow[q]
+        for r in [r for r in holders[q] if r != p]:
+            row, crow = mat[r], carried[r]
+            c = row[q] * s
+            for j, x in prow.items():
+                y = row.get(j, 0) - c * x
+                if y:
+                    holders[j].add(r)
+                    row[j] = y
+                else:
+                    del row[j]
+                    holders[j].discard(r)
+            for j, x in pcarried.items():
+                y = crow.get(j, 0) - c * x
+                if y:
+                    crow[j] = y
+                else:
+                    del crow[j]
+        pivots.append((p, q, s))
+        free.remove(p)
+    rest = [j for j in range(cols) if j not in {q for (_, q, _) in pivots}]
+    block = [[mat[i].get(j, 0) for j in rest] for i in free]
+    if any(any(row) for row in block):
+        u, d, v = smith_normal_form(block)
+        diag = [d[k][k] if k < len(rest) else 0 for k in range(len(free))]
+        mix = [[(m, x) for m, x in enumerate(row) if x] for row in u]
+        block_rank = sum(1 for f in diag if f)
+        residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
+    else:
+        diag = [0] * len(free)
+        mix = [[(k, 1)] for k in range(len(free))]
+        residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
+    coker_rows = []
+    for f, combo in zip(diag, mix):
+        if f != 1:
+            vec = [0] * len(iota[0])
+            for m, x in combo:
+                for j, y in carried[free[m]].items():
+                    vec[j] += x * y
+            coker_rows.append((f, vec))
+    kernel = []
+    for z in residual_kernel:
+        x = [0] * cols
+        for j, value in zip(rest, z):
+            x[j] = value
+        for p, q, s in pivots:
+            x[q] = -s * sum(a * x[j] for j, a in mat[p].items() if j != q)
+        kernel.append(x)
+    rank = len(pivots) + sum(1 for f in diag if f)
+    coker = FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1))
+    return coker, coker_rows, kernel
 
 
 def coordinates_are_unimodular(basis, other):
@@ -473,8 +671,13 @@ def test_sparse_factor_matches_dense_factor(monkeypatch):
         ]
         for theta in (theta_a, theta_b):
             residual_snfs.clear()
-            sparse = _factor(theta, t)
+            sparse = factor(theta)
             took_residual = bool(residual_snfs)
+            # the same pivots and the same arithmetic as before: equal, not
+            # only equivalent
+            assert isinstance(sparse, _Factored)
+            assert (sparse.coker, sparse.coker_rows(rows_of(t), rows), sparse.kernel) == (
+                parent_factor(theta, t)), theta
             _, _, coker, kernel = dense_factor(theta)
             assert sparse.coker == coker, theta
             assert len(sparse.kernel) == len(kernel), theta
@@ -482,7 +685,7 @@ def test_sparse_factor_matches_dense_factor(monkeypatch):
             assert coordinates_are_unimodular(sparse.kernel, kernel), theta
             assert coordinates_are_unimodular(kernel, sparse.kernel), theta
             seen["residual" if took_residual else "units only"] += 1
-        verdict = _cokernel_map_is_iso(_factor(theta_a), _factor(theta_b, t))
+        verdict = cokernel_verdict(theta_a, theta_b, t)
         assert verdict == dense_cokernel_verdict(theta_a, theta_b, t), (theta_a, theta_b, t)
         assert verdict == reference_cokernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
         seen[verdict] += 1
