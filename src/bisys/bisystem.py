@@ -311,12 +311,6 @@ class TransitionMatrixBisystem:
     minus: tuple  # per block l: frozenset[(i at l, label, j at l+1)]
     plus: tuple
 
-    def a_minus(self, l: int, i: int, label, j: int) -> int:
-        return 1 if (i, tuple(label), j) in self.minus[l] else 0
-
-    def a_plus(self, l: int, i: int, label, j: int) -> int:
-        return 1 if (i, tuple(label), j) in self.plus[l] else 0
-
 
 def transition_matrices(b: LambdaGraphBisystem) -> TransitionMatrixBisystem:
     minus = tuple(
@@ -326,19 +320,6 @@ def transition_matrices(b: LambdaGraphBisystem) -> TransitionMatrixBisystem:
         frozenset((s, tuple(a), t) for (s, t, a) in block) for block in b.plus_edges
     )
     return TransitionMatrixBisystem(minus, plus)
-
-
-def bisystem_from_transition_matrices(
-    tm: TransitionMatrixBisystem, level_sizes, sigma_minus, sigma_plus
-) -> LambdaGraphBisystem:
-    """Rebuild the edge lists; resolving properties make this a round trip."""
-    minus = tuple(
-        tuple(sorted((j, i, a) for (i, a, j) in block)) for block in tm.minus
-    )
-    plus = tuple(
-        tuple(sorted((i, j, a) for (i, a, j) in block)) for block in tm.plus
-    )
-    return LambdaGraphBisystem(tuple(level_sizes), minus, plus, sigma_minus, sigma_plus)
 
 
 def sigma1_minus(b: LambdaGraphBisystem, level: int, i: int) -> frozenset:

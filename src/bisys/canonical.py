@@ -25,7 +25,6 @@ from .smb import SymbolicMatrixBisystem, to_smb
 from .subshift import (
     LabeledGraph,
     SubshiftPresentation,
-    _predecessors,
     _successors,
     realizable_future_sets,
     realizable_past_sets,
@@ -71,7 +70,7 @@ class _Sweep:
         self.labels = g.labels
         self.pasts = realizable_past_sets(g)
         self.futures = realizable_future_sets(g)
-        succ, pred = _successors(g), _predecessors(g)
+        succ, pred = _successors(g), _successors(g.reversed())
         self._succ = [succ[a] for a in self.labels]
         self._pred = [pred[a] for a in self.labels]
         self._sets: dict = {}    # interned end sets
@@ -100,7 +99,8 @@ class _Sweep:
         return steps
 
     def before(self, k: int, fset: frozenset) -> frozenset:
-        """``step_future(a, fset)`` for the label in slot k."""
+        """The future set after prepending the label in slot k to a right
+        ray with future set ``fset``."""
         key = (k, fset)
         got = self._before.get(key)
         if got is None:

@@ -4,12 +4,14 @@ Envelope: {"schema_version": 1, "kind": ..., "name": ..., "payload": {...}}.
 Vertex indices are 1-based in files, 0-based in memory.  Labels and symbols
 are strings, or lists of strings for product symbols.  Leveled payloads may
 carry a ``repeat_from`` marker: the last explicit block repeats to any
-requested depth.
+requested depth.  ``KINDS`` maps each kind to its payload reader and
+writer.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
 from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix, word_str
@@ -19,15 +21,6 @@ from ..subshift import LabeledGraph, SftMatrix, SubshiftPresentation
 from ..equivalence import PsseWitness, SseWitness
 
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "subshift",
-    "bisystem",
-    "lambda_graph_system",
-    "smb",
-    "psse_witness",
-    "sse_witness",
-)
 
 
 class DocumentError(ValueError):
@@ -98,11 +91,11 @@ def _matrix(node, rows, cols, alphabet, loc):
     return SymbolicMatrix(rows, cols, tuple(grid), alphabet)
 
 
-def _spec(node, loc, source=None, target=None):
+def _spec(node, loc):
     try:
-        return Specification.from_dict(
-            {_word(a, loc): _word(b, loc) for a, b in node}, source, target
-        )
+        return Specification.from_dict({_word(a, loc): _word(b, loc) for a, b in node})
+    except DocumentError:
+        raise
     except Exception as e:
         raise DocumentError(str(e), loc)
 
@@ -131,22 +124,14 @@ def parse_document(text: str, depth: int | None = None):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DocumentError("missing or unsupported schema_version", "$.schema_version")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}", "$.kind")
     name = doc.get("name", "")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise DocumentError("missing payload", "$.payload")
-    parser = {
-        "subshift": _parse_subshift,
-        "bisystem": _parse_bisystem,
-        "lambda_graph_system": _parse_lgs,
-        "smb": _parse_smb,
-        "psse_witness": _parse_psse,
-        "sse_witness": _parse_sse,
-    }[kind]
     try:
-        return kind, name, parser(payload, depth)
+        return kind, name, KINDS[kind][0](payload, depth)
     except DocumentError:
         raise
     except KeyError as e:
@@ -161,19 +146,11 @@ def load_document(path, depth: int | None = None):
 
 
 def dump_document(kind: str, name: str, obj) -> str:
-    payload = {
-        "subshift": _emit_subshift,
-        "bisystem": _emit_bisystem,
-        "lambda_graph_system": _emit_lgs,
-        "smb": _emit_smb,
-        "psse_witness": _emit_psse,
-        "sse_witness": _emit_sse,
-    }[kind](obj)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "name": name,
-        "payload": payload,
+        "payload": KINDS[kind][1](obj),
     }
     return _write(doc)
 
@@ -336,10 +313,26 @@ def _emit_subshift(pres: SubshiftPresentation):
     }
 
 
-# -- bisystem ---------------------------------------------------------------
+# -- leveled kinds: bisystem, lambda graph system, smb ------------------------
 
 
-def _edge_blocks(node, loc):
+def _repeat_from(p, depth, sizes, *families):
+    """Extend the level sizes and block families read from ``p`` in place to
+    ``depth`` blocks, when ``p`` carries a ``repeat_from`` marker: the last
+    block, which must be square, repeats, and so does the last level size."""
+    if depth is None or depth <= len(families[0]) or p.get("repeat_from") is None:
+        return
+    if sizes[-1] != sizes[-2]:
+        raise DocumentError("repeating block must be square", "$.payload")
+    count = depth - len(families[0])
+    sizes += [sizes[-1]] * count
+    for blocks in families:
+        blocks += [blocks[-1]] * count
+
+
+def _edges(node, loc, label):
+    """Sorted edge blocks of 0-based (src, tgt, label) triples from blocks of
+    1-based [src, tgt, label] lists; ``label(x, loc)`` reads one label."""
     blocks = []
     for l, block in enumerate(node):
         out = []
@@ -347,26 +340,29 @@ def _edge_blocks(node, loc):
             if len(e) != 3:
                 raise DocumentError("edge must be [src, tgt, label]", f"{loc}[{l}][{k}]")
             s, t, a = e
-            out.append((int(s) - 1, int(t) - 1, _word(a, f"{loc}[{l}][{k}]")))
+            out.append((int(s) - 1, int(t) - 1, label(a, f"{loc}[{l}][{k}]")))
         blocks.append(tuple(sorted(out)))
     return blocks
 
 
+def _edges_out(blocks, label):
+    return [sorted([s + 1, t + 1, label(a)] for (s, t, a) in block) for block in blocks]
+
+
+def _label(x, loc):
+    """A label of a one-sided system: a plain string."""
+    if not isinstance(x, str):
+        raise DocumentError("label must be a string", loc)
+    return x
+
+
 def _parse_bisystem(p, depth):
-    loc = "$.payload"
     sizes = [int(x) for x in p["level_sizes"]]
-    minus = _edge_blocks(p["minus_edges"], loc + ".minus_edges")
-    plus = _edge_blocks(p["plus_edges"], loc + ".plus_edges")
-    repeat = p.get("repeat_from")
-    if depth is not None and depth > len(minus) and repeat is not None:
-        if sizes[-1] != sizes[-2]:
-            raise DocumentError("repeating block must be square", loc)
-        while len(minus) < depth:
-            minus.append(minus[-1])
-            plus.append(plus[-1])
-            sizes.append(sizes[-1])
-    sm = _alphabet(p["sigma_minus"], loc + ".sigma_minus")
-    sp = _alphabet(p["sigma_plus"], loc + ".sigma_plus")
+    minus = _edges(p["minus_edges"], "$.payload.minus_edges", _word)
+    plus = _edges(p["plus_edges"], "$.payload.plus_edges", _word)
+    _repeat_from(p, depth, sizes, minus, plus)
+    sm = _alphabet(p["sigma_minus"], "$.payload.sigma_minus")
+    sp = _alphabet(p["sigma_plus"], "$.payload.sigma_plus")
     return LambdaGraphBisystem(tuple(sizes), tuple(minus), tuple(plus), sm, sp)
 
 
@@ -376,42 +372,20 @@ def _emit_bisystem(b: LambdaGraphBisystem):
         "level_sizes": list(b.level_sizes),
         "sigma_minus": _alphabet_out(b.sigma_minus),
         "sigma_plus": _alphabet_out(b.sigma_plus),
-        "minus_edges": [
-            sorted([s + 1, t + 1, _word_out(a)] for (s, t, a) in block)
-            for block in b.minus_edges
-        ],
-        "plus_edges": [
-            sorted([s + 1, t + 1, _word_out(a)] for (s, t, a) in block)
-            for block in b.plus_edges
-        ],
+        "minus_edges": _edges_out(b.minus_edges, _word_out),
+        "plus_edges": _edges_out(b.plus_edges, _word_out),
         "repeat_from": None,
     }
 
 
-# -- lambda graph system ----------------------------------------------------
-
-
 def _parse_lgs(p, depth):
-    loc = "$.payload"
     sizes = [int(x) for x in p["level_sizes"]]
-    edges = []
-    for l, block in enumerate(p["edges"]):
-        for k, (_, _, a) in enumerate(block):
-            if not isinstance(a, str):
-                raise DocumentError("label must be a string", f"{loc}.edges[{l}][{k}]")
-        edges.append(tuple(sorted((int(s) - 1, int(t) - 1, a) for (s, t, a) in block)))
+    edges = _edges(p["edges"], "$.payload.edges", _label)
     iota = [tuple(int(v) - 1 for v in block) for block in p["iota"]]
-    repeat = p.get("repeat_from")
-    if depth is not None and depth > len(edges) and repeat is not None:
-        if sizes[-1] != sizes[-2]:
-            raise DocumentError("repeating block must be square", loc)
-        while len(edges) < depth:
-            edges.append(edges[-1])
-            iota.append(iota[-1])
-            sizes.append(sizes[-1])
+    _repeat_from(p, depth, sizes, edges, iota)
     for i, a in enumerate(p["alphabet"]):
         if not isinstance(a, str):
-            raise DocumentError("symbol must be a string", f"{loc}.alphabet[{i}]")
+            raise DocumentError("symbol must be a string", f"$.payload.alphabet[{i}]")
     alphabet = Alphabet.of(*p["alphabet"])
     return LambdaGraphSystem(tuple(sizes), tuple(edges), tuple(iota), alphabet)
 
@@ -421,37 +395,34 @@ def _emit_lgs(lgs: LambdaGraphSystem):
         "depth": lgs.depth,
         "level_sizes": list(lgs.level_sizes),
         "alphabet": [s[0] for s in lgs.alphabet.symbols],
-        "edges": [
-            sorted([s + 1, t + 1, a] for (s, t, a) in block) for block in lgs.edges
-        ],
+        "edges": _edges_out(lgs.edges, lambda a: a),
         "iota": [[v + 1 for v in block] for block in lgs.iota],
         "repeat_from": None,
     }
 
 
-# -- smb ---------------------------------------------------------------------
+def _blocks(p, key, sizes, alphabet):
+    """The smb family under ``key``: block l is an m(l) x m(l+1) matrix."""
+    if len(p[key]) + 1 != len(sizes):
+        raise DocumentError(
+            f"expected {len(p[key]) + 1} entries (one more than the {key} blocks), "
+            f"got {len(sizes)}",
+            "$.payload.level_sizes",
+        )
+    return [
+        _matrix(node, sizes[l], sizes[l + 1], alphabet, f"$.payload.{key}[{l}]")
+        for l, node in enumerate(p[key])
+    ]
 
 
 def _parse_smb(p, depth):
-    loc = "$.payload"
     sizes = [int(x) for x in p["level_sizes"]]
-    sm = _alphabet(p["sigma_minus"], loc + ".sigma_minus")
-    sp = _alphabet(p["sigma_plus"], loc + ".sigma_plus")
-    minus = [
-        _matrix(block, sizes[l], sizes[l + 1], sm, f"{loc}.minus[{l}]")
-        for l, block in enumerate(p["minus"])
-    ]
-    plus = [
-        _matrix(block, sizes[l], sizes[l + 1], sp, f"{loc}.plus[{l}]")
-        for l, block in enumerate(p["plus"])
-    ]
-    repeat = p.get("repeat_from")
-    s = SymbolicMatrixBisystem(
-        tuple(minus), tuple(plus), sm, sp, repeat
-    )
-    if depth is not None and depth > s.depth and repeat is not None:
-        s = s.extended(depth)
-    return s
+    sm = _alphabet(p["sigma_minus"], "$.payload.sigma_minus")
+    sp = _alphabet(p["sigma_plus"], "$.payload.sigma_plus")
+    minus = _blocks(p, "minus", sizes, sm)
+    plus = _blocks(p, "plus", sizes, sp)
+    _repeat_from(p, depth, sizes, minus, plus)
+    return SymbolicMatrixBisystem(tuple(minus), tuple(plus), sm, sp, p.get("repeat_from"))
 
 
 def _emit_smb(s: SymbolicMatrixBisystem):
@@ -469,60 +440,42 @@ def _emit_smb(s: SymbolicMatrixBisystem):
 # -- witnesses ----------------------------------------------------------------
 
 
-def _parse_psse(p, depth):
-    loc = "$.payload"
-    c = _alphabet(p["C"], loc + ".C")
-    d = _alphabet(p["D"], loc + ".D")
-    phi_m = _spec(p["phi_m"], loc + ".phi_m")
-    phi_n = _spec(p["phi_n"], loc + ".phi_n")
-    return PsseWitness(
-        c, d, phi_m, phi_n,
-        _matrices(p, "P", c), _matrices(p, "Q", d), _matrices(p, "X", d), _matrices(p, "Y", c),
-    )
+def _witness(cls, specs, families):
+    """Reader and writer of a witness kind whose dataclass fields are, in
+    order, the alphabets C and D, the symbol maps stored under the payload
+    keys ``specs``, and the matrix families ``families``, each a pair of its
+    payload key and the key of the alphabet its matrices are over."""
+
+    def read(p, depth):
+        over = {key: _alphabet(p[key], f"$.payload.{key}") for key in ("C", "D")}
+        return cls(
+            over["C"], over["D"],
+            *(_spec(p[key], f"$.payload.{key}") for key in specs),
+            *(_matrices(p, key, over[alphabet]) for key, alphabet in families),
+        )
+
+    def write(w):
+        values = iter(getattr(w, f.name) for f in fields(cls))
+        payload = {key: _alphabet_out(next(values)) for key in ("C", "D")}
+        payload.update({key: _spec_out(next(values)) for key in specs})
+        payload.update({key: next(values) for key, _ in families})
+        return payload
+
+    return read, write
 
 
-def _emit_psse(w: PsseWitness):
-    return {
-        "C": _alphabet_out(w.alphabet_c),
-        "D": _alphabet_out(w.alphabet_d),
-        "phi_m": _spec_out(w.phi_m),
-        "phi_n": _spec_out(w.phi_n),
-        "P": w.p_mats,
-        "Q": w.q_mats,
-        "X": w.x_mats,
-        "Y": w.y_mats,
-    }
-
-
-def _parse_sse(p, depth):
-    loc = "$.payload"
-    c = _alphabet(p["C"], loc + ".C")
-    d = _alphabet(p["D"], loc + ".D")
-
-    return SseWitness(
-        c,
-        d,
-        _spec(p["phi1"], loc + ".phi1"),
-        _spec(p["phi2"], loc + ".phi2"),
-        _spec(p["phi_c_plus"], loc + ".phi_c_plus"),
-        _spec(p["phi_d_plus"], loc + ".phi_d_plus"),
-        _spec(p["phi_c_minus"], loc + ".phi_c_minus"),
-        _spec(p["phi_d_minus"], loc + ".phi_d_minus"),
-        _matrices(p, "H", c),
-        _matrices(p, "K", d),
-    )
-
-
-def _emit_sse(w: SseWitness):
-    return {
-        "C": _alphabet_out(w.alphabet_c),
-        "D": _alphabet_out(w.alphabet_d),
-        "phi1": _spec_out(w.phi1),
-        "phi2": _spec_out(w.phi2),
-        "phi_c_plus": _spec_out(w.phi_c_plus),
-        "phi_d_plus": _spec_out(w.phi_d_plus),
-        "phi_c_minus": _spec_out(w.phi_c_minus),
-        "phi_d_minus": _spec_out(w.phi_d_minus),
-        "H": w.h_mats,
-        "K": w.k_mats,
-    }
+# kind -> (payload reader, payload writer)
+KINDS = {
+    "subshift": (_parse_subshift, _emit_subshift),
+    "bisystem": (_parse_bisystem, _emit_bisystem),
+    "lambda_graph_system": (_parse_lgs, _emit_lgs),
+    "smb": (_parse_smb, _emit_smb),
+    "psse_witness": _witness(
+        PsseWitness, ("phi_m", "phi_n"), (("P", "C"), ("Q", "D"), ("X", "D"), ("Y", "C"))
+    ),
+    "sse_witness": _witness(
+        SseWitness,
+        ("phi1", "phi2", "phi_c_plus", "phi_d_plus", "phi_c_minus", "phi_d_minus"),
+        (("H", "C"), ("K", "D")),
+    ),
+}

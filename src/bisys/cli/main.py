@@ -72,15 +72,21 @@ def _depth(args) -> int:
     return min(args.depth, limit)
 
 
-def _load(path, depth=None):
+def _load(path, depth, kinds, message):
+    """(kind, name, object) of the document at ``path``; a document that
+    does not parse, or whose kind is not one of ``kinds``, is an input error,
+    the latter reported as ``message`` with ``{kind}`` filled in."""
     try:
-        return load_document(path, depth)
+        kind, name, obj = load_document(path, depth)
     except DocumentError as e:
         print(f"error: {path}: {e}", file=sys.stderr)
         raise SystemExit(INPUT_ERROR)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(INPUT_ERROR)
+    if kind not in kinds:
+        _input_error(message.format(kind=kind))
+    return kind, name, obj
 
 
 def _import_lgs(lgs):
@@ -110,7 +116,10 @@ def _axiom_report(rep):
 def cmd_validate(args):
     import json
 
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load(
+        args.file, None, ("bisystem", "smb", "lambda_graph_system", "subshift"),
+        "validate does not apply to kind {kind!r}",
+    )
     if kind == "bisystem":
         rep = validate(obj)
         if args.json:
@@ -148,31 +157,25 @@ def cmd_validate(args):
         else:
             print("one-sided system: valid")
         return FAIL if defects else PASS
-    if kind == "subshift":
-        g = obj.graph
-        if args.json:
-            print(json.dumps({
-                "schema_version": 1, "kind": kind, "ok": True,
-                "states": len(g.states), "edges": len(g.edges),
-                "alphabet": list(g.labels),
-                "irreducible": g.is_irreducible(),
-            }, indent=2, sort_keys=True))
-        else:
-            print(
-                f"subshift presentation: {len(g.states)} states, {len(g.edges)} "
-                f"edges, alphabet {{{','.join(g.labels)}}}"
-            )
-            print(f"  irreducible: {'yes' if g.is_irreducible() else 'no'}")
-        return PASS
-    print(f"error: validate does not apply to kind {kind!r}", file=sys.stderr)
-    return INPUT_ERROR
+    g = obj.graph
+    if args.json:
+        print(json.dumps({
+            "schema_version": 1, "kind": kind, "ok": True,
+            "states": len(g.states), "edges": len(g.edges),
+            "alphabet": list(g.labels),
+            "irreducible": g.is_irreducible(),
+        }, indent=2, sort_keys=True))
+    else:
+        print(
+            f"subshift presentation: {len(g.states)} states, {len(g.edges)} "
+            f"edges, alphabet {{{','.join(g.labels)}}}"
+        )
+        print(f"  irreducible: {'yes' if g.is_irreducible() else 'no'}")
+    return PASS
 
 
 def cmd_canonical(args):
-    kind, name, obj = _load(args.file)
-    if kind != "subshift":
-        print("error: canonical needs a subshift document", file=sys.stderr)
-        return INPUT_ERROR
+    _, name, obj = _load(args.file, None, ("subshift",), "canonical needs a subshift document")
     depth = _depth(args)
     build = canonical_bisystem(obj, depth)
     b = build.bisystem
@@ -194,7 +197,10 @@ def cmd_canonical(args):
 
 def cmd_invariants(args):
     depth = _depth(args)
-    kind, name, obj = _load(args.file, depth)
+    kind, name, obj = _load(
+        args.file, depth, ("lambda_graph_system", "bisystem", "subshift"),
+        "invariants needs a leveled system",
+    )
     oracle = None
     if kind == "lambda_graph_system":
         if (
@@ -210,11 +216,8 @@ def cmd_invariants(args):
         b = _import_lgs(obj)
     elif kind == "bisystem":
         b = obj
-    elif kind == "subshift":
-        b = canonical_bisystem(obj, depth).bisystem
     else:
-        print("error: invariants needs a leveled system", file=sys.stderr)
-        return INPUT_ERROR
+        b = canonical_bisystem(obj, depth).bisystem
     res = k_groups(b, args.side, min(depth, b.depth))
     print(f"side: {args.side}")
     for line in res.lines():
@@ -229,19 +232,12 @@ def cmd_invariants(args):
 
 def cmd_check_equivalence(args):
     depth = _depth(args)
-    _, _, s_m = _load(args.system_m, depth)
-    _, _, s_n = _load(args.system_n, depth)
-    wkind, _, w = _load(args.witness)
-    if args.mode == "psse":
-        if wkind != "psse_witness":
-            print("error: witness kind does not match --mode psse", file=sys.stderr)
-            return INPUT_ERROR
-        rep = verify_psse_1step(s_m, s_n, w, depth)
-    else:
-        if wkind != "sse_witness":
-            print("error: witness kind does not match --mode sse", file=sys.stderr)
-            return INPUT_ERROR
-        rep = verify_sse_1step(s_m, s_n, w, depth)
+    _, _, s_m = _load(args.system_m, depth, ("smb",), "check-equivalence needs smb systems")
+    _, _, s_n = _load(args.system_n, depth, ("smb",), "check-equivalence needs smb systems")
+    _, _, w = _load(args.witness, None, (f"{args.mode}_witness",),
+                    f"witness kind does not match --mode {args.mode}")
+    verify = verify_psse_1step if args.mode == "psse" else verify_sse_1step
+    rep = verify(s_m, s_n, w, depth)
     for line in rep.lines():
         print(line)
     if args.convert and args.mode == "psse" and rep.ok:
@@ -255,10 +251,7 @@ def cmd_check_equivalence(args):
 
 
 def cmd_bipartite(args):
-    kind, name, s = _load(args.file)
-    if kind != "smb":
-        print("error: bipartite needs an smb document", file=sys.stderr)
-        return INPUT_ERROR
+    _, name, s = _load(args.file, None, ("smb",), "bipartite needs an smb document")
     bip = detect_bipartite(s)
     if bip is None:
         print("no bipartite structure")
@@ -280,26 +273,22 @@ def cmd_bipartite(args):
 
 
 def cmd_transpose(args):
-    kind, name, obj = _load(args.file)
-    if kind != "bisystem":
-        print("error: transpose needs a bisystem document", file=sys.stderr)
-        return INPUT_ERROR
+    _, name, obj = _load(args.file, None, ("bisystem",), "transpose needs a bisystem document")
     _write(dump_document("bisystem", (name or "bisystem") + "-transpose",
                          transpose(obj)), args.output)
     return PASS
 
 
 def cmd_words(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load(args.file, None, ("subshift", "bisystem", "smb"),
+                            "words needs a subshift, bisystem or smb document")
     try:
         if kind == "subshift":
             words = admissible_words(obj, args.length)
         elif kind == "bisystem":
             words = presented_words(obj, args.side, args.length)
-        elif kind == "smb":
-            words = presented_words(from_smb(obj), args.side, args.length)
         else:
-            _input_error("words needs a subshift, bisystem or smb document")
+            words = presented_words(from_smb(obj), args.side, args.length)
     except (BisystemError, SubshiftError, SmbError) as e:
         # a length below 0 or beyond the stored depth, or an smb document
         # that does not validate and so presents no words
@@ -310,10 +299,8 @@ def cmd_words(args):
 
 
 def cmd_from_lgs(args):
-    kind, name, obj = _load(args.file, _depth(args))
-    if kind != "lambda_graph_system":
-        print("error: from-lgs needs a lambda_graph_system document", file=sys.stderr)
-        return INPUT_ERROR
+    _, name, obj = _load(args.file, _depth(args), ("lambda_graph_system",),
+                         "from-lgs needs a lambda_graph_system document")
     _write(dump_document("bisystem", name or "imported", _import_lgs(obj)), args.output)
     return PASS
 

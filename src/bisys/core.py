@@ -129,10 +129,6 @@ class FormalSum:
     def term_count(self) -> int:
         return sum(self._terms.values())
 
-    @property
-    def has_repeats(self) -> bool:
-        return any(c > 1 for c in self._terms.values())
-
     def __add__(self, other: "FormalSum") -> "FormalSum":
         acc = dict(self._terms)
         for w, c in other._terms.items():
@@ -334,15 +330,6 @@ class Specification:
 
     def as_dict(self) -> dict:
         return dict(self.pairs)
-
-    def apply_word(self, w: Word) -> Word:
-        d = self.as_dict()
-        if tuple(w) not in d:
-            raise CoreError(f"specification undefined on {word_str(w)}")
-        return d[tuple(w)]
-
-    def apply_sum(self, x: FormalSum) -> FormalSum:
-        return x.map_terms(self.apply_word)
 
     def inverse(self) -> "Specification":
         return Specification(tuple(sorted((d, s) for s, d in self.pairs)), self.target, self.source)

@@ -65,24 +65,6 @@ class SymbolicMatrixBisystem:
             self.minus[k:], self.plus[k:], self.sigma_minus, self.sigma_plus
         )
 
-    def extended(self, depth: int) -> "SymbolicMatrixBisystem":
-        """Expand an eventually-constant tail out to the requested depth."""
-        if depth <= self.depth:
-            return self
-        if self.repeat_from is None:
-            raise SmbError("no repeat marker; cannot extend")
-        last_m, last_p = self.minus[-1], self.plus[-1]
-        if last_m.rows != last_m.cols:
-            raise SmbError("repeating block must be square")
-        minus = list(self.minus)
-        plus = list(self.plus)
-        while len(minus) < depth:
-            minus.append(last_m)
-            plus.append(last_p)
-        return SymbolicMatrixBisystem(
-            tuple(minus), tuple(plus), self.sigma_minus, self.sigma_plus, self.repeat_from
-        )
-
 
 @dataclass(frozen=True)
 class SmbValidationReport:

@@ -70,6 +70,12 @@ class LabeledGraph:
     def labels(self) -> tuple:
         return tuple(sorted({a for (_, _, a) in self.edges}))
 
+    def reversed(self) -> "LabeledGraph":
+        """The same states and labels with every edge turned around: its
+        successors are this graph's predecessors and its past sets this
+        graph's future sets."""
+        return LabeledGraph(self.states, tuple((t, s, a) for (s, t, a) in self.edges))
+
     def is_irreducible(self) -> bool:
         """Strong connectivity of the underlying digraph."""
         adj: dict = {q: [] for q in self.states}
@@ -222,14 +228,6 @@ def _successors(g: LabeledGraph) -> dict:
     return by
 
 
-def _predecessors(g: LabeledGraph) -> dict:
-    """label -> state -> the states one edge of that label behind it."""
-    by: dict = {a: {} for a in g.labels}
-    for (s, t, a) in g.edges:
-        by[a].setdefault(t, []).append(s)
-    return by
-
-
 def _step_right(succ_a: dict, rel):
     """Relation composition with the one-symbol relation on the right."""
     return frozenset((p, t) for (p, q) in rel for t in succ_a.get(q, ()))
@@ -276,12 +274,6 @@ def step_past(g: LabeledGraph, pset, a) -> frozenset:
     return frozenset(t for (s, t) in by if s in pset)
 
 
-def step_future(g: LabeledGraph, a, fset) -> frozenset:
-    """Future set after prepending ``a`` at the start of the right ray."""
-    by = _edges_by_label(g).get(a, ())
-    return frozenset(s for (s, t) in by if t in fset)
-
-
 def fill_in_words(g: LabeledGraph, pset, fset, n: int):
     """Labels of length-n paths from a state of pset to a state of fset."""
     if n == 0:
@@ -301,41 +293,39 @@ def fill_in_words(g: LabeledGraph, pset, fset, n: int):
 
 
 def realizable_past_sets(g: LabeledGraph):
-    """All stabilized past sets of left-infinite admissible rays.
+    """All stabilized past sets of left-infinite admissible rays."""
+    return _ray_sets(g)
+
+
+def realizable_future_sets(g: LabeledGraph):
+    """All stabilized future sets of right-infinite admissible rays: the past
+    sets of the reversed graph, whose left rays are the right rays of g read
+    backwards."""
+    return _ray_sets(g.reversed())
+
+
+def _ray_sets(g: LabeledGraph):
+    """The realizable past sets of g.
 
     Walks the finite automaton of word relations (composing prepended symbols
     on the left); a set qualifies exactly when some relation with that range
     lies on a range-preserving cycle reachable from the identity relation.
     """
-    pred = _predecessors(g)
+    pred = _successors(g.reversed())
     steps = [pred[a] for a in g.labels]
-    return _ray_sets(g, lambda rel: [_step_left(by, rel) for by in steps],
-                     lambda rel: frozenset(q for (_, q) in rel))
-
-
-def realizable_future_sets(g: LabeledGraph):
-    succ = _successors(g)
-    steps = [succ[a] for a in g.labels]
-    return _ray_sets(g, lambda rel: [_step_right(by, rel) for by in steps],
-                     lambda rel: frozenset(p for (p, _) in rel))
-
-
-def _ray_sets(g: LabeledGraph, step, value):
-    """Values of the relations reachable from the identity under ``step``
-    that lie on a value-preserving cycle."""
     ident = frozenset((q, q) for q in g.states)
     seen = {ident}
     succ: dict = {}
     stack = [ident]
     while stack:
         rel = stack.pop()
-        outs = [nxt for nxt in step(rel) if nxt]
+        outs = [nxt for nxt in (_step_left(by, rel) for by in steps) if nxt]
         for nxt in outs:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
         succ[rel] = outs
-    return _ranges_on_constant_cycles(seen, succ, value)
+    return _ranges_on_constant_cycles(seen, succ, lambda rel: frozenset(q for (_, q) in rel))
 
 
 def _ranges_on_constant_cycles(nodes, succ, value):

@@ -19,7 +19,6 @@ from bisys.subshift import (
     fill_in_words,
     realizable_future_sets,
     realizable_past_sets,
-    step_future,
     step_past,
 )
 from fixtures import (
@@ -123,7 +122,7 @@ def test_edge_wellformedness_across_all_pairs():
                     for (p, f) in cls.pairs
                 }
                 right = {
-                    fill_in_words(g, frozenset(p), step_future(g, a, frozenset(f)), l)
+                    fill_in_words(g, frozenset(p), step_past(g.reversed(), frozenset(f), a), l)
                     for (p, f) in cls.pairs
                 }
                 assert len(left) == 1 and len(right) == 1
@@ -191,7 +190,7 @@ def reference_edges(g, classes, level):
                 words = fill(p2, f) if p2 else ()
                 if words:
                     minus.add((j, index[words], (a,)))
-                f2 = step_future(g, a, f)
+                f2 = step_past(g.reversed(), f, a)
                 words = fill(p, f2) if f2 else ()
                 if words:
                     plus.add((index[words], j, (a,)))

@@ -89,8 +89,10 @@ def test_parse_errors_have_locations():
     with pytest.raises(DocumentError) as exc:
         parse_document("{not json")
     assert "line" in str(exc.value)
-    with pytest.raises(DocumentError):
-        parse_document(json.dumps({"schema_version": 1, "kind": "nope", "payload": {}}))
+    for kind in ("nope", ["smb"], {"smb": 1}, None):
+        with pytest.raises(DocumentError) as exc:
+            parse_document(json.dumps({"schema_version": 1, "kind": kind, "payload": {}}))
+        assert str(exc.value) == f"$.kind: unknown kind {kind!r}"
     # an empty payload of every kind names what it misses first, and where
     expected = {
         "subshift": "$.payload.variant: unknown variant None",
@@ -278,6 +280,51 @@ def test_check_equivalence_command(tmp_path, capsys):
     assert main(["check-equivalence", sf, sf, brokenf, "--mode", "psse"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_a_document_of_the_wrong_kind_is_an_input_error(tmp_path, capsys):
+    s = canonical_smb(golden_mean_pres(), 3)
+    files = {
+        "subshift": write(tmp_path, "gm.json", GM_SUBSHIFT),
+        "bisystem": write(tmp_path, "gm.b.json", dump_document(
+            "bisystem", "gm", canonical_bisystem(golden_mean_pres(), 3).bisystem)),
+        "smb": write(tmp_path, "gm.smb.json", dump_document("smb", "gm", s)),
+        "psse": write(tmp_path, "w.json", dump_document(
+            "psse_witness", "w", trivial_psse_witness(s))),
+    }
+    b, sm, w = files["bisystem"], files["smb"], files["psse"]
+    cases = [
+        (["validate", w], "validate does not apply to kind 'psse_witness'"),
+        (["canonical", b], "canonical needs a subshift document"),
+        (["invariants", sm], "invariants needs a leveled system"),
+        (["check-equivalence", b, b, w], "check-equivalence needs smb systems"),
+        (["check-equivalence", sm, b, w], "check-equivalence needs smb systems"),
+        (["check-equivalence", sm, sm, w, "--mode", "sse"],
+         "witness kind does not match --mode sse"),
+        (["check-equivalence", sm, sm, sm], "witness kind does not match --mode psse"),
+        (["bipartite", b], "bipartite needs an smb document"),
+        (["transpose", sm], "transpose needs a bisystem document"),
+        (["words", w], "words needs a subshift, bisystem or smb document"),
+        (["from-lgs", b], "from-lgs needs a lambda_graph_system document"),
+    ]
+    for command, message in cases:
+        assert main(command) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == "", command
+
+
+def test_smb_level_sizes_are_one_more_than_the_blocks(tmp_path, capsys):
+    node = json.loads(dump_document("smb", "gm", canonical_smb(golden_mean_pres(), 3)))
+    for sizes, message in (
+        ([1, 2, 4, 4, 99], "expected 4 entries (one more than the minus blocks), got 5"),
+        ([1, 2, 4], "expected 4 entries (one more than the minus blocks), got 3"),
+    ):
+        node["payload"]["level_sizes"] = sizes
+        bad = write(tmp_path, "bad.json", json.dumps(node))
+        assert main(["validate", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: $.payload.level_sizes: {message}\n"
+        assert captured.out == ""
 
 
 def test_witness_families_of_unequal_length_are_input_errors(tmp_path, capsys):

@@ -216,7 +216,9 @@ def test_specified_equivalent_reflexive_and_inverse():
         phi = Specification.from_dict(
             {("a",): ("x",), ("b",): ("y",), ("c",): ("z",)}
         )
-        b = a.map_entries(phi.apply_sum, Alphabet.of("x", "y", "z"))
+        b = a.map_entries(
+            lambda x: x.map_terms(phi.as_dict().__getitem__), Alphabet.of("x", "y", "z")
+        )
         assert specified_equivalence_failure(a, b, phi) is None
         assert specified_equivalence_failure(b, a, phi.inverse()) is None
 

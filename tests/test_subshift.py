@@ -1,3 +1,4 @@
+import random
 from itertools import product as cartesian
 
 import pytest
@@ -14,6 +15,8 @@ from bisys.subshift import (
     higher_block_recode,
     past_state_set,
     past_state_stable,
+    _ranges_on_constant_cycles,
+    _successors,
     realizable_future_sets,
     realizable_past_sets,
 )
@@ -24,6 +27,7 @@ from fixtures import (
     full_shift_pres,
     golden_mean_pres,
     golden_window_ok,
+    random_sofic_pres,
 )
 
 
@@ -189,6 +193,53 @@ def test_realizable_sets_even_shift():
     assert set(realizable_future_sets(gm)) == {
         frozenset({"1"}), frozenset({"1", "2"}),
     }
+
+
+def reference_ray_sets(g, side):
+    """The two relation walks the library ran before the future sets were
+    read off the reversed graph: prepended symbols composed on the left of
+    each word relation for the past sets (their ranges), appended symbols
+    composed on the right for the future sets (their domains).  Both share
+    the library's cycle search."""
+    by = {a: {} for a in g.labels}
+    for (s, t, a) in g.edges:
+        if side == "past":
+            by[a].setdefault(t, []).append(s)
+        else:
+            by[a].setdefault(s, []).append(t)
+    steps = [by[a] for a in g.labels]
+
+    def step(rel):
+        if side == "past":
+            return [frozenset((s, q) for (p, q) in rel for s in m.get(p, ())) for m in steps]
+        return [frozenset((p, t) for (p, q) in rel for t in m.get(q, ())) for m in steps]
+
+    def value(rel):
+        return frozenset(q if side == "past" else p for (p, q) in rel)
+
+    ident = frozenset((q, q) for q in g.states)
+    seen, succ, stack = {ident}, {}, [ident]
+    while stack:
+        rel = stack.pop()
+        succ[rel] = [nxt for nxt in step(rel) if nxt]
+        for nxt in succ[rel]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return _ranges_on_constant_cycles(seen, succ, value)
+
+
+def test_ray_sets_match_both_reference_walks_on_random_graphs():
+    rng = random.Random(31)
+    for i in range(300):
+        g = random_sofic_pres(rng, rng.randint(2, 4)).graph
+        assert g.reversed().reversed() == g
+        pred = {a: {} for a in g.labels}
+        for (s, t, a) in g.edges:
+            pred[a].setdefault(t, []).append(s)
+        assert _successors(g.reversed()) == pred, i
+        assert realizable_past_sets(g) == reference_ray_sets(g, "past"), i
+        assert realizable_future_sets(g) == reference_ray_sets(g, "future"), i
 
 
 def test_block_code_edges():
