@@ -17,9 +17,7 @@ from .subshift import (
     SubshiftPresentation,
     admissible_words,
     apply_block_code,
-    fill_in_words,
     higher_block_recode,
-    past_state_set,
 )
 from .bisystem import (
     BisystemError,
@@ -50,7 +48,6 @@ from .canonical import (
     CentralClass,
     canonical_bisystem,
     canonical_smb,
-    central_classes,
 )
 from .equivalence import (
     EquivalenceError,

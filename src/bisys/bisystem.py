@@ -9,10 +9,10 @@ are words (tuples of strings), length 1 unless the alphabet is a product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 
-from .core import Alphabet, word_str
+from .core import Alphabet, WordDag, word_str
 
 
 class BisystemError(ValueError):
@@ -240,20 +240,33 @@ def predecessor_sets(b: LambdaGraphBisystem):
 
 
 def _fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:
+    """Follower against predecessor languages, vertex by vertex, as nodes of
+    one word DAG; words are listed only for a vertex where they differ."""
     if not b.is_standard:
         return Verdict(False, ("not standard: |V_0| != 1",))
     if not b.has_common_alphabet:
         return Verdict(False, ("alphabets differ between the two sides",))
-    F = follower_sets(b)
-    P = predecessor_sets(b)
+    dag = WordDag(sorted({x for a in b.sigma_minus.symbols for x in a}))
+    union = dag.union
+    follow = pred = (1,)
     bad = []
-    for l in range(1, b.depth + 1):
-        for i in range(b.level_sizes[l]):
-            if F[l][i] != P[l][i]:
+    for l, (down, up) in enumerate(
+        zip(b.adjacency["minus", "upper"], b.adjacency["plus", "upper"]), 1
+    ):
+        follow = tuple(
+            reduce(union, (dag.prepend(a, follow[i]) for (i, a) in edges), 0)
+            for edges in down
+        )
+        pred = tuple(
+            reduce(union, (dag.append(pred[i], a) for (i, a) in edges), 0)
+            for edges in up
+        )
+        for i, (f, p) in enumerate(zip(follow, pred)):
+            if f != p:
                 bad.append(
                     f"{b.vertex_name(l, i)}: follower words "
-                    f"{sorted(map(word_str, F[l][i]))} != predecessor words "
-                    f"{sorted(map(word_str, P[l][i]))}"
+                    f"{sorted(map(word_str, dag.words(f)))} != predecessor words "
+                    f"{sorted(map(word_str, dag.words(p)))}"
                 )
     return Verdict(not bad, tuple(bad))
 

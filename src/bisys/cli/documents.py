@@ -37,6 +37,14 @@ def _word(x, loc):
     raise DocumentError("symbol must be a string or list of strings", loc)
 
 
+def _list(node, key, loc):
+    """``node[key]``, which must be a list; ``loc`` locates ``node``."""
+    value = node[key]
+    if not isinstance(value, list):
+        raise DocumentError(f"{key} must be a list", f"{loc}.{key}")
+    return value
+
+
 def _word_out(w):
     return w[0] if len(w) == 1 else list(w)
 
@@ -51,7 +59,7 @@ def _alphabet(node, loc):
     if "symbols" not in node:
         raise DocumentError("alphabet needs 'symbols' or 'product'", loc)
     return Alphabet.from_words(
-        _word(s, f"{loc}.symbols[{i}]") for i, s in enumerate(node["symbols"])
+        _word(s, f"{loc}.symbols[{i}]") for i, s in enumerate(_list(node, "symbols", loc))
     )
 
 
@@ -281,18 +289,19 @@ def _parse_subshift(p, depth):
     loc = "$.payload"
     if variant == "sft":
         m = SftMatrix(
-            tuple(tuple(int(v) for v in row) for row in p["matrix"]),
-            tuple(p["symbols"]),
+            tuple(tuple(int(v) for v in row) for row in _list(p, "matrix", loc)),
+            tuple(_list(p, "symbols", loc)),
         )
         return SubshiftPresentation.from_sft(m)
     if variant == "sofic":
         g = LabeledGraph(
-            tuple(p["states"]), tuple((s, t, a) for (s, t, a) in p["edges"])
+            tuple(_list(p, "states", loc)),
+            tuple((s, t, a) for (s, t, a) in _list(p, "edges", loc)),
         )
         return SubshiftPresentation.from_graph(g)
     if variant == "forbidden":
         return SubshiftPresentation.from_forbidden(
-            tuple(p["symbols"]), tuple(tuple(w) for w in p["words"])
+            tuple(_list(p, "symbols", loc)), tuple(tuple(w) for w in _list(p, "words", loc))
         )
     raise DocumentError(f"unknown variant {variant!r}", loc + ".variant")
 
@@ -319,8 +328,12 @@ def _emit_subshift(pres: SubshiftPresentation):
 def _repeat_from(p, depth, sizes, *families):
     """Extend the level sizes and block families read from ``p`` in place to
     ``depth`` blocks, when ``p`` carries a ``repeat_from`` marker: the last
-    block, which must be square, repeats, and so does the last level size."""
-    if depth is None or depth <= len(families[0]) or p.get("repeat_from") is None:
+    block, which must be square, repeats, and so does the last level size.
+    The marker is null or an integer."""
+    marker = p.get("repeat_from")
+    if marker is not None and type(marker) is not int:
+        raise DocumentError("repeat_from must be null or an integer", "$.payload.repeat_from")
+    if depth is None or depth <= len(families[0]) or marker is None:
         return
     if sizes[-1] != sizes[-2]:
         raise DocumentError("repeating block must be square", "$.payload")
@@ -383,7 +396,7 @@ def _parse_lgs(p, depth):
     edges = _edges(p["edges"], "$.payload.edges", _label)
     iota = [tuple(int(v) - 1 for v in block) for block in p["iota"]]
     _repeat_from(p, depth, sizes, edges, iota)
-    for i, a in enumerate(p["alphabet"]):
+    for i, a in enumerate(_list(p, "alphabet", "$.payload")):
         if not isinstance(a, str):
             raise DocumentError("symbol must be a string", f"$.payload.alphabet[{i}]")
     alphabet = Alphabet.of(*p["alphabet"])

@@ -5,7 +5,8 @@ alphabet C.D is represented by the concatenation (as a tuple) of a C-symbol
 and a D-symbol, and the alphabet remembers its two factors, so the exchange
 map can split every product symbol without guessing.  Formal sums are finite
 multisets of such words; multiplicities are kept because the commutation
-checks compare products where they matter.
+checks compare products where they matter.  Finite sets of words of one
+length are nodes of a hash-consed ``WordDag``.
 """
 
 from __future__ import annotations
@@ -176,6 +177,102 @@ class FormalSum:
 
 
 _ZERO = FormalSum()  # shared by every empty cell; a FormalSum is never mutated
+
+
+class WordDag:
+    """Hash-consed DAG of finite languages whose words all have one length.
+
+    A node is an int.  Node 0 is the empty language and node 1 is {ε}; any
+    other node is the tuple of its children, one per letter in ``letters``
+    order, where the child for letter a is the left quotient a⁻¹W.  Equal
+    tuples are interned once, so this is the minimal acyclic automaton of
+    each language, and two languages are equal exactly when their nodes are.
+    ``sizes[n]`` is the word count of node n.  Nothing is listed unless
+    ``words`` is asked for.
+    """
+
+    def __init__(self, letters):
+        self.letters = tuple(letters)
+        self.slot = {a: k for k, a in enumerate(self.letters)}
+        self.nodes = [None, None]  # children of each node; none for 0 and 1
+        self.sizes = [0, 1]
+        self._ids = {(0,) * len(self.letters): 0}
+        self._unions: dict = {}
+        self._appended: dict = {}
+        self._quotients: dict = {}
+
+    def node(self, kids: tuple) -> int:
+        """The node whose child for each letter is the given node."""
+        got = self._ids.get(kids)
+        if got is None:
+            got = self._ids[kids] = len(self.nodes)
+            self.nodes.append(kids)
+            sizes = self.sizes
+            sizes.append(sum(sizes[c] for c in kids))
+        return got
+
+    def words(self, n: int, prefix: tuple = ()):
+        """The words of node n after ``prefix``, in lexicographic order."""
+        if n == 1:
+            yield prefix
+        elif n:
+            for a, c in zip(self.letters, self.nodes[n]):
+                if c:
+                    yield from self.words(c, prefix + (a,))
+
+    def prepend(self, word, n: int) -> int:
+        """word · W(n)."""
+        if not n:
+            return 0
+        for a in reversed(word):
+            kids = [0] * len(self.letters)
+            kids[self.slot[a]] = n
+            n = self.node(tuple(kids))
+        return n
+
+    def append(self, n: int, word) -> int:
+        """W(n) · word, one letter at a time."""
+        for a in word:
+            n = self._append(n, a)
+        return n
+
+    def _append(self, n, a):
+        if n == 1:
+            return self.prepend((a,), 1)
+        if not n:
+            return 0
+        got = self._appended.get((n, a))
+        if got is None:
+            got = self._appended[n, a] = self.node(tuple(self._append(c, a) for c in self.nodes[n]))
+        return got
+
+    def union(self, m: int, n: int) -> int:
+        """W(m) ∪ W(n), for languages of one word length."""
+        if m == n or not n:
+            return m
+        if not m:
+            return n
+        key = (m, n) if m < n else (n, m)
+        got = self._unions.get(key)
+        if got is None:
+            got = self._unions[key] = self.node(
+                tuple(map(self.union, self.nodes[m], self.nodes[n]))
+            )
+        return got
+
+    def right_quotient(self, n: int, a) -> int:
+        """W(n) · a⁻¹, the words w with w·a in W(n); n is not node 1."""
+        if not n:
+            return 0
+        kids = self.nodes[n]
+        if 1 in kids:  # words of length one
+            return kids[self.slot[a]]
+        got = self._quotients.get((n, a))
+        if got is None:
+            got = self._quotients[n, a] = self.node(
+                tuple(self.right_quotient(c, a) for c in kids)
+            )
+        return got
 
 
 @dataclass(frozen=True)

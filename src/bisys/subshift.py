@@ -228,68 +228,9 @@ def _successors(g: LabeledGraph) -> dict:
     return by
 
 
-def _step_right(succ_a: dict, rel):
-    """Relation composition with the one-symbol relation on the right."""
-    return frozenset((p, t) for (p, q) in rel for t in succ_a.get(q, ()))
-
-
 def _step_left(pred_a: dict, rel):
     """Relation composition with the one-symbol relation on the left."""
     return frozenset((s, q) for (p, q) in rel for s in pred_a.get(p, ()))
-
-
-def _word_relation(g: LabeledGraph, w) -> frozenset:
-    succ = _successors(g)
-    rel = frozenset((q, q) for q in g.states)
-    for a in w:
-        rel = _step_right(succ.get(a, {}), rel)
-    return rel
-
-
-def past_state_set(g: LabeledGraph, w) -> frozenset:
-    """States reachable at the right end of w by arbitrarily long left extensions.
-
-    Because no state of a presentation is stranded, this is exactly the set of
-    endpoints of paths labeled w.
-    """
-    rel = _word_relation(g, w)
-    if not rel:
-        raise SubshiftError(f"word {''.join(w)!r} is not admissible")
-    return frozenset(q for (_, q) in rel)
-
-
-def past_state_stable(g: LabeledGraph, w) -> bool:
-    """True when no admissible one-symbol left extension shrinks the past set."""
-    base = past_state_set(g, w)
-    for a in g.labels:
-        rel = _word_relation(g, (a,) + tuple(w))
-        if rel and frozenset(q for (_, q) in rel) != base:
-            return False
-    return True
-
-
-def step_past(g: LabeledGraph, pset, a) -> frozenset:
-    """Past set after appending ``a`` on the right of the left ray."""
-    by = _edges_by_label(g).get(a, ())
-    return frozenset(t for (s, t) in by if s in pset)
-
-
-def fill_in_words(g: LabeledGraph, pset, fset, n: int):
-    """Labels of length-n paths from a state of pset to a state of fset."""
-    if n == 0:
-        return ((),) if set(pset) & set(fset) else ()
-    by = _edges_by_label(g)
-    frontier = {(): frozenset(pset)}
-    for _ in range(n):
-        nxt: dict = {}
-        for w, ends in frontier.items():
-            for a, pairs in by.items():
-                targets = frozenset(t for (s, t) in pairs if s in ends)
-                if targets:
-                    key = w + (a,)
-                    nxt[key] = nxt.get(key, frozenset()) | targets
-        frontier = nxt
-    return tuple(sorted(w for w, ends in frontier.items() if ends & frozenset(fset)))
 
 
 def realizable_past_sets(g: LabeledGraph):

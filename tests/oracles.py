@@ -1,0 +1,128 @@
+"""Reference code the library no longer calls: explicit word enumeration.
+
+The canonical build and the FPCC check work on hash-consed word DAGs
+(``bisys.core.WordDag``) and list no word.  The functions here list every
+word, one path or one pair at a time, and are what the tests compare the
+DAG code against.
+"""
+
+from __future__ import annotations
+
+from bisys.bisystem import LambdaGraphBisystem, Verdict, follower_sets, predecessor_sets
+from bisys.canonical import CanonicalError, CentralClass
+from bisys.core import WordDag, word_str
+from bisys.subshift import (
+    LabeledGraph,
+    SubshiftError,
+    SubshiftPresentation,
+    _edges_by_label,
+    _successors,
+    realizable_future_sets,
+    realizable_past_sets,
+)
+
+
+def _step_right(succ_a: dict, rel):
+    """Relation composition with the one-symbol relation on the right."""
+    return frozenset((p, t) for (p, q) in rel for t in succ_a.get(q, ()))
+
+
+def _word_relation(g: LabeledGraph, w) -> frozenset:
+    succ = _successors(g)
+    rel = frozenset((q, q) for q in g.states)
+    for a in w:
+        rel = _step_right(succ.get(a, {}), rel)
+    return rel
+
+
+def past_state_set(g: LabeledGraph, w) -> frozenset:
+    """States reachable at the right end of w by arbitrarily long left extensions.
+
+    Because no state of a presentation is stranded, this is exactly the set of
+    endpoints of paths labeled w.
+    """
+    rel = _word_relation(g, w)
+    if not rel:
+        raise SubshiftError(f"word {''.join(w)!r} is not admissible")
+    return frozenset(q for (_, q) in rel)
+
+
+def past_state_stable(g: LabeledGraph, w) -> bool:
+    """True when no admissible one-symbol left extension shrinks the past set."""
+    base = past_state_set(g, w)
+    for a in g.labels:
+        rel = _word_relation(g, (a,) + tuple(w))
+        if rel and frozenset(q for (_, q) in rel) != base:
+            return False
+    return True
+
+
+def step_past(g: LabeledGraph, pset, a) -> frozenset:
+    """Past set after appending ``a`` on the right of the left ray."""
+    by = _edges_by_label(g).get(a, ())
+    return frozenset(t for (s, t) in by if s in pset)
+
+
+def fill_in_words(g: LabeledGraph, pset, fset, n: int):
+    """Labels of length-n paths from a state of pset to a state of fset."""
+    if n == 0:
+        return ((),) if set(pset) & set(fset) else ()
+    by = _edges_by_label(g)
+    frontier = {(): frozenset(pset)}
+    for _ in range(n):
+        nxt: dict = {}
+        for w, ends in frontier.items():
+            for a, pairs in by.items():
+                targets = frozenset(t for (s, t) in pairs if s in ends)
+                if targets:
+                    key = w + (a,)
+                    nxt[key] = nxt.get(key, frozenset()) | targets
+        frontier = nxt
+    return tuple(sorted(w for w, ends in frontier.items() if ends & frozenset(fset)))
+
+
+def reference_classes(g: LabeledGraph, level: int):
+    """(words, pairs) per class from one ``fill_in_words`` call per pair,
+    ordered by (size, words)."""
+    table = {}
+    for p in realizable_past_sets(g):
+        for f in realizable_future_sets(g):
+            words = fill_in_words(g, p, f, level)
+            if words:
+                table.setdefault(words, []).append((tuple(sorted(p)), tuple(sorted(f))))
+    return [(ws, tuple(sorted(table[ws]))) for ws in sorted(table, key=lambda ws: (len(ws), ws))]
+
+
+def central_classes(pres: SubshiftPresentation, level: int):
+    """Distinct classes at one level, each language interned from its words."""
+    if level < 0:
+        raise CanonicalError("level must be >= 0")
+    g = pres.graph
+    dag = WordDag(g.labels)
+    out = []
+    for words, pairs in reference_classes(g, level):
+        node = 0
+        for w in words:
+            node = dag.union(node, dag.prepend(w, 1))
+        out.append(CentralClass(level, pairs, (dag, node)))
+    return tuple(out)
+
+
+def fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:
+    """FPCC from the explicit follower and predecessor word sets."""
+    if not b.is_standard:
+        return Verdict(False, ("not standard: |V_0| != 1",))
+    if not b.has_common_alphabet:
+        return Verdict(False, ("alphabets differ between the two sides",))
+    F = follower_sets(b)
+    P = predecessor_sets(b)
+    bad = []
+    for l in range(1, b.depth + 1):
+        for i in range(b.level_sizes[l]):
+            if F[l][i] != P[l][i]:
+                bad.append(
+                    f"{b.vertex_name(l, i)}: follower words "
+                    f"{sorted(map(word_str, F[l][i]))} != predecessor words "
+                    f"{sorted(map(word_str, P[l][i]))}"
+                )
+    return Verdict(not bad, tuple(bad))

@@ -33,8 +33,10 @@ from fixtures import (
     golden_mean_pres,
     paper_even_shift_bisystem,
     paper_golden_mean_bisystem,
+    random_sofic_pres,
     two_power_split_bisystem,
 )
+from oracles import fpcc_verdict as oracle_fpcc
 
 
 def drop_edge(b, side, block, idx):
@@ -155,6 +157,66 @@ def test_fpcc_examples():
     assert fpcc_check(canonical_bisystem(golden_mean_pres(), 5).bisystem)
     imported = from_lambda_graph_system(golden_mean_lgs(4))
     assert not fpcc_check(imported)
+
+
+def relabeled(b, rng):
+    """b with one random edge given another label of its side's alphabet."""
+    side = rng.choice(("minus", "plus"))
+    blocks = list(getattr(b, side + "_edges"))
+    l = rng.randrange(len(blocks))
+    block = list(blocks[l])
+    k = rng.randrange(len(block))
+    s, t, a = block[k]
+    alphabet = b.sigma_minus if side == "minus" else b.sigma_plus
+    block[k] = (s, t, rng.choice([x for x in alphabet.symbols if x != tuple(a)]))
+    blocks[l] = tuple(sorted(block))
+    edges = {"minus": b.minus_edges, "plus": b.plus_edges, side: tuple(blocks)}
+    return LambdaGraphBisystem(
+        b.level_sizes, edges["minus"], edges["plus"], b.sigma_minus, b.sigma_plus
+    )
+
+
+def fpcc_differential_cases():
+    """(name, bisystem) pairs: canonical builds, one-sided imports, their
+    transposes, single-edge relabelings that break FPCC, and two-letter
+    product labels."""
+    rng = random.Random(14)
+    builds = [
+        ("golden", canonical_bisystem(golden_mean_pres(), 5).bisystem),
+        ("even", canonical_bisystem(even_shift_pres(), 5).bisystem),
+        ("full3", canonical_bisystem(full_shift_pres(3), 4).bisystem),
+    ]
+    for i in range(6):
+        pres = random_sofic_pres(rng, rng.randint(3, 6))
+        builds.append((f"random{i}", canonical_bisystem(pres, 4).bisystem))
+    imports = [
+        ("import_golden", from_lambda_graph_system(golden_mean_lgs(4))),
+        ("import_full2", from_lambda_graph_system(full_n_lgs(2, 4))),
+    ]
+    product = [("two_power_split", two_power_split_bisystem())]
+    cases = builds + imports + product
+    cases += [(f"transpose_{name}", transpose(b)) for name, b in cases]
+    for name, b in builds + product:
+        for k in range(3):
+            while True:
+                broken = relabeled(b, rng)
+                if not oracle_fpcc(broken).ok:
+                    break
+            cases.append((f"relabeled_{name}_{k}", broken))
+    return cases
+
+
+def test_fpcc_dag_verdict_matches_word_set_oracle():
+    """Seeded differential check of the DAG verdict against the explicit
+    follower and predecessor word sets: ok and every counterexample text."""
+    import bisys.bisystem as bs
+
+    failing = 0
+    for name, b in fpcc_differential_cases():
+        want = oracle_fpcc(b)
+        assert bs._fpcc_verdict(b) == want, name
+        failing += not want.ok
+    assert failing >= 30
 
 
 def test_presented_words():

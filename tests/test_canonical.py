@@ -5,21 +5,13 @@ from itertools import product as cartesian
 import pytest
 
 from bisys.bisystem import fpcc_check, presented_words, validate
-from bisys.canonical import (
-    CanonicalError,
-    canonical_bisystem,
-    canonical_smb,
-    central_classes,
-)
+from bisys.canonical import CanonicalError, canonical_bisystem, canonical_smb
+from bisys.core import WordDag
 from bisys.smb import smb_isomorphic, to_smb
 from bisys.subshift import (
     LabeledGraph,
     SubshiftPresentation,
     admissible_words,
-    fill_in_words,
-    realizable_future_sets,
-    realizable_past_sets,
-    step_past,
 )
 from fixtures import (
     even_shift_pres,
@@ -31,6 +23,7 @@ from fixtures import (
     paper_golden_mean_bisystem,
     random_sofic_pres,
 )
+from oracles import central_classes, fill_in_words, reference_classes, step_past
 
 
 def window_oracle_classes(allowed, window_ok, gap, pad=9):
@@ -166,17 +159,6 @@ def test_canonical_of_recoded_forbidden_input():
         assert presented_words(b, "plus", n) == admissible_words(pres, n)
 
 
-def reference_classes(g, level):
-    """(words, pairs) per class from one ``fill_in_words`` call per pair."""
-    table = {}
-    for p in realizable_past_sets(g):
-        for f in realizable_future_sets(g):
-            words = fill_in_words(g, p, f, level)
-            if words:
-                table.setdefault(words, []).append((tuple(sorted(p)), tuple(sorted(f))))
-    return [(ws, tuple(sorted(table[ws]))) for ws in sorted(table, key=lambda ws: (len(ws), ws))]
-
-
 def reference_edges(g, classes, level):
     """Minus and plus block into ``level`` from every pair of every class above."""
     index = {cls.words: i for i, cls in enumerate(classes[level])}
@@ -230,6 +212,33 @@ def test_sweep_matches_per_pair_fill_in_reference(pres, depth):
             g, build.class_table, level
         )
     assert central_classes(pres, depth) == build.class_table[depth]
+
+
+def test_interned_nodes_grow_linearly_with_depth(monkeypatch):
+    """A full shift has one vertex per level but |alphabet|^depth fill-in
+    words.  The build and its FPCC check intern a fixed number of new word
+    DAG nodes per level, and no class lists its words."""
+    import bisys.bisystem as bs
+    import bisys.canonical as cn
+
+    made = []
+
+    class Recorded(WordDag):
+        def __init__(self, letters):
+            super().__init__(letters)
+            made.append(self)
+
+    monkeypatch.setattr(bs, "WordDag", Recorded)
+    monkeypatch.setattr(cn, "WordDag", Recorded)
+    for n, top in ((2, 20), (3, 12)):
+        counts = []
+        for depth in range(1, top + 1):
+            made.clear()
+            build = canonical_bisystem(full_shift_pres(n), depth)
+            assert len(made) == 2  # the build's DAG and the FPCC check's
+            assert not any("words" in vars(c) for level in build.class_table for c in level)
+            counts.append(sum(len(dag.nodes) for dag in made))
+        assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
 
 
 def test_verdicts_are_computed_once_per_bisystem(monkeypatch):

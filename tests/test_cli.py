@@ -185,6 +185,41 @@ def test_matrix_cell_errors_are_pinned(tmp_path, capsys):
     assert "inner dimensions disagree: 2 vs 1" in capsys.readouterr().out
 
 
+def test_list_fields_and_repeat_from_are_type_checked(tmp_path, capsys):
+    """A string or a number where a list belongs, and a repeat_from marker
+    that is neither null nor an integer, exit 2 with the field's location."""
+    bisystem = json.loads(dump_document(
+        "bisystem", "gm", canonical_bisystem(golden_mean_pres(), 2).bisystem))["payload"]
+    smb = json.loads(dump_document("smb", "gm", canonical_smb(golden_mean_pres(), 2)))
+    sft = json.loads(GM_SUBSHIFT)["payload"]
+    forbidden = {"variant": "forbidden", "symbols": ["1", "2"], "words": [["2", "2"]]}
+    cases = []
+    for kind, payload in (("bisystem", bisystem), ("smb", smb["payload"]),
+                          ("lambda_graph_system", json.loads(FULL3_LGS)["payload"])):
+        for value in (True, False, 1.5, "1", [1], {}):
+            cases.append((kind, dict(payload, repeat_from=value), "$.payload.repeat_from",
+                          "repeat_from must be null or an integer"))
+        for value in (None, 0, 2):
+            cases.append((kind, dict(payload, repeat_from=value), None, None))
+    for key in ("sigma_minus", "sigma_plus"):
+        for value in ("12", 12):
+            cases.append(("bisystem", dict(bisystem, **{key: {"symbols": value}}),
+                          f"$.payload.{key}.symbols", "symbols must be a list"))
+    for payload, keys in ((sft, ("symbols", "matrix")), (forbidden, ("symbols", "words"))):
+        cases.append(("subshift", payload, None, None))
+        for key in keys:
+            cases.append(("subshift", dict(payload, **{key: "12"}), f"$.payload.{key}",
+                          f"{key} must be a list"))
+    for kind, payload, loc, message in cases:
+        path = write(tmp_path, "doc.json", doc(kind, "f", payload))
+        code = main(["validate", path])
+        err = capsys.readouterr().err
+        if loc is None:
+            assert code in (0, 1) and err == "", (kind, payload)
+        else:
+            assert code == 2 and err == f"error: {path}: {loc}: {message}\n", (kind, payload)
+
+
 def test_validate_command_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "gm.json", GM_SUBSHIFT)
     assert main(["validate", good]) == 0

@@ -650,6 +650,32 @@ CHANGED = {
         'error $.payload.phi_c_minus: symbol must be a string or list of strings',
     'sse_witness: phi_d_minus source 7':
         'error $.payload.phi_d_minus: symbol must be a string or list of strings',
+    # a list field given as a string or a number, and a repeat_from marker that
+    # is neither null nor an integer, are rejected at the field
+    'subshift sft: matrix as a number': 'error $.payload.matrix: matrix must be a list',
+    'subshift sft: matrix as a string': 'error $.payload.matrix: matrix must be a list',
+    'subshift sft: symbols as a number': 'error $.payload.symbols: symbols must be a list',
+    'subshift sft: symbols as a string': 'error $.payload.symbols: symbols must be a list',
+    'subshift sofic: edges as a number': 'error $.payload.edges: edges must be a list',
+    'subshift sofic: edges as a string': 'error $.payload.edges: edges must be a list',
+    'subshift sofic: states as a number': 'error $.payload.states: states must be a list',
+    'subshift sofic: states as a string': 'error $.payload.states: states must be a list',
+    'bisystem: repeat_from as a string':
+        'error $.payload.repeat_from: repeat_from must be null or an integer',
+    'bisystem: repeat_from as a string, depth 5':
+        'error $.payload.repeat_from: repeat_from must be null or an integer',
+    'lambda_graph_system: alphabet as a number':
+        'error $.payload.alphabet: alphabet must be a list',
+    'lambda_graph_system: alphabet as a string':
+        'error $.payload.alphabet: alphabet must be a list',
+    'lambda_graph_system: repeat_from as a string':
+        'error $.payload.repeat_from: repeat_from must be null or an integer',
+    'lambda_graph_system: repeat_from as a string, depth 5':
+        'error $.payload.repeat_from: repeat_from must be null or an integer',
+    'smb: repeat_from as a string':
+        'error $.payload.repeat_from: repeat_from must be null or an integer',
+    'smb: repeat_from as a string, depth 5':
+        'error $.payload.repeat_from: repeat_from must be null or an integer',
 }
 
 

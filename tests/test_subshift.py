@@ -11,10 +11,7 @@ from bisys.subshift import (
     SubshiftPresentation,
     admissible_words,
     apply_block_code,
-    fill_in_words,
     higher_block_recode,
-    past_state_set,
-    past_state_stable,
     _ranges_on_constant_cycles,
     _successors,
     realizable_future_sets,
@@ -29,6 +26,7 @@ from fixtures import (
     golden_window_ok,
     random_sofic_pres,
 )
+from oracles import fill_in_words, past_state_set, past_state_stable
 
 
 def test_full_shift_words():
