@@ -12,6 +12,7 @@ length are nodes of a hash-consed ``WordDag``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 Word = tuple  # tuple[str, ...]; length 1 for base symbols
 
@@ -30,7 +31,8 @@ class Alphabet:
 
     ``factors`` is set for product alphabets C.D and records (C, D); it is
     what makes the exchange of the two factors of a product symbol a checkable
-    operation rather than a convention.
+    operation rather than a convention.  ``symbol_set`` is the frozenset of
+    the symbols, made once.
     """
 
     symbols: tuple
@@ -47,6 +49,7 @@ class Alphabet:
             if s in seen:
                 raise CoreError(f"duplicate symbol {s!r}")
             seen.add(s)
+        object.__setattr__(self, "symbol_set", frozenset(seen))
 
     @staticmethod
     def of(*names: str) -> "Alphabet":
@@ -61,12 +64,14 @@ class Alphabet:
         return Alphabet(words, len(words[0]))
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def product(left: "Alphabet", right: "Alphabet") -> "Alphabet":
+        """The product alphabet C.D, made once per recent pair (C, D)."""
         syms = tuple(sorted(c + d for c in left.symbols for d in right.symbols))
         return Alphabet(syms, left.word_length + right.word_length, (left, right))
 
     def __contains__(self, s) -> bool:
-        return s in set(self.symbols)
+        return s in self.symbol_set
 
     def __iter__(self):
         return iter(self.symbols)
@@ -287,7 +292,7 @@ class SymbolicMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise CoreError("entry grid does not match declared shape")
-        allowed = set(self.alphabet.symbols)
+        allowed = self.alphabet.symbol_set
         for row in self.entries:
             for cell in row:
                 for w in cell._terms:
@@ -425,8 +430,13 @@ class Specification:
     def identity_on(words, alphabet: Alphabet | None = None) -> "Specification":
         return Specification.from_dict({tuple(w): tuple(w) for w in words}, alphabet, alphabet)
 
-    def as_dict(self) -> dict:
+    @cached_property
+    def _mapping(self) -> dict:
+        """``dict(self.pairs)``, made on first use; never mutated."""
         return dict(self.pairs)
+
+    def as_dict(self) -> dict:
+        return dict(self._mapping)
 
     def inverse(self) -> "Specification":
         return Specification(tuple(sorted((d, s) for s, d in self.pairs)), self.target, self.source)
@@ -444,23 +454,28 @@ class Specification:
 
 
 def specified_equivalence_failure(a: SymbolicMatrix, b: SymbolicMatrix, spec: Specification):
-    """None when a maps onto b entrywise under spec, else a reason string."""
+    """None when a maps onto b entrywise under spec, else a reason string.
+
+    Cells are compared as term dicts; of the unmapped symbols of a cell the
+    least is reported, and a formal sum is printed only for the failure.
+    """
     if (a.rows, a.cols) != (b.rows, b.cols):
         return f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-    mapping = spec.as_dict()
-    for i in range(a.rows):
-        for j in range(a.cols):
+    mapping = spec._mapping
+    for i, (a_row, b_row) in enumerate(zip(a.entries, b.entries)):
+        for j, (cell, other) in enumerate(zip(a_row, b_row)):
             image: dict = {}
-            for w, c in a.entries[i][j].items():
-                if w not in mapping:
+            for w, c in cell._terms.items():
+                v = mapping.get(w)
+                if v is None:
+                    least = min(u for u in cell._terms if u not in mapping)
                     return (
                         f"not equivalent under the specification: symbol "
-                        f"{word_str(w)} at cell ({i},{j}) is unmapped"
+                        f"{word_str(least)} at cell ({i},{j}) is unmapped"
                     )
-                v = mapping[w]
                 image[v] = image.get(v, 0) + c
-            if FormalSum(image) != b.entries[i][j]:
-                return f"cell ({i},{j}): {FormalSum(image)!r} != {b.entries[i][j]!r}"
+            if image != other._terms:
+                return f"cell ({i},{j}): {FormalSum._trusted(image)!r} != {other!r}"
     return None
 
 

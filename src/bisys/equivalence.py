@@ -38,6 +38,11 @@ class PsseWitness:
 
     The relation is symmetric: ``swapped()`` is the same witness read from
     N's side, so this module writes each M/N twin once, for the M side.
+
+    ``_verified`` is the last ``verify_psse_1step`` result on this object,
+    ``(s_m, s_n, depth, report)``; it is not a field, so it takes no part in
+    ``==``, the hash or the documents, and ``replace`` and ``swapped`` start
+    without it.
     """
 
     alphabet_c: Alphabet
@@ -48,6 +53,7 @@ class PsseWitness:
     q_mats: tuple
     x_mats: tuple
     y_mats: tuple
+    _verified = None
 
     def __post_init__(self):
         if not len(self.p_mats) == len(self.q_mats) == len(self.x_mats) == len(self.y_mats):
@@ -106,16 +112,40 @@ def verify_psse_1step(
     w: PsseWitness,
     depth: int | None = None,
 ) -> VerifyReport:
-    """Check the four equation families to the stored depth."""
+    """Check the four equation families to the stored depth.
+
+    The report is kept on ``w`` for the same two systems (by identity) and
+    depth, so a second call on them, such as ``conjugacy_block_map``'s,
+    returns it without checking again.
+    """
     depth = min(
         depth if depth is not None else s_m.depth, s_m.depth, s_n.depth
     )
+    got = w._verified
+    if got is not None and got[0] is s_m and got[1] is s_n and got[2] == depth:
+        return got[3]
+    rep = _verify_psse(s_m, s_n, w, depth)
+    object.__setattr__(w, "_verified", (s_m, s_n, depth, rep))
+    return rep
+
+
+def _too_short(depth: int, have: int, need: int, unit: str) -> VerifyReport:
+    """The report on a witness with fewer matrices per family than the depth
+    needs; the failure is placed at the first missing index."""
+    return VerifyReport(False, depth, (
+        ("shape", have, f"witness covers {have} of the {need} {unit} depth {depth} needs"),
+    ))
+
+
+def _verify_psse(s_m, s_n, w, depth) -> VerifyReport:
+    if w.levels < 2 * depth:
+        return _too_short(depth, w.levels, 2 * depth, "half-levels")
     failures = []
     # each side with its reading of the witness and the names of its P, X, Y
     sides = (("M", s_m, w, "PXY"), ("N", s_n, w.swapped(), "QYX"))
 
     # horizontal anchors of the witness shape chain
-    for idx in range(0, min(w.levels, 2 * depth), 2):
+    for idx in range(0, 2 * depth, 2):
         for _, s, v, names in sides:
             rows = s.level_sizes[idx // 2]
             if v.p_mats[idx].rows != rows:
@@ -149,13 +179,13 @@ def verify_psse_1step(
     for side, s, v, names in sides:
         p, q, x, y = v.p_mats, v.q_mats, v.x_mats, v.y_mats
         kphi = v.phi_m.then_kappa(v.alphabet_c.word_length)
-        for l in range(min(depth, w.levels // 2)):
+        for l in range(depth):
             eq(f"plus-factorisation({side})", l, lambda: s.plus[l],
                lambda: mul(p[2 * l], q[2 * l + 1]), v.phi_m)
             eq(f"minus-factorisation({side})", l, lambda: s.minus[l],
                lambda: mul(x[2 * l], y[2 * l + 1]), kphi)
         # Y and P commute up to kappa across odd half-levels, X and P across even
-        for a in range(min(w.levels - 1, 2 * depth - 1)):
+        for a in range(2 * depth - 1):
             z, name = (y, names[2]) if a % 2 else (x, names[1])
             eq(f"intertwine {name}{names[0]}", a, lambda: mul(z[a], p[a + 1]),
                lambda: mul(p[a], z[a + 1]))
@@ -361,13 +391,15 @@ def verify_sse_1step(
     for N with K, phi2 and the phi_d maps.
     """
     depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
+    if w.levels < depth:
+        return _too_short(depth, w.levels, depth, "levels")
     failures = []
     sides = (
         ("M", "H", s_m, s_n, w.h_mats, w.k_mats, w.phi1, w.phi_c_plus, w.phi_c_minus),
         ("N", "K", s_n, s_m, w.k_mats, w.h_mats, w.phi2, w.phi_d_plus, w.phi_d_minus),
     )
 
-    for l in range(min(w.levels, depth)):
+    for l in range(depth):
         for _, name, s, t, h, *_ in sides:
             rows, cols = s.level_sizes[l], t.level_sizes[l + 1]
             if (h[l].rows, h[l].cols) != (rows, cols):
@@ -382,7 +414,7 @@ def verify_sse_1step(
 
     mul = symbolic_matrix_multiply
     for side, _, s, t, h, k, phi, phi_plus, phi_minus in sides:
-        for l in range(min(depth - 1, w.levels - 1)):
+        for l in range(depth - 1):
             eq(f"square-factorisation({side})", l,
                mul(s.minus[l], s.plus[l + 1]), mul(h[l], k[l + 1]), phi)
             eq(f"plus-intertwine({side})", l,
@@ -475,8 +507,7 @@ def conjugacy_block_map(
     """
     if reverse:
         s_m, s_n, w = s_n, s_m, w.swapped()
-    rep = verify_psse_1step(s_m, s_n, w)
-    if not rep.ok:
+    if not verify_psse_1step(s_m, s_n, w).ok:
         raise EquivalenceError("witness does not verify; no block code")
     cut = w.alphabet_c.word_length
     src_map = w.phi_m.as_dict()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Alphabet,
@@ -57,6 +58,16 @@ class SymbolicMatrixBisystem:
     def is_standard(self) -> bool:
         return self.minus[0].rows == 1
 
+    @cached_property
+    def _expansion(self) -> LambdaGraphBisystem:
+        """``_expand(self)``, made on first use."""
+        return _expand(self)
+
+    @cached_property
+    def _report(self) -> "SmbValidationReport":
+        """``_matrix_report`` of the expansion, made on first use."""
+        return _matrix_report(self._expansion)
+
     def shift(self, k: int) -> "SymbolicMatrixBisystem":
         """Drop the first k blocks (compare eventually-constant ranges)."""
         if not (0 <= k < self.depth):
@@ -89,7 +100,7 @@ class SmbValidationReport:
 
 def validate_smb(s: SymbolicMatrixBisystem) -> SmbValidationReport:
     """Shape, support, per-cell and per-column symbol discipline, commutation."""
-    return _matrix_report(_expand(s))
+    return s._report
 
 
 def _expand(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
@@ -182,10 +193,9 @@ def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBis
 
 def from_smb(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
     """Edge lists from a validated matrix presentation (inverse of to_smb)."""
-    b = _expand(s)
-    if not _matrix_report(b).ok:
+    if not s._report.ok:
         raise SmbError("matrix bisystem fails validation; refusing to expand")
-    return b
+    return s._expansion
 
 
 def sft_smb(a: SymbolicMatrix, identify: bool = False, depth: int = 3) -> SymbolicMatrixBisystem:

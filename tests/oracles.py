@@ -1,16 +1,18 @@
-"""Reference code the library no longer calls: explicit word enumeration.
+"""Reference code the library no longer calls.
 
 The canonical build and the FPCC check work on hash-consed word DAGs
-(``bisys.core.WordDag``) and list no word.  The functions here list every
+(``bisys.core.WordDag``) and list no word.  Most functions here list every
 word, one path or one pair at a time, and are what the tests compare the
-DAG code against.
+DAG code against.  ``specified_equivalence_failure`` is the cell check that
+builds a checked formal sum for every cell, which the dict-level check
+replaced.
 """
 
 from __future__ import annotations
 
 from bisys.bisystem import LambdaGraphBisystem, Verdict, follower_sets, predecessor_sets
 from bisys.canonical import CanonicalError, CentralClass
-from bisys.core import WordDag, word_str
+from bisys.core import FormalSum, WordDag, word_str
 from bisys.subshift import (
     LabeledGraph,
     SubshiftError,
@@ -126,3 +128,24 @@ def fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:
                     f"{sorted(map(word_str, P[l][i]))}"
                 )
     return Verdict(not bad, tuple(bad))
+
+
+def specified_equivalence_failure(a, b, spec):
+    """None when a maps onto b entrywise under spec, else a reason string."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        return f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
+    mapping = spec.as_dict()
+    for i in range(a.rows):
+        for j in range(a.cols):
+            image: dict = {}
+            for w, c in a.entries[i][j].items():
+                if w not in mapping:
+                    return (
+                        f"not equivalent under the specification: symbol "
+                        f"{word_str(w)} at cell ({i},{j}) is unmapped"
+                    )
+                v = mapping[w]
+                image[v] = image.get(v, 0) + c
+            if FormalSum(image) != b.entries[i][j]:
+                return f"cell ({i},{j}): {FormalSum(image)!r} != {b.entries[i][j]!r}"
+    return None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from bisys.bisystem import transpose
 from bisys.canonical import canonical_bisystem, canonical_smb
 from bisys.cli.documents import (
     DocumentError,
@@ -381,7 +383,7 @@ def test_witness_families_of_unequal_length_are_input_errors(tmp_path, capsys):
         assert "same number of matrices" in captured.err and captured.out == ""
 
 
-def test_convert_of_a_witness_too_short_is_an_input_error(tmp_path, capsys):
+def test_a_witness_too_short_for_the_depth_fails_and_is_not_converted(tmp_path, capsys):
     s = canonical_smb(golden_mean_pres(), 3)
     sf = write(tmp_path, "s.json", dump_document("smb", "gm", s))
     node = json.loads(dump_document("psse_witness", "one-level", trivial_psse_witness(s)))
@@ -389,10 +391,13 @@ def test_convert_of_a_witness_too_short_is_an_input_error(tmp_path, capsys):
         del node["payload"][family][1:]
     wf = write(tmp_path, "w.json", json.dumps(node))
     conv = tmp_path / "conv.json"
-    assert main(["check-equivalence", sf, sf, wf, "--depth", "3", "--convert", str(conv)]) == 2
+    assert main(["check-equivalence", sf, sf, wf, "--depth", "3", "--convert", str(conv)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "pass (checked to witness level 3)\n"
-    assert captured.err == "error: witness too short to convert\n"
+    assert captured.out == (
+        "FAIL (checked to witness level 3)\n"
+        "  shape at level 1: witness covers 1 of the 6 half-levels depth 3 needs\n"
+    )
+    assert captured.err == ""
     assert not conv.exists()
 
 
@@ -709,3 +714,116 @@ def test_full3_plus_tower_at_the_default_depth_is_pinned(monkeypatch, capsys):
         "level 5: K0 ~ Z^487, K1 ~ Z\n"
         "not stabilized within the computed depth\n"
     )
+
+
+# -- stdout pinned across the caching of verdicts and smb expansions ----------
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+
+
+def pinned_outcomes(tmp_path, monkeypatch, capsys):
+    """name -> (stdout sha256 prefix, exit code) of each pinned CLI run, and
+    name -> sha256 prefix of each document those runs write.
+
+    The runs: ``check-equivalence --mode psse --convert`` and then
+    ``--mode sse --convert`` on the converted witness, for the canonical smb
+    and self-witness of every example subshift at depths 3 and 6; each of
+    those witnesses checked against the transposed system, which fails cell by
+    cell, and the golden-mean witnesses against the no-121 systems, which fail
+    on shapes; and ``bipartite`` on the alternating shift.  They run in ``tmp_path`` with
+    relative paths, so the paths they print do not vary.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    runs = []
+    for depth in (3, 6):
+        for stem in ("even_shift", "golden_mean", "no_121"):
+            pres = load_document(os.path.join(EXAMPLES, f"{stem}.subshift.json"))[2]
+            tag = f"{stem}_d{depth}"
+            b = canonical_bisystem(pres, depth).bisystem
+            s = to_smb(b)
+            write(tmp_path, f"{tag}.smb.json", dump_document("smb", tag, s))
+            write(tmp_path, f"{tag}.t.smb.json", dump_document("smb", tag, to_smb(transpose(b))))
+            write(tmp_path, f"{tag}.psse.json",
+                  dump_document("psse_witness", tag, trivial_psse_witness(s)))
+            common = ["check-equivalence", f"{tag}.smb.json", f"{tag}.smb.json"]
+            runs.append((f"{tag} psse", common + [
+                f"{tag}.psse.json", "--mode", "psse", "--depth", str(depth),
+                "--convert", f"{tag}.sse.json"]))
+            runs.append((f"{tag} sse", common + [
+                f"{tag}.sse.json", "--mode", "sse", "--depth", str(depth),
+                "--convert", f"{tag}.unused.json"]))
+            for mode in ("psse", "sse"):  # cell by cell failures
+                runs.append((f"{tag} vs transpose {mode}", [
+                    "check-equivalence", f"{tag}.smb.json", f"{tag}.t.smb.json",
+                    f"{tag}.{mode}.json", "--mode", mode, "--depth", str(depth)]))
+        for mode in ("psse", "sse"):  # shape failures
+            runs.append((f"golden_mean vs no_121 d{depth} {mode}", [
+                "check-equivalence", f"golden_mean_d{depth}.smb.json", f"no_121_d{depth}.smb.json",
+                f"golden_mean_d{depth}.{mode}.json", "--mode", mode, "--depth", str(depth)]))
+    write(tmp_path, "alt.smb.json",
+          dump_document("smb", "alt", canonical_smb(alternating_pres(), 6)))
+    runs.append(("alternating bipartite", ["bipartite", "alt.smb.json", "--out-prefix", "split"]))
+
+    stdout = {}
+    for name, argv in runs:
+        code = main(argv)
+        stdout[name] = (sha(capsys.readouterr().out), code)
+    files = {p.name: sha(p.read_text()) for p in sorted(tmp_path.iterdir())
+             if p.name.endswith((".sse.json", ".unused.json")) or p.name.startswith("split.")}
+    return stdout, files
+
+
+# recorded from the code before PSSE verdicts, smb expansions and product
+# alphabets were cached
+PINNED_STDOUT = {
+    "even_shift_d3 psse": ("9c04c154bfa4738a", 0),
+    "even_shift_d3 sse": ("837ba72a607e3c88", 0),
+    "even_shift_d3 vs transpose psse": ("27cd1cac4d044508", 1),
+    "even_shift_d3 vs transpose sse": ("320ebef4a24a8d99", 1),
+    "golden_mean_d3 psse": ("97794604a9b2ba0f", 0),
+    "golden_mean_d3 sse": ("837ba72a607e3c88", 0),
+    "golden_mean_d3 vs transpose psse": ("c230b9e5f1635393", 1),
+    "golden_mean_d3 vs transpose sse": ("1de2e20328d5757b", 1),
+    "no_121_d3 psse": ("1b42b1099520d469", 0),
+    "no_121_d3 sse": ("837ba72a607e3c88", 0),
+    "no_121_d3 vs transpose psse": ("af105ad6acde1ed1", 1),
+    "no_121_d3 vs transpose sse": ("98932ee73f4227b5", 1),
+    "golden_mean vs no_121 d3 psse": ("adfdb12618850ad2", 1),
+    "golden_mean vs no_121 d3 sse": ("93610ae9bbb6eef2", 1),
+    "even_shift_d6 psse": ("ec212f031c4ac32c", 0),
+    "even_shift_d6 sse": ("752f7053646e739a", 0),
+    "even_shift_d6 vs transpose psse": ("ef5f573a4bc25d61", 1),
+    "even_shift_d6 vs transpose sse": ("d3ae6c3df1b8a522", 1),
+    "golden_mean_d6 psse": ("d23be8d944dd2295", 0),
+    "golden_mean_d6 sse": ("752f7053646e739a", 0),
+    "golden_mean_d6 vs transpose psse": ("f4c86f8553525eb8", 1),
+    "golden_mean_d6 vs transpose sse": ("f78fda591909d0da", 1),
+    "no_121_d6 psse": ("4b6419ef8c6bb600", 0),
+    "no_121_d6 sse": ("752f7053646e739a", 0),
+    "no_121_d6 vs transpose psse": ("62e2d4c047fb7ddf", 1),
+    "no_121_d6 vs transpose sse": ("421541a91ebe0de3", 1),
+    "golden_mean vs no_121 d6 psse": ("6b99cb1b1162fd13", 1),
+    "golden_mean vs no_121 d6 sse": ("8d5a81d062bca750", 1),
+    "alternating bipartite": ("54c5ca5b503c3b46", 0),
+}
+PINNED_FILES = {
+    "even_shift_d3.sse.json": "bd55a7f5fd06cc07",
+    "even_shift_d6.sse.json": "e2b65e11e37eb685",
+    "golden_mean_d3.sse.json": "57e3d7b0afe54019",
+    "golden_mean_d6.sse.json": "05893de67e2f104b",
+    "no_121_d3.sse.json": "9136655a44bd4b32",
+    "no_121_d6.sse.json": "11dea2e74fd08baa",
+    "split.cd.json": "7345368fe42eadc8",
+    "split.dc.json": "54356ee6739eed46",
+    "split.witness.json": "ec7f34faae6df953",
+}
+
+
+def test_equivalence_and_bipartite_runs_keep_their_pinned_stdout(tmp_path, monkeypatch, capsys):
+    stdout, files = pinned_outcomes(tmp_path, monkeypatch, capsys)
+    assert stdout == PINNED_STDOUT
+    assert files == PINNED_FILES

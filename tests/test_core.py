@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -15,6 +16,7 @@ from bisys.core import (
     symbolic_matrix_multiply,
 )
 from fixtures import symbolic_2x2
+import oracles
 
 
 def fs(*names):
@@ -221,6 +223,52 @@ def test_specified_equivalent_reflexive_and_inverse():
         )
         assert specified_equivalence_failure(a, b, phi) is None
         assert specified_equivalence_failure(b, a, phi.inverse()) is None
+
+
+def perturbed(m, rng):
+    """m with one cell, one multiplicity or its shape changed, or m itself."""
+    grid = [list(row) for row in m.entries]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    terms = [w for w, c in grid[i][j].items() for _ in range(c)]
+    op = rng.choice(("same", "same", "drop", "add", "add", "zero", "row", "col"))
+    if op == "row":
+        grid.append([FormalSum.zero()] * m.cols)
+    elif op == "col":
+        grid = [row + [FormalSum.zero()] for row in grid]
+    elif op == "zero":
+        grid[i][j] = FormalSum.zero()
+    elif op == "drop" and terms:
+        grid[i][j] = FormalSum(terms[1:])
+    elif op == "add":  # a new symbol, or one more of a present one
+        grid[i][j] = FormalSum(terms + [rng.choice(terms or m.alphabet.symbols)])
+    return SymbolicMatrix(len(grid), len(grid[0]), tuple(map(tuple, grid)), m.alphabet)
+
+
+def test_cell_check_matches_the_formal_sum_oracle():
+    """Seeded: the dict-level cell check returns exactly what the check that
+    built a FormalSum per cell returned, on passes, unmapped symbols (several
+    in one cell among them), multiplicity and zero-vs-nonzero mismatches, and
+    shape mismatches."""
+    rng = random.Random(11)
+    src = Alphabet.of("a", "b", "c", "d")
+    dst = Alphabet.product(Alphabet.of("u", "x", "y", "z"), Alphabet.of("1"))
+    seen = Counter()
+    for _ in range(400):
+        a = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), src, max_terms=3)
+        images = dict(zip(src.symbols, rng.sample(dst.symbols, len(dst))))
+        spec = Specification.from_dict({s: v for s, v in images.items() if rng.random() < 0.8})
+        b = perturbed(a.map_entries(lambda x: x.map_terms(images.__getitem__), dst), rng)
+        want = oracles.specified_equivalence_failure(a, b, spec)
+        assert specified_equivalence_failure(a, b, spec) == want
+        unmapped = [w for row in a.entries for c in row for w in c.support()
+                    if w not in spec.as_dict()]
+        seen["pass" if want is None else want.split(" ")[0]] += 1
+        seen["several unmapped"] += want is not None and "unmapped" in want and len(unmapped) > 1
+        seen["zero vs nonzero"] += want is not None and (": 0 != " in want or want.endswith(" 0"))
+        seen["multiplicity"] += want is not None and "cell" in want and "2" in want.split(":")[1]
+    assert all(seen[k] >= 10 for k in (
+        "pass", "shape", "not", "cell", "several unmapped", "zero vs nonzero", "multiplicity",
+    )), seen
 
 
 def exhaustive_specification_search(a, b):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -255,6 +256,10 @@ def test_conversion_after_corrupt_then_repair():
 
 def oracle_verify_psse_1step(s_m, s_n, w, depth=None):
     depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
+    if len(w.p_mats) < 2 * depth:
+        return VerifyReport(False, depth, (("shape", len(w.p_mats), (
+            f"witness covers {len(w.p_mats)} of the {2 * depth} half-levels depth {depth} needs"
+        )),))
     failures = []
     m_sizes, n_sizes = s_m.level_sizes, s_n.level_sizes
     for idx in range(min(w.levels, 2 * depth)):
@@ -315,6 +320,10 @@ def oracle_verify_psse_1step(s_m, s_n, w, depth=None):
 
 def oracle_verify_sse_1step(s_m, s_n, w, depth=None):
     depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
+    if len(w.h_mats) < depth:
+        return VerifyReport(False, depth, (("shape", len(w.h_mats), (
+            f"witness covers {len(w.h_mats)} of the {depth} levels depth {depth} needs"
+        )),))
     failures = []
     m_sizes, n_sizes = s_m.level_sizes, s_n.level_sizes
     for l in range(min(w.levels, depth)):
@@ -448,12 +457,20 @@ def witness_cases():
     return cases
 
 
+PSSE_FAMILIES = ("p_mats", "q_mats", "x_mats", "y_mats")
+SSE_FAMILIES = ("h_mats", "k_mats")
+
+
+def truncated(w, families, k):
+    """w with only the first k matrices of each family."""
+    return replace(w, **{fam: getattr(w, fam)[:k] for fam in families})
+
+
 def test_verifiers_and_conversion_match_the_hand_mirrored_oracle():
     rng = random.Random(5)
     failed = set()
     for s_m, s_n, w in witness_cases():
-        for v in [w] + [mutant_witness(w, ("p_mats", "q_mats", "x_mats", "y_mats"), rng)
-                        for _ in range(6)]:
+        for v in [w] + [mutant_witness(w, PSSE_FAMILIES, rng) for _ in range(6)]:
             rep = verify_psse_1step(s_m, s_n, v)
             assert rep == oracle_verify_psse_1step(s_m, s_n, v)
             assert dump_document("sse_witness", "v", psse_to_sse(v)) == dump_document(
@@ -461,10 +478,22 @@ def test_verifiers_and_conversion_match_the_hand_mirrored_oracle():
             failed |= {fam for fam, _, _ in rep.failures}
         assert verify_psse_1step(s_m, s_n, w, 2) == oracle_verify_psse_1step(s_m, s_n, w, 2)
         sw = psse_to_sse(w)
-        for v in [sw] + [mutant_witness(sw, ("h_mats", "k_mats"), rng) for _ in range(4)]:
+        for v in [sw] + [mutant_witness(sw, SSE_FAMILIES, rng) for _ in range(4)]:
             rep = verify_sse_1step(s_m, s_n, v)
             assert rep == oracle_verify_sse_1step(s_m, s_n, v)
             failed |= {fam for fam, _, _ in rep.failures}
+        # witnesses shorter than the depth fail; a short one passes at depth 1
+        for depth in (None, 1):
+            for k in (0, 1, 2, w.levels - 1):
+                v = truncated(w, PSSE_FAMILIES, k)
+                rep = verify_psse_1step(s_m, s_n, v, depth)
+                assert rep == oracle_verify_psse_1step(s_m, s_n, v, depth)
+                assert rep.ok == (depth == 1 and k >= 2)
+            for k in (0, 1, sw.levels - 1):
+                v = truncated(sw, SSE_FAMILIES, k)
+                rep = verify_sse_1step(s_m, s_n, v, depth)
+                assert rep == oracle_verify_sse_1step(s_m, s_n, v, depth)
+                assert rep.ok == (depth == 1 and k >= 1)
     assert len(failed) == 15, failed  # shape and all four plus six equation families
 
 
@@ -484,3 +513,78 @@ def test_swapped_witness_gives_the_renamed_failures():
                 (lvl, fam.translate(SWAP), msg.translate(SWAP) if fam == "shape" else msg)
                 for fam, lvl, msg in back.failures
             ) == sorted((lvl, fam, msg) for fam, lvl, msg in rep.failures)
+
+
+def test_a_witness_shorter_than_the_depth_fails_and_gives_no_block_code():
+    golden, even = canonical_smb(golden_mean_pres(), 6), canonical_smb(even_shift_pres(), 6)
+    empty = truncated(trivial_psse_witness(golden), PSSE_FAMILIES, 0)
+    rep = verify_psse_1step(golden, even, empty)
+    assert rep.lines() == [
+        "FAIL (checked to witness level 6)",
+        "  shape at level 0: witness covers 0 of the 12 half-levels depth 6 needs",
+    ]
+    with pytest.raises(EquivalenceError):
+        conjugacy_block_map(golden, even, empty)
+    short = truncated(psse_to_sse(trivial_psse_witness(golden)), SSE_FAMILIES, 2)
+    assert verify_sse_1step(golden, golden, short).failures == (
+        ("shape", 2, "witness covers 2 of the 6 levels depth 6 needs"),
+    )
+
+
+def late_defect(w):
+    """w with one cell of its last Y matrix changed, which only the checks at
+    the full depth read."""
+    m = w.y_mats[-1]
+    grid = [list(row) for row in m.entries]
+    i, j = next((i, j) for i in range(m.rows) for j in range(m.cols) if not grid[i][j].is_zero)
+    grid[i][j] = FormalSum.zero()
+    return replace(w, y_mats=w.y_mats[:-1] + (replace(m, entries=tuple(map(tuple, grid))),))
+
+
+def test_the_verdict_cache_is_sound():
+    s, e = canonical_smb(golden_mean_pres(), 4), canonical_smb(even_shift_pres(), 4)
+    w = trivial_psse_witness(s)
+    assert verify_psse_1step(s, s, w).ok
+    # other systems, a copy of the same system, another depth: checked again
+    assert not verify_psse_1step(s, e, w).ok
+    with pytest.raises(EquivalenceError):
+        conjugacy_block_map(s, e, w)
+    assert verify_psse_1step(s, s, w).ok
+    assert verify_psse_1step(s, s, w, 2).checked_levels == 2
+    copy = canonical_smb(golden_mean_pres(), 4)
+    assert verify_psse_1step(copy, copy, w) == verify_psse_1step(s, s, w)
+    # new witnesses start without a verdict
+    assert w._verified is not None
+    assert replace(w)._verified is None and w.swapped()._verified is None
+    assert replace(w) == w and hash(replace(w)) == hash(w)
+    bad = late_defect(w)
+    assert not verify_psse_1step(s, s, bad).ok
+    assert verify_psse_1step(s, s, bad, 3).ok
+    assert not verify_psse_1step(s, s, bad).ok
+    back = verify_psse_1step(s, s, w.swapped())
+    assert back == oracle_verify_psse_1step(s, s, w.swapped())
+
+
+def test_a_block_map_after_verification_checks_nothing_again(monkeypatch):
+    import bisys.equivalence as equivalence
+    import bisys.smb as smb
+
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(equivalence, "symbolic_matrix_multiply")
+    counting(smb, "_expand")
+    s = canonical_smb(golden_mean_pres(), 5)
+    w = trivial_psse_witness(s)
+    assert verify_psse_1step(s, s, w).ok
+    assert calls["symbolic_matrix_multiply"] > 0 and calls["_expand"] == 1
+    calls.clear()
+    code = conjugacy_block_map(s, s, w)
+    assert code.mapping and calls == Counter()
