@@ -45,6 +45,16 @@ def _list(node, key, loc):
     return value
 
 
+def _strings(node, key, loc, what):
+    """``node[key]`` as a tuple; it must be a list of strings, each called
+    ``what`` in an error."""
+    items = _list(node, key, loc)
+    for k, x in enumerate(items):
+        if not isinstance(x, str):
+            raise DocumentError(f"{what} must be a string", f"{loc}.{key}[{k}]")
+    return tuple(items)
+
+
 def _word_out(w):
     return w[0] if len(w) == 1 else list(w)
 
@@ -290,14 +300,17 @@ def _parse_subshift(p, depth):
     if variant == "sft":
         m = SftMatrix(
             tuple(tuple(int(v) for v in row) for row in _list(p, "matrix", loc)),
-            tuple(_list(p, "symbols", loc)),
+            _strings(p, "symbols", loc, "symbol"),
         )
         return SubshiftPresentation.from_sft(m)
     if variant == "sofic":
-        g = LabeledGraph(
-            tuple(_list(p, "states", loc)),
-            tuple((s, t, a) for (s, t, a) in _list(p, "edges", loc)),
-        )
+        states = _strings(p, "states", loc, "state")
+        edges = _list(p, "edges", loc)
+        for k, e in enumerate(edges):
+            if not (isinstance(e, list) and len(e) == 3 and all(isinstance(x, str) for x in e)):
+                raise DocumentError("edge must be [state, state, label] strings",
+                                    f"{loc}.edges[{k}]")
+        g = LabeledGraph(states, tuple(map(tuple, edges)))
         return SubshiftPresentation.from_graph(g)
     if variant == "forbidden":
         return SubshiftPresentation.from_forbidden(
@@ -396,10 +409,7 @@ def _parse_lgs(p, depth):
     edges = _edges(p["edges"], "$.payload.edges", _label)
     iota = [tuple(int(v) - 1 for v in block) for block in p["iota"]]
     _repeat_from(p, depth, sizes, edges, iota)
-    for i, a in enumerate(_list(p, "alphabet", "$.payload")):
-        if not isinstance(a, str):
-            raise DocumentError("symbol must be a string", f"$.payload.alphabet[{i}]")
-    alphabet = Alphabet.of(*p["alphabet"])
+    alphabet = Alphabet.of(*_strings(p, "alphabet", "$.payload", "symbol"))
     return LambdaGraphSystem(tuple(sizes), tuple(edges), tuple(iota), alphabet)
 
 

@@ -203,6 +203,7 @@ def cmd_invariants(args):
     )
     oracle = None
     if kind == "lambda_graph_system":
+        b = _import_lgs(obj)  # validates the edge ends the counts index by
         if (
             args.side == "minus"
             and len(set(obj.level_sizes)) == 1
@@ -213,7 +214,6 @@ def cmd_invariants(args):
             for (s, t, _a) in obj.edges[0]:
                 counts[s][t] += 1
             oracle = ck_oracle(counts)
-        b = _import_lgs(obj)
     elif kind == "bisystem":
         b = obj
     else:

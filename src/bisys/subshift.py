@@ -228,11 +228,6 @@ def _successors(g: LabeledGraph) -> dict:
     return by
 
 
-def _step_left(pred_a: dict, rel):
-    """Relation composition with the one-symbol relation on the left."""
-    return frozenset((s, q) for (p, q) in rel for s in pred_a.get(p, ()))
-
-
 def realizable_past_sets(g: LabeledGraph):
     """All stabilized past sets of left-infinite admissible rays."""
     return _ray_sets(g)
@@ -245,28 +240,65 @@ def realizable_future_sets(g: LabeledGraph):
     return _ray_sets(g.reversed())
 
 
+class _Preimages(dict):
+    """Bitmask of states -> bitmask of the states one edge of a label behind
+    them, filled on first use from the preimage of each single state."""
+
+    __slots__ = ("one",)
+
+    def __init__(self, one):
+        super().__init__()
+        self.one = one
+
+    def __missing__(self, cols):
+        out = 0
+        rest = cols
+        while rest:
+            low = rest & -rest
+            out |= self.one[low.bit_length() - 1]
+            rest ^= low
+        self[cols] = out
+        return out
+
+
 def _ray_sets(g: LabeledGraph):
     """The realizable past sets of g.
 
     Walks the finite automaton of word relations (composing prepended symbols
     on the left); a set qualifies exactly when some relation with that range
     lies on a range-preserving cycle reachable from the identity relation.
+    A relation holds one bitmask per target state q: the source states with
+    a path to q labeled by the word.  Prepending a symbol maps each column to
+    its preimage, one table lookup per state; the range is the set of
+    nonempty columns.
     """
-    pred = _successors(g.reversed())
-    steps = [pred[a] for a in g.labels]
-    ident = frozenset((q, q) for q in g.states)
+    index = {q: i for i, q in enumerate(g.states)}
+    n = len(index)
+    one = {a: [0] * n for a in g.labels}
+    for (s, t, a) in g.edges:
+        one[a][index[t]] |= 1 << index[s]
+    steps = [_Preimages(one[a]).__getitem__ for a in g.labels]
+    ident = tuple(1 << i for i in range(n))
     seen = {ident}
     succ: dict = {}
     stack = [ident]
     while stack:
         rel = stack.pop()
-        outs = [nxt for nxt in (_step_left(by, rel) for by in steps) if nxt]
-        for nxt in outs:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        outs = []
+        for step in steps:
+            nxt = tuple(map(step, rel))
+            if any(nxt):
+                outs.append(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         succ[rel] = outs
-    return _ranges_on_constant_cycles(seen, succ, lambda rel: frozenset(q for (_, q) in rel))
+    key = {rel: tuple(map(bool, rel)) for rel in seen}
+    ranges = (
+        frozenset(q for q, hit in zip(g.states, k) if hit)
+        for k in _ranges_on_constant_cycles(seen, succ, key.__getitem__)
+    )
+    return tuple(sorted(ranges, key=lambda s: tuple(sorted(map(str, s)))))
 
 
 def _ranges_on_constant_cycles(nodes, succ, value):
@@ -302,7 +334,7 @@ def _ranges_on_constant_cycles(nodes, succ, value):
                 stack.pop()
         if found:
             out.add(v)
-    return tuple(sorted(out, key=lambda s: tuple(sorted(map(str, s)))))
+    return out
 
 
 @dataclass(frozen=True)

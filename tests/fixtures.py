@@ -189,6 +189,22 @@ def random_sofic_pres(rng, n: int) -> SubshiftPresentation:
     return SubshiftPresentation.from_graph(LabeledGraph(states, tuple(sorted(edges))))
 
 
+def random_sparse_sofic_pres(rng, n: int) -> SubshiftPresentation:
+    """Seeded irreducible n-state sofic presentation shaped like the wide
+    benchmark graphs: a cycle through every state in random order, then a
+    second out-edge with a random target and label at each state with
+    probability one half, redrawn until both labels a and b occur."""
+    states = tuple(str(i + 1) for i in range(n))
+    while True:
+        order = rng.sample(states, n)
+        edges = {(order[i], order[(i + 1) % n], rng.choice("ab")) for i in range(n)}
+        for s in states:
+            if rng.random() < 0.5:
+                edges.add((s, rng.choice(states), rng.choice("ab")))
+        if {a for (_, _, a) in edges} == {"a", "b"}:
+            return SubshiftPresentation.from_graph(LabeledGraph(states, tuple(sorted(edges))))
+
+
 def brute_language(allowed, length, window_ok):
     """All words over ``allowed`` passing a window predicate (filter oracle)."""
     return tuple(

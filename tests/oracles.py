@@ -5,7 +5,8 @@ The canonical build and the FPCC check work on hash-consed word DAGs
 word, one path or one pair at a time, and are what the tests compare the
 DAG code against.  ``specified_equivalence_failure`` is the cell check that
 builds a checked formal sum for every cell, which the dict-level check
-replaced.
+replaced.  ``ray_sets`` is the relation walk over frozensets of (source,
+target) pairs that the bitmask walk replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +23,69 @@ from bisys.subshift import (
     realizable_future_sets,
     realizable_past_sets,
 )
+
+
+def _step_left(pred_a: dict, rel):
+    """Relation composition with the one-symbol relation on the left."""
+    return frozenset((s, q) for (p, q) in rel for s in pred_a.get(p, ()))
+
+
+def ray_sets(g: LabeledGraph):
+    """The realizable past sets of g: the ranges of the word relations, each
+    a frozenset of (source, target) pairs, that lie on a range-preserving
+    cycle reachable from the identity relation."""
+    pred = _successors(g.reversed())
+    steps = [pred[a] for a in g.labels]
+    ident = frozenset((q, q) for q in g.states)
+    seen = {ident}
+    succ: dict = {}
+    stack = [ident]
+    while stack:
+        rel = stack.pop()
+        outs = [nxt for nxt in (_step_left(by, rel) for by in steps) if nxt]
+        for nxt in outs:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        succ[rel] = outs
+    return ranges_on_constant_cycles(seen, succ, lambda rel: frozenset(q for (_, q) in rel))
+
+
+def ranges_on_constant_cycles(nodes, succ, value):
+    """Values v = value(node) realized by an infinite path of constant value,
+    sorted by their sorted state names."""
+    out = set()
+    for start in nodes:
+        v = value(start)
+        if v in out:
+            continue
+        # cycle search inside the value-preserving subgraph reachable from start
+        stack = [(start, iter(succ.get(start, ())))]
+        on_path = {start}
+        visited = {start}
+        found = False
+        while stack and not found:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if value(nxt) != v:
+                    continue
+                if nxt in on_path:
+                    found = True
+                    break
+                if nxt in visited:
+                    continue
+                visited.add(nxt)
+                on_path.add(nxt)
+                stack.append((nxt, iter(succ.get(nxt, ()))))
+                advanced = True
+                break
+            if not advanced and not found:
+                on_path.discard(node)
+                stack.pop()
+        if found:
+            out.add(v)
+    return tuple(sorted(out, key=lambda s: tuple(sorted(map(str, s)))))
 
 
 def _step_right(succ_a: dict, rel):

@@ -451,6 +451,35 @@ def test_non_string_lgs_labels_are_input_errors(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: $.payload.alphabet[2]: symbol must be a string\n"
 
 
+def test_lgs_edge_end_past_its_level_is_an_input_error(tmp_path, capsys):
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    with open(os.path.join(examples, "golden_mean.lgs.json")) as fh:
+        node = json.load(fh)
+    node["payload"]["edges"][0][0] = [99, 1, "a11"]
+    bad = write(tmp_path, "bad.json", json.dumps(node))
+    for command in (["invariants", bad], ["from-lgs", bad]):
+        assert main(command) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            "error: not a lambda-graph system: edge (98, 0, 'a11') out of range"
+        ), command
+
+
+def test_non_string_subshift_labels_are_input_errors(tmp_path, capsys):
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    with open(os.path.join(examples, "even_shift.subshift.json")) as fh:
+        good = json.load(fh)
+    for label in (1, True, ["a"], {"x": 1}):
+        node = json.loads(json.dumps(good))
+        node["payload"]["edges"][0][2] = label
+        bad = write(tmp_path, "bad.json", json.dumps(node))
+        for command in (["canonical", bad], ["words", bad]):
+            assert main(command) == 2, (label, command)
+            assert capsys.readouterr().err == (
+                f"error: {bad}: $.payload.edges[0]: edge must be [state, state, label] strings\n"
+            )
+
+
 def test_more_blocks_than_levels_is_a_verdict_and_an_input_error(tmp_path, capsys):
     examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
     with open(os.path.join(examples, "golden_mean.lgs.json")) as fh:
@@ -827,3 +856,94 @@ def test_equivalence_and_bipartite_runs_keep_their_pinned_stdout(tmp_path, monke
     stdout, files = pinned_outcomes(tmp_path, monkeypatch, capsys)
     assert stdout == PINNED_STDOUT
     assert files == PINNED_FILES
+
+
+# -- stdout pinned across the bitmask ray-set walk -----------------------------
+
+
+def canonical_outcomes(tmp_path, monkeypatch, capsys):
+    """name -> (stdout sha256 prefix, exit code) of each CLI run below.
+
+    For every example subshift at depths 3 and 6: ``canonical`` with each
+    ``--emit``, ``words`` on the subshift, and ``validate`` and ``words`` on
+    both sides of the emitted bisystem.  Every canonical build reads the
+    realizable past and future sets.  The runs use relative paths in
+    ``tmp_path``.
+    """
+    monkeypatch.chdir(tmp_path)
+    stems = sorted(n[: -len(".subshift.json")] for n in os.listdir(EXAMPLES)
+                   if n.endswith(".subshift.json"))
+    out = {}
+
+    def run(name, argv):
+        code = main(argv)
+        text = capsys.readouterr().out
+        out[name] = (hashlib.sha256(text.encode()).hexdigest()[:16], code)
+        return text
+
+    for depth in (3, 6):
+        for stem in stems:
+            tag = f"{stem} d{depth}"
+            path = os.path.join(EXAMPLES, f"{stem}.subshift.json")
+            for emit in ("json", "smb", "dot"):
+                text = run(f"{tag} canonical {emit}",
+                           ["canonical", path, "--depth", str(depth), "--emit", emit])
+                if emit == "json":
+                    emitted = write(tmp_path, f"{stem}_d{depth}.json", text)
+            run(f"{tag} words", ["words", path, "-n", str(depth)])
+            run(f"{tag} validate", ["validate", os.path.basename(emitted)])
+            for side in ("minus", "plus"):
+                run(f"{tag} words {side}", ["words", os.path.basename(emitted),
+                                            "--side", side, "-n", str(depth)])
+    return out
+
+
+# recorded from the code before the ray-set walk held relations as bitmasks
+PINNED_CANONICAL = {
+    'even_shift d3 canonical json': ('5ecbd6c44a6fa3fc', 0),
+    'even_shift d3 canonical smb': ('b6e9bc1e79b6b2ff', 0),
+    'even_shift d3 canonical dot': ('4e6fad178ab392cf', 0),
+    'even_shift d3 words': ('6c2ad4400b0c29cc', 0),
+    'even_shift d3 validate': ('f430f7a544d7e329', 0),
+    'even_shift d3 words minus': ('6c2ad4400b0c29cc', 0),
+    'even_shift d3 words plus': ('6c2ad4400b0c29cc', 0),
+    'golden_mean d3 canonical json': ('68ac4113a5a6c013', 0),
+    'golden_mean d3 canonical smb': ('4c0d5d38a5a2e406', 0),
+    'golden_mean d3 canonical dot': ('1001d4ec22df34cb', 0),
+    'golden_mean d3 words': ('9e6370903e96330d', 0),
+    'golden_mean d3 validate': ('f430f7a544d7e329', 0),
+    'golden_mean d3 words minus': ('9e6370903e96330d', 0),
+    'golden_mean d3 words plus': ('9e6370903e96330d', 0),
+    'no_121 d3 canonical json': ('00b8f565d5f85bd8', 0),
+    'no_121 d3 canonical smb': ('52b4cbbbcd20cac2', 0),
+    'no_121 d3 canonical dot': ('44b1c2a57c78b711', 0),
+    'no_121 d3 words': ('b0d101243ca99a4f', 0),
+    'no_121 d3 validate': ('f430f7a544d7e329', 0),
+    'no_121 d3 words minus': ('b0d101243ca99a4f', 0),
+    'no_121 d3 words plus': ('b0d101243ca99a4f', 0),
+    'even_shift d6 canonical json': ('da3f24275f63ab8d', 0),
+    'even_shift d6 canonical smb': ('9167ec2ed589461e', 0),
+    'even_shift d6 canonical dot': ('fe58593c66a1866a', 0),
+    'even_shift d6 words': ('bc5401b5cd3fa2c5', 0),
+    'even_shift d6 validate': ('ec4f2a5afb4dc208', 0),
+    'even_shift d6 words minus': ('bc5401b5cd3fa2c5', 0),
+    'even_shift d6 words plus': ('bc5401b5cd3fa2c5', 0),
+    'golden_mean d6 canonical json': ('c23939d1060981a2', 0),
+    'golden_mean d6 canonical smb': ('fed362bae65ac6a6', 0),
+    'golden_mean d6 canonical dot': ('05f411fef67ed2d1', 0),
+    'golden_mean d6 words': ('d55a6d39697b460d', 0),
+    'golden_mean d6 validate': ('ec4f2a5afb4dc208', 0),
+    'golden_mean d6 words minus': ('d55a6d39697b460d', 0),
+    'golden_mean d6 words plus': ('d55a6d39697b460d', 0),
+    'no_121 d6 canonical json': ('beae95154c6b97a6', 0),
+    'no_121 d6 canonical smb': ('7c97d4daf31297c3', 0),
+    'no_121 d6 canonical dot': ('80975a4ce265710e', 0),
+    'no_121 d6 words': ('c12d046df53b8ce2', 0),
+    'no_121 d6 validate': ('ec4f2a5afb4dc208', 0),
+    'no_121 d6 words minus': ('c12d046df53b8ce2', 0),
+    'no_121 d6 words plus': ('c12d046df53b8ce2', 0),
+}
+
+
+def test_canonical_and_words_runs_keep_their_pinned_stdout(tmp_path, monkeypatch, capsys):
+    assert canonical_outcomes(tmp_path, monkeypatch, capsys) == PINNED_CANONICAL

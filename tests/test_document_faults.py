@@ -145,9 +145,16 @@ def faults(kind, payload):
         yield "variant 'nope'", lambda q: q.__setitem__("variant", "nope"), None
         if "matrix" in payload:
             yield "matrix entry 2", lambda q: q["matrix"][0].__setitem__(0, 2), None
+            yield "symbol 7", lambda q: q["symbols"].__setitem__(0, 7), None
         if "edges" in payload:
             yield "edge to an unknown state", (
                 lambda q: q["edges"][0].__setitem__(1, "9")), None
+            for value in (1, True, ["a"], {"x": 1}):
+                yield f"edge label {value!r}", (
+                    lambda q, value=value: q["edges"][0].__setitem__(2, value)), None
+            yield "edge source 1", lambda q: q["edges"][0].__setitem__(0, 1), None
+            yield "edge of two items", lambda q: q["edges"][0].pop(), None
+            yield "state 1", lambda q: q["states"].__setitem__(0, 1), None
 
 
 def outcome(kind, payload, depth):
@@ -184,6 +191,9 @@ PARENT = {
     'subshift sft: variant as a string': "error $.payload.variant: unknown variant 'x'",
     "subshift sft: variant 'nope'": "error $.payload.variant: unknown variant 'nope'",
     'subshift sft: matrix entry 2': 'error $.payload: matrix entries must be 0 or 1',
+    # this row and the sofic rows after 'edge to an unknown state' were
+    # recorded later, from the readers before subshift strings were checked
+    'subshift sft: symbol 7': 'ok a11f9e6a58c4',
     'subshift sofic: missing edges': "error $.payload: missing field 'edges'",
     'subshift sofic: edges as a number': "error $.payload: 'int' object is not iterable",
     'subshift sofic: edges as a string':
@@ -201,6 +211,14 @@ PARENT = {
     "subshift sofic: variant 'nope'": "error $.payload.variant: unknown variant 'nope'",
     'subshift sofic: edge to an unknown state':
         'error $.payload: edge (1,9,a) leaves the state set',
+    'subshift sofic: edge label 1': 'ok 61f46b1d8efb',
+    'subshift sofic: edge label True': 'ok 4e88f34e6290',
+    "subshift sofic: edge label ['a']": 'ok c517aa2258f6',
+    "subshift sofic: edge label {'x': 1}": 'ok 0c19ec4af0f9',
+    'subshift sofic: edge source 1': 'error $.payload: edge (1,1,a) leaves the state set',
+    'subshift sofic: edge of two items':
+        'error $.payload: not enough values to unpack (expected 3, got 2)',
+    'subshift sofic: state 1': 'error $.payload: edge (1,1,a) leaves the state set',
     'bisystem: missing depth': 'ok 7e5ebba7d30c',
     'bisystem: depth as a number': 'ok 7e5ebba7d30c',
     'bisystem: depth as a string': 'ok 7e5ebba7d30c',
@@ -676,6 +694,22 @@ CHANGED = {
         'error $.payload.repeat_from: repeat_from must be null or an integer',
     'smb: repeat_from as a string, depth 5':
         'error $.payload.repeat_from: repeat_from must be null or an integer',
+    # a subshift's states, symbols and edge labels must be strings: the
+    # canonical build sorts them
+    'subshift sft: symbol 7': 'error $.payload.symbols[0]: symbol must be a string',
+    'subshift sofic: edge label 1':
+        'error $.payload.edges[0]: edge must be [state, state, label] strings',
+    'subshift sofic: edge label True':
+        'error $.payload.edges[0]: edge must be [state, state, label] strings',
+    "subshift sofic: edge label ['a']":
+        'error $.payload.edges[0]: edge must be [state, state, label] strings',
+    "subshift sofic: edge label {'x': 1}":
+        'error $.payload.edges[0]: edge must be [state, state, label] strings',
+    'subshift sofic: edge source 1':
+        'error $.payload.edges[0]: edge must be [state, state, label] strings',
+    'subshift sofic: edge of two items':
+        'error $.payload.edges[0]: edge must be [state, state, label] strings',
+    'subshift sofic: state 1': 'error $.payload.states[0]: state must be a string',
 }
 
 

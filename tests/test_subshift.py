@@ -12,7 +12,6 @@ from bisys.subshift import (
     admissible_words,
     apply_block_code,
     higher_block_recode,
-    _ranges_on_constant_cycles,
     _successors,
     realizable_future_sets,
     realizable_past_sets,
@@ -25,8 +24,15 @@ from fixtures import (
     golden_mean_pres,
     golden_window_ok,
     random_sofic_pres,
+    random_sparse_sofic_pres,
 )
-from oracles import fill_in_words, past_state_set, past_state_stable
+from oracles import (
+    fill_in_words,
+    past_state_set,
+    past_state_stable,
+    ranges_on_constant_cycles,
+    ray_sets,
+)
 
 
 def test_full_shift_words():
@@ -198,7 +204,7 @@ def reference_ray_sets(g, side):
     read off the reversed graph: prepended symbols composed on the left of
     each word relation for the past sets (their ranges), appended symbols
     composed on the right for the future sets (their domains).  Both share
-    the library's cycle search."""
+    the oracle's copy of the cycle search."""
     by = {a: {} for a in g.labels}
     for (s, t, a) in g.edges:
         if side == "past":
@@ -224,7 +230,7 @@ def reference_ray_sets(g, side):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return _ranges_on_constant_cycles(seen, succ, value)
+    return ranges_on_constant_cycles(seen, succ, value)
 
 
 def test_ray_sets_match_both_reference_walks_on_random_graphs():
@@ -238,6 +244,19 @@ def test_ray_sets_match_both_reference_walks_on_random_graphs():
         assert _successors(g.reversed()) == pred, i
         assert realizable_past_sets(g) == reference_ray_sets(g, "past"), i
         assert realizable_future_sets(g) == reference_ray_sets(g, "future"), i
+
+
+def test_bitmask_ray_sets_match_the_pair_set_walk():
+    # 24 graphs shaped like the wide benchmark's, of 6-9 states, then one each
+    # of 10 and 12 states, both sides.  The pair-set walk's time is heavy
+    # tailed in the seed: 0.07-1.1 s over seeds 1-20 on a shared Xeon host,
+    # and 0.13 s for this one, which keeps the test well under 0.5 s.
+    rng = random.Random(16)
+    sizes = [rng.randint(6, 9) for _ in range(24)] + [10, 12]
+    for i, n in enumerate(sizes):
+        g = random_sparse_sofic_pres(rng, n).graph
+        assert realizable_past_sets(g) == ray_sets(g), i
+        assert realizable_future_sets(g) == ray_sets(g.reversed()), i
 
 
 def test_block_code_edges():
