@@ -313,9 +313,13 @@ def _parse_subshift(p, depth):
         g = LabeledGraph(states, tuple(map(tuple, edges)))
         return SubshiftPresentation.from_graph(g)
     if variant == "forbidden":
-        return SubshiftPresentation.from_forbidden(
-            tuple(_list(p, "symbols", loc)), tuple(tuple(w) for w in _list(p, "words", loc))
-        )
+        symbols = _strings(p, "symbols", loc, "symbol")
+        words = _list(p, "words", loc)
+        for k, w in enumerate(words):
+            if not (isinstance(w, list) and all(isinstance(x, str) and x in symbols for x in w)):
+                raise DocumentError("forbidden word must be a list of strings from symbols",
+                                    f"{loc}.words[{k}]")
+        return SubshiftPresentation.from_forbidden(symbols, tuple(map(tuple, words)))
     raise DocumentError(f"unknown variant {variant!r}", loc + ".variant")
 
 

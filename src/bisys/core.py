@@ -305,10 +305,6 @@ class SymbolicMatrix:
         return SymbolicMatrix(rows, cols, grid, alphabet)
 
     @staticmethod
-    def zero(rows: int, cols: int, alphabet: Alphabet) -> "SymbolicMatrix":
-        return SymbolicMatrix.build(rows, cols, alphabet, lambda i, j: FormalSum.zero())
-
-    @staticmethod
     def identity_pattern(n: int, symbol, alphabet: Alphabet) -> "SymbolicMatrix":
         """Diagonal matrix whose diagonal entries are the single given symbol."""
         s = tuple(symbol)
@@ -408,8 +404,6 @@ class Specification:
     """
 
     pairs: tuple  # sorted tuple[(Word, Word), ...]
-    source: Alphabet | None = None
-    target: Alphabet | None = None
 
     def __post_init__(self):
         seen_src, seen_dst = set(), set()
@@ -422,13 +416,12 @@ class Specification:
             seen_dst.add(d)
 
     @staticmethod
-    def from_dict(mapping, source=None, target=None) -> "Specification":
-        pairs = tuple(sorted((tuple(k), tuple(v)) for k, v in mapping.items()))
-        return Specification(pairs, source, target)
+    def from_dict(mapping) -> "Specification":
+        return Specification(tuple(sorted((tuple(k), tuple(v)) for k, v in mapping.items())))
 
     @staticmethod
-    def identity_on(words, alphabet: Alphabet | None = None) -> "Specification":
-        return Specification.from_dict({tuple(w): tuple(w) for w in words}, alphabet, alphabet)
+    def identity_on(words) -> "Specification":
+        return Specification.from_dict({tuple(w): tuple(w) for w in words})
 
     @cached_property
     def _mapping(self) -> dict:
@@ -439,15 +432,11 @@ class Specification:
         return dict(self._mapping)
 
     def inverse(self) -> "Specification":
-        return Specification(tuple(sorted((d, s) for s, d in self.pairs)), self.target, self.source)
+        return Specification(tuple(sorted((d, s) for s, d in self.pairs)))
 
     def then_kappa(self, split: int = 1) -> "Specification":
         """Compose with the factor exchange on the image symbols."""
-        return Specification(
-            tuple(sorted((s, d[split:] + d[:split]) for s, d in self.pairs)),
-            self.source,
-            None,
-        )
+        return Specification(tuple(sorted((s, d[split:] + d[:split]) for s, d in self.pairs)))
 
     def __len__(self):
         return len(self.pairs)

@@ -206,12 +206,8 @@ def trivial_psse_witness(s: SymbolicMatrixBisystem) -> PsseWitness:
     c = s.sigma_plus
     d = Alphabet.of(UNIT_SYMBOL)
     unit = (UNIT_SYMBOL,)
-    phi_m = Specification.from_dict(
-        {w: w + unit for w in c.symbols}, source=c, target=Alphabet.product(c, d)
-    )
-    phi_n = Specification.from_dict(
-        {w: unit + w for w in c.symbols}, source=c, target=Alphabet.product(d, c)
-    )
+    phi_m = Specification.from_dict({w: w + unit for w in c.symbols})
+    phi_n = Specification.from_dict({w: unit + w for w in c.symbols})
     sizes = s.level_sizes
     p_mats, q_mats, x_mats, y_mats = [], [], [], []
     for idx in range(2 * s.depth):
@@ -370,7 +366,7 @@ def bipartite_split(s: SymbolicMatrixBisystem, bip: BipartiteStructure):
                 + "; ".join(c for _, v in rep.axioms for c in v.counterexamples[:2])
             )
         occurring = sorted(set().union(*[m.occurring() for m in sys.plus + sys.minus]))
-        specs.append(Specification.identity_on(occurring, sys.sigma_plus))
+        specs.append(Specification.identity_on(occurring))
     s_cd, s_dc = systems
     return s_cd, s_dc, replace(w, phi_m=specs[0], phi_n=specs[1])
 

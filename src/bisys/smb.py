@@ -287,125 +287,58 @@ class SmbIsomorphism:
 def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
     """Witnessing permutations and specifications, or None.
 
-    Backtracks over level-wise bijections constrained by entry term-count
-    signatures; the symbol bijections are then inferred jointly across all
-    permuted blocks and verified.
+    Places s1's vertices into s2's slots level by level and slot by slot,
+    trying candidates in ascending order.  A candidate is kept only if every
+    cell between it and the placed level above has the term count of its
+    image, on both sides.  Once every level is placed the symbol bijections
+    are inferred across all permuted blocks, so the witness found is the
+    first in lexicographic order of the permutations.
     """
-    if s1.level_sizes != s2.level_sizes:
-        return None
-    L = s1.depth
     sizes = s1.level_sizes
-
-    def level_signatures(s):
-        sigs = []
-        for l in range(L + 1):
-            mat_in = s.minus[l - 1] if l else None
-            mat_out = s.minus[l] if l < L else None
-            pin = s.plus[l - 1] if l else None
-            pout = s.plus[l] if l < L else None
-            level = []
-            for i in range(sizes[l]):
-                sig = []
-                for m, by_row in (
-                    (mat_in, False),
-                    (mat_out, True),
-                    (pin, False),
-                    (pout, True),
-                ):
-                    if m is None:
-                        sig.append(())
-                        continue
-                    cells = (
-                        [m.entry(i, j) for j in range(m.cols)]
-                        if by_row
-                        else [m.entry(r, i) for r in range(m.rows)]
-                    )
-                    sig.append(tuple(sorted(c.term_count for c in cells)))
-                level.append(tuple(sig))
-            sigs.append(level)
-        return sigs
-
-    sig1 = level_signatures(s1)
-    sig2 = level_signatures(s2)
-    for l in range(L + 1):
-        if sorted(sig1[l]) != sorted(sig2[l]):
-            return None
-
-    perms: list = [None] * (L + 1)
-
-    def permuted_pairs():
-        """Matrix pairs (permuted s1 block, s2 block) for the current perms."""
-        pairs = []
-        for l in range(L):
-            pi, pj = perms[l], perms[l + 1]
-            for side in ("minus", "plus"):
-                m1 = getattr(s1, side)[l].permute_rows(pi).permute_cols(pj)
-                pairs.append((m1, getattr(s2, side)[l]))
-        return pairs
-
-    def cellwise_ok(l):
-        """Term-count check of all blocks touching already-permuted levels."""
-        for bl in range(L):
-            if perms[bl] is None or perms[bl + 1] is None:
-                continue
-            for side in ("minus", "plus"):
-                a = getattr(s1, side)[bl]
-                b = getattr(s2, side)[bl]
-                for i in range(a.rows):
-                    for j in range(a.cols):
-                        if (
-                            a.entry(perms[bl][i], perms[bl + 1][j]).term_count
-                            != b.entry(i, j).term_count
-                        ):
-                            return False
-        return True
-
+    if sizes != s2.level_sizes:
+        return None
+    sides = [(getattr(s1, side), getattr(s2, side)) for side in ("minus", "plus")]
     joint = (
         s1.sigma_minus.symbols == s1.sigma_plus.symbols
         and s2.sigma_minus.symbols == s2.sigma_plus.symbols
     )
+    perms: list = [[] for _ in sizes]
 
-    def assign(l):
-        if l == L + 1:
-            pairs = permuted_pairs()
-            mpairs = [p for idx, p in enumerate(pairs) if idx % 2 == 0]
-            ppairs = [p for idx, p in enumerate(pairs) if idx % 2 == 1]
-            if joint:
-                # one symbol bijection must serve both sides
-                spec = find_specification_multi(mpairs + ppairs)
-                if spec is None:
-                    return None
-                return SmbIsomorphism(tuple(tuple(p) for p in perms), spec, spec)
-            spec_m = find_specification_multi(mpairs)
-            if spec_m is None:
-                return None
-            spec_p = find_specification_multi(ppairs)
-            if spec_p is None:
-                return None
-            return SmbIsomorphism(tuple(tuple(p) for p in perms), spec_m, spec_p)
+    def fits(l, pos, cand):
+        return not l or all(
+            a[l - 1].entry(row, cand).term_count == b[l - 1].entry(r, pos).term_count
+            for a, b in sides
+            for r, row in enumerate(perms[l - 1])
+        )
 
-        n = sizes[l]
-        slots = list(range(n))
-
-        def fill(pos, used, current):
-            if pos == n:
-                perms[l] = list(current)
-                if cellwise_ok(l):
-                    result = assign(l + 1)
-                    if result is not None:
-                        return result
-                perms[l] = None
-                return None
-            for cand in range(n):
-                if cand in used:
-                    continue
-                if sig1[l][cand] != sig2[l][pos]:
-                    continue
-                result = fill(pos + 1, used | {cand}, current + [cand])
-                if result is not None:
-                    return result
+    def witness():
+        minus, plus = (
+            [(a[l].permute_rows(perms[l]).permute_cols(perms[l + 1]), b[l])
+             for l in range(s1.depth)]
+            for a, b in sides
+        )
+        if joint:
+            # one symbol bijection must serve both sides
+            spec_m = spec_p = find_specification_multi(minus + plus)
+        else:
+            spec_m = find_specification_multi(minus)
+            spec_p = None if spec_m is None else find_specification_multi(plus)
+        if spec_p is None:
             return None
+        return SmbIsomorphism(tuple(map(tuple, perms)), spec_m, spec_p)
 
-        return fill(0, set(), [])
+    def place(l, pos):
+        if l == len(sizes):
+            return witness()
+        if pos == sizes[l]:
+            return place(l + 1, 0)
+        for cand in range(sizes[l]):
+            if cand not in perms[l] and fits(l, pos, cand):
+                perms[l].append(cand)
+                found = place(l, pos + 1)
+                if found is not None:
+                    return found
+                perms[l].pop()
+        return None
 
-    return assign(0)
+    return place(0, 0)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -15,7 +16,12 @@ from bisys.cli.documents import (
     parse_document,
 )
 from bisys.cli.main import main
-from bisys.equivalence import bipartite_split, detect_bipartite, trivial_psse_witness
+from bisys.equivalence import (
+    bipartite_split,
+    detect_bipartite,
+    psse_to_sse,
+    trivial_psse_witness,
+)
 from bisys.smb import to_smb
 from fixtures import (
     alternating_pres,
@@ -478,6 +484,25 @@ def test_non_string_subshift_labels_are_input_errors(tmp_path, capsys):
             assert capsys.readouterr().err == (
                 f"error: {bad}: $.payload.edges[0]: edge must be [state, state, label] strings\n"
             )
+
+
+def test_forbidden_words_must_be_lists_of_the_symbols(tmp_path, capsys):
+    with open(os.path.join(EXAMPLES, "no_121.subshift.json")) as fh:
+        good = json.load(fh)
+    word = "forbidden word must be a list of strings from symbols"
+    cases = (
+        ("words", ["12"], f"$.payload.words[0]: {word}"),
+        ("words", [[1, 2]], f"$.payload.words[0]: {word}"),
+        ("words", [["1", "2", "1"], ["1", "3"]], f"$.payload.words[1]: {word}"),
+        ("symbols", ["1", 2], "$.payload.symbols[1]: symbol must be a string"),
+    )
+    for key, value, error in cases:
+        node = json.loads(json.dumps(good))
+        node["payload"][key] = value
+        bad = write(tmp_path, "bad.json", json.dumps(node))
+        for command in (["canonical", bad, "--depth", "3"], ["words", bad], ["validate", bad]):
+            assert main(command) == 2, (value, command)
+            assert capsys.readouterr().err == f"error: {bad}: {error}\n"
 
 
 def test_more_blocks_than_levels_is_a_verdict_and_an_input_error(tmp_path, capsys):
@@ -947,3 +972,142 @@ PINNED_CANONICAL = {
 
 def test_canonical_and_words_runs_keep_their_pinned_stdout(tmp_path, monkeypatch, capsys):
     assert canonical_outcomes(tmp_path, monkeypatch, capsys) == PINNED_CANONICAL
+
+
+# -- from-lgs, transpose and lgs validation, pinned ----------------------------
+
+
+def lgs_and_transpose_outcomes(tmp_path, monkeypatch, capsys):
+    """name -> (stdout sha256 prefix, exit code) of each CLI run below.
+
+    ``validate`` on both lgs examples, ``from-lgs`` on each at depths 3 and 6,
+    and ``transpose`` on each bisystem that ``from-lgs`` emits and on the
+    canonical depth-3 bisystem of every example subshift.
+    """
+    monkeypatch.chdir(tmp_path)
+    out = {}
+
+    def run(name, argv):
+        code = main(argv)
+        text = capsys.readouterr().out
+        out[name] = (hashlib.sha256(text.encode()).hexdigest()[:16], code)
+        return text
+
+    for stem in ("full3", "golden_mean"):
+        path = os.path.join(EXAMPLES, f"{stem}.lgs.json")
+        run(f"{stem} validate", ["validate", path])
+        for depth in (3, 6):
+            text = run(f"{stem} d{depth} from-lgs", ["from-lgs", path, "--depth", str(depth)])
+            write(tmp_path, f"{stem}_d{depth}.json", text)
+            run(f"{stem} d{depth} transpose", ["transpose", f"{stem}_d{depth}.json"])
+    for stem in ("even_shift", "golden_mean", "no_121"):
+        main(["canonical", os.path.join(EXAMPLES, f"{stem}.subshift.json"), "--depth", "3"])
+        write(tmp_path, f"{stem}.json", capsys.readouterr().out)
+        run(f"{stem} d3 canonical transpose", ["transpose", f"{stem}.json"])
+    return out
+
+
+# recorded from the code as it stood before this table was added
+PINNED_LGS_AND_TRANSPOSE = {
+    'full3 validate': ('4757cc0a9d5d2e33', 0),
+    'full3 d3 from-lgs': ('d1544536f2c0d2ae', 0),
+    'full3 d3 transpose': ('e75eb662695fb8c5', 0),
+    'full3 d6 from-lgs': ('064174bad6e95c96', 0),
+    'full3 d6 transpose': ('9ee62060648e654a', 0),
+    'golden_mean validate': ('4757cc0a9d5d2e33', 0),
+    'golden_mean d3 from-lgs': ('570d34eed69ecf53', 0),
+    'golden_mean d3 transpose': ('ed32c3370c379f02', 0),
+    'golden_mean d6 from-lgs': ('6257fe22c209cb74', 0),
+    'golden_mean d6 transpose': ('a2259a13e4bfb7a8', 0),
+    'even_shift d3 canonical transpose': ('b542fc72a33c6951', 0),
+    'golden_mean d3 canonical transpose': ('786b783a27cd63bb', 0),
+    'no_121 d3 canonical transpose': ('a960c279eca58c8e', 0),
+}
+
+
+def test_from_lgs_and_transpose_runs_keep_their_pinned_stdout(tmp_path, monkeypatch, capsys):
+    assert lgs_and_transpose_outcomes(tmp_path, monkeypatch, capsys) == PINNED_LGS_AND_TRANSPOSE
+
+
+# -- exit-code fuzz -------------------------------------------------------------
+
+FUZZ_VALUES = (None, True, 0, -1, 99, "", "zz", [], {}, 1.5)
+
+# the commands run on each kind, the input file standing for {}; a fuzzed smb
+# is checked as both systems of the golden-mean self-witness
+FUZZ_COMMANDS = {
+    "subshift": (["validate", "{}"], ["canonical", "{}", "--depth", "3"],
+                 ["words", "{}", "-n", "3"], ["invariants", "{}", "--depth", "3"]),
+    "lambda_graph_system": (["validate", "{}"], ["invariants", "{}", "--depth", "3"],
+                            ["from-lgs", "{}", "--depth", "3"]),
+    "bisystem": (["validate", "{}"], ["words", "{}", "-n", "3"],
+                 ["invariants", "{}", "--depth", "3"], ["transpose", "{}"]),
+    "smb": (["validate", "{}"], ["words", "{}", "-n", "3"], ["bipartite", "{}"],
+            ["check-equivalence", "{}", "{}", "gm.psse.json", "--depth", "3"]),
+    "psse_witness": (["check-equivalence", "gm.smb.json", "gm.smb.json", "{}", "--depth", "3"],),
+    "sse_witness": (["check-equivalence", "gm.smb.json", "gm.smb.json", "{}",
+                     "--mode", "sse", "--depth", "3"],),
+}
+
+
+def mutate(node, rng):
+    """Replace one random node of a JSON tree by a value of FUZZ_VALUES,
+    delete it, or duplicate it in its list."""
+    paths = []
+
+    def walk(x, path):
+        paths.append(path)
+        if isinstance(x, (dict, list)):
+            for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+                walk(v, path + (k,))
+
+    walk(node, ())
+    *path, key = rng.choice(paths[1:])
+    parent = node
+    for k in path:
+        parent = parent[k]
+    op = rng.choice(("replace", "delete", "duplicate"))
+    if op == "delete":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    else:
+        parent[key] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+
+
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    """Seeded fuzz: one or two mutations of an example or golden-mean depth-3
+    document, then a command that takes its kind; every run exits 0, 1 or 2,
+    never 3 (internal error)."""
+    monkeypatch.chdir(tmp_path)
+    b = canonical_bisystem(golden_mean_pres(), 3).bisystem
+    s = to_smb(b)
+    w = trivial_psse_witness(s)
+    inputs = {}
+    for name in os.listdir(EXAMPLES):
+        with open(os.path.join(EXAMPLES, name)) as fh:
+            inputs[name] = fh.read()
+    inputs.update({
+        "gm.bisystem.json": dump_document("bisystem", "gm", b),
+        "gm.smb.json": dump_document("smb", "gm", s),
+        "gm.psse.json": dump_document("psse_witness", "gm", w),
+        "gm.sse.json": dump_document("sse_witness", "gm", psse_to_sse(w)),
+    })
+    for name, text in inputs.items():
+        write(tmp_path, name, text)
+    rng = random.Random(2024)
+    ran = set()
+    for k in range(200):
+        name = sorted(inputs)[k % len(inputs)]
+        node = json.loads(inputs[name])
+        kind = node["kind"]
+        for _ in range(rng.choice((1, 2))):
+            mutate(node, rng)
+        write(tmp_path, "fuzzed.json", json.dumps(node))
+        command = rng.choice(FUZZ_COMMANDS[kind])
+        argv = [a.replace("{}", "fuzzed.json") for a in command]
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), (name, json.dumps(node), argv, code)
+        ran.add((kind, command[0]))
+    assert ran == {(kind, c[0]) for kind, cs in FUZZ_COMMANDS.items() for c in cs}

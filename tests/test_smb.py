@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -26,12 +27,14 @@ from fixtures import (
     alternating_pres,
     edge_shift_pres,
     even_shift_pres,
+    even_window_bisystem,
     full_shift_bisystem,
     full_shift_pres,
     golden_mean_lgs,
     golden_mean_pres,
     golden_mean_symbolic,
     paper_golden_mean_bisystem,
+    random_sofic_pres,
     symbolic_2x2,
 )
 
@@ -319,3 +322,137 @@ def test_validate_smb_report_matches_product_oracle():
         failed |= {name for name, v in rep.axioms if not v.ok}
     assert all(validate_smb(s).ok for s in valid)
     assert failed == {"ii", "iii", "iv", "v"}
+
+
+# -- the isomorphism search, pinned to the level-at-a-time search it replaced
+
+
+def scramble(s, rng):
+    """s with the vertices of every level shuffled at random."""
+    perms = [rng.sample(range(n), n) for n in s.level_sizes]
+
+    def side(mats):
+        return tuple(m.permute_rows(perms[l]).permute_cols(perms[l + 1])
+                     for l, m in enumerate(mats))
+
+    return SymbolicMatrixBisystem(side(s.minus), side(s.plus), s.sigma_minus, s.sigma_plus)
+
+
+def isomorphism_pairs():
+    """315 seeded (s1, s2) pairs over 21 depth-3 systems: canonical builds and
+    their transposes, paper fixtures and sft_smb systems.  Each system is
+    paired with itself, six scrambles of itself and six single-cell mutants
+    against scrambles, and with a scramble of every other system of its level
+    sizes."""
+    rng = random.Random(5)
+    pres = [golden_mean_pres(), even_shift_pres(), alternating_pres(), full_shift_pres(2),
+            edge_shift_pres(), random_sofic_pres(rng, 3), random_sofic_pres(rng, 4)]
+    builds = [canonical_bisystem(p, 3).bisystem for p in pres]
+    systems = [to_smb(b) for b in builds] + [to_smb(transpose(b)) for b in builds] + [
+        to_smb(paper_golden_mean_bisystem(3)),
+        to_smb(paper_golden_mean_bisystem(3, sm=("x", "y"), sp=("u", "v"))),
+        to_smb(even_window_bisystem(3)),
+        to_smb(full_shift_bisystem(2, 3)),
+        sft_smb(symbolic_2x2(), depth=3),
+        sft_smb(golden_mean_symbolic(), depth=3),
+        sft_smb(golden_mean_symbolic(), identify=True, depth=3),
+    ]
+    rng = random.Random(17)
+    pairs = []
+    for s in systems:
+        pairs.append((s, s))
+        for _ in range(6):
+            pairs.append((s, scramble(s, rng)))
+            pairs.append((scramble(s, rng), single_cell_mutant(s, rng)))
+    for a in systems:
+        for b in systems:
+            if a is not b and a.level_sizes == b.level_sizes:
+                pairs.append((a, scramble(b, rng)))
+    return pairs
+
+
+# One token per pair of isomorphism_pairs(), in order: "-" for None, else the
+# sha256 prefix of repr((perms, spec_minus.pairs, spec_plus.pairs)).  Recorded
+# from the search that placed whole levels and checked per-vertex signatures.
+PINNED_ISOMORPHISMS = """
+    1cb3de7520 b90f89ed30 - 6b6f4ba5e5 - 826223ca72 -
+    8d8bb0622a - 030bce8de3 - 6dad799bec - c563e11205
+    ec8e143d2b 0f434884e3 06037324fa 7ab55a674e dd39a7de9b - 6326e45e85
+    - 08addadf27 - f8861240d9 - 424c8f6f27 273a856e5b
+    - 1787046c0a - 273a856e5b - 77bbfc5983 -
+    424c8f6f27 - d3e4e7571e d836d3d97a 773f6b4cbb 773f6b4cbb -
+    773f6b4cbb 773f6b4cbb 773f6b4cbb - 773f6b4cbb 773f6b4cbb 773f6b4cbb
+    773f6b4cbb 773f6b4cbb - c3690d8604 94b219dbc5 - 95a9aa3d65
+    - fb57dad985 - ac8da6a6db - 307cc41296 1743e68ada
+    ac9ebb79e6 - b26a18a784 00b11bf542 - dd53aec4d4 -
+    2f9b621bde - ecfaf3f33c - b9525e42fb - c4e48915e1
+    - efe0d7d245 f240bbd092 - b7638c7d05 - 6d8fe5f5f0
+    - 2d22f8f52c - 3410dca35d - d3ed350049 -
+    1cb3de7520 abe6c7d458 - e7215551de - 9b069d9e7a 4ba9379797
+    9df43f3d12 09590da964 76af20a14a - 32b853726c - c563e11205
+    ae293c5430 - 061ae98226 - ab62693ab2 - 070951ebad
+    - a201025e67 bfa49d516e ea4a97a017 - 424c8f6f27 273a856e5b
+    - 273a856e5b d3e4e7571e d3e4e7571e d3e4e7571e 273a856e5b -
+    273a856e5b - 77bbfc5983 - 773f6b4cbb 773f6b4cbb 773f6b4cbb
+    773f6b4cbb 773f6b4cbb 773f6b4cbb - 773f6b4cbb 773f6b4cbb 773f6b4cbb
+    773f6b4cbb 773f6b4cbb - c3690d8604 86b71645c3 - 73b111c7d1
+    - 33477631d5 - 7da8d29d02 - fd18ee8d10 -
+    f91efd54ad - b26a18a784 bda03d2fac - c94cf990db -
+    61a8d93fc6 - b585be0e5a - 9c72efd4b8 - 84c18283bf
+    3a61436471 efe0d7d245 3fbbbabcc6 - dabf1c4136 - af69813033
+    - af10ac7c7d - bb783ce0e3 - fab2f76fca -
+    f736938e72 b8753458b8 - af876578d3 - 769c897548 -
+    81ab3c9b5b - 6cc143666f - a63a8168a9 - d983f19ee5
+    859db335c7 - de6b6f7356 8c333922cf f138462553 - 38c424a717
+    704f391719 37e86324d1 - 8020e94146 - c563e11205 81f7fa3ed2
+    - 038a190c49 - 0a3d53e573 - 52acb898b8 0ce076f878
+    897ee9acf2 0162de9de9 9de5147138 - 773f6b4cbb 773f6b4cbb -
+    773f6b4cbb - 773f6b4cbb - 773f6b4cbb - 773f6b4cbb
+    - 773f6b4cbb 773f6b4cbb ea8e6f9464 e0fe3aecbe - 1fe3f576e7
+    - 9d13497678 - ebdf336b95 - d3e4038a45 -
+    34066a4168 - 39f58603be 363ac0ae68 - 4f7660a817 -
+    0d25940362 - cfce3359e2 - bd0d09735c - a776ad5943
+    - c3690d8604 0664d9d8d9 - ff48ffd5cc - fd03fb2eff
+    - 74e3951b04 - 037cb6dfb7 - 8a638a9a6f -
+    c3dac75251 465e621275 9313e10db3 79f957c393 c2018cde8e 9b97667b19 773f6b4cbb
+    773f6b4cbb 9940ab7185 559986918c f187d11f9e ffc9cc23d0 - a0d6ef4522
+    fa3ae81bc6 adc159c4df 35306a9542 d519a2f692 d836d3d97a 773f6b4cbb 773f6b4cbb
+    74acf32409 96ecd4781c a9caccf45d 24c890b8b0 - a3c231039a 8b9bdf5321
+    540ad2d922 8e452cdb61 e9439e481a 791d8106b6 b396e6416f 681e14e316 773f6b4cbb
+    773f6b4cbb 02cb733496 b6e609f2c4 0196dcebb0 efec338078 16b8dba69d 4c7e932e51
+""".split()
+
+
+def isomorphism_token(iso):
+    if iso is None:
+        return "-"
+    value = (iso.perms, iso.spec_minus.pairs, iso.spec_plus.pairs)
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:10]
+
+
+def test_isomorphism_search_keeps_the_pinned_witnesses():
+    got = [isomorphism_token(smb_isomorphic(a, b)) for a, b in isomorphism_pairs()]
+    assert len(got) == len(PINNED_ISOMORPHISMS) == 315
+    assert [k for k, (g, w) in enumerate(zip(got, PINNED_ISOMORPHISMS)) if g != w] == []
+    assert sum(t != "-" for t in got) == 209
+
+
+def test_isomorphism_search_checks_cells_slot_by_slot(monkeypatch):
+    """A scramble of a depth-3 build with level sizes 1, 3, 12, 27 is found in a
+    few thousand cell reads.  A search that places a whole level before it
+    checks any cell makes more than 50 000 without finding it."""
+    s = to_smb(canonical_bisystem(random_sofic_pres(random.Random(0), 6), 3).bisystem)
+    s2 = scramble(s, random.Random(1))
+    assert s.level_sizes == (1, 3, 12, 27)
+    entry = SymbolicMatrix.entry
+    calls = []
+
+    def counted(m, i, j):
+        calls.append(None)
+        if len(calls) > 50_000:
+            raise RuntimeError("more than 50 000 cell reads")
+        return entry(m, i, j)
+
+    monkeypatch.setattr(SymbolicMatrix, "entry", counted)
+    iso = smb_isomorphic(s, s2)
+    assert iso is not None
