@@ -288,21 +288,25 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
     """Witnessing permutations and specifications, or None.
 
     Places s1's vertices into s2's slots level by level and slot by slot,
-    trying candidates in ascending order.  A candidate is kept only if every
-    cell between it and the placed level above has the term count of its
-    image, on both sides.  Once every level is placed the symbol bijections
-    are inferred across all permuted blocks, so the witness found is the
-    first in lexicographic order of the permutations.
+    trying candidates in ascending order, and keeps a candidate only if its
+    cells to the placed level above have the term counts of their images on
+    both sides.  The symbol bijections are inferred once every level is
+    placed, so the witness is the first in lexicographic order of the perms.
     """
     sizes = s1.level_sizes
-    if sizes != s2.level_sizes:
-        return None
     sides = [(getattr(s1, side), getattr(s2, side)) for side in ("minus", "plus")]
-    joint = (
-        s1.sigma_minus.symbols == s1.sigma_plus.symbols
-        and s2.sigma_minus.symbols == s2.sigma_plus.symbols
-    )
+    joint = all(s.sigma_minus.symbols == s.sigma_plus.symbols for s in (s1, s2))
     perms: list = [[] for _ in sizes]
+
+    def profile(m):
+        # sorted term counts of each row and each column; permuting keeps them
+        counts = [[m.entry(i, j).term_count for j in range(m.cols)] for i in range(m.rows)]
+        return [sorted(sorted(line) for line in grid) for grid in (counts, zip(*counts))]
+
+    if sizes != s2.level_sizes or any(
+        profile(a[l]) != profile(b[l]) for a, b in sides for l in range(s1.depth)
+    ):
+        return None
 
     def fits(l, pos, cand):
         return not l or all(
@@ -317,12 +321,9 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
              for l in range(s1.depth)]
             for a, b in sides
         )
-        if joint:
-            # one symbol bijection must serve both sides
-            spec_m = spec_p = find_specification_multi(minus + plus)
-        else:
-            spec_m = find_specification_multi(minus)
-            spec_p = None if spec_m is None else find_specification_multi(plus)
+        # with a common alphabet one symbol bijection must serve both sides
+        spec_m = find_specification_multi(minus + plus if joint else minus)
+        spec_p = spec_m if joint or spec_m is None else find_specification_multi(plus)
         if spec_p is None:
             return None
         return SmbIsomorphism(tuple(map(tuple, perms)), spec_m, spec_p)

@@ -437,6 +437,20 @@ def test_isomorphism_search_keeps_the_pinned_witnesses():
     assert sum(t != "-" for t in got) == 209
 
 
+def count_cell_reads(monkeypatch, limit):
+    """Make SymbolicMatrix.entry raise after `limit` calls."""
+    entry = SymbolicMatrix.entry
+    calls = []
+
+    def counted(m, i, j):
+        calls.append(None)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} cell reads")
+        return entry(m, i, j)
+
+    monkeypatch.setattr(SymbolicMatrix, "entry", counted)
+
+
 def test_isomorphism_search_checks_cells_slot_by_slot(monkeypatch):
     """A scramble of a depth-3 build with level sizes 1, 3, 12, 27 is found in a
     few thousand cell reads.  A search that places a whole level before it
@@ -444,15 +458,25 @@ def test_isomorphism_search_checks_cells_slot_by_slot(monkeypatch):
     s = to_smb(canonical_bisystem(random_sofic_pres(random.Random(0), 6), 3).bisystem)
     s2 = scramble(s, random.Random(1))
     assert s.level_sizes == (1, 3, 12, 27)
-    entry = SymbolicMatrix.entry
-    calls = []
-
-    def counted(m, i, j):
-        calls.append(None)
-        if len(calls) > 50_000:
-            raise RuntimeError("more than 50 000 cell reads")
-        return entry(m, i, j)
-
-    monkeypatch.setattr(SymbolicMatrix, "entry", counted)
+    count_cell_reads(monkeypatch, 50_000)
     iso = smb_isomorphic(s, s2)
     assert iso is not None
+
+
+def test_isomorphism_search_rejects_term_count_mismatch_up_front(monkeypatch):
+    """Every level-1 cell of a 4x4 sft build holds one term, so the slot checks
+    prune nothing there; a term dropped from the last plus block must be
+    caught before the 16! orders of level 1 are tried."""
+    names = [f"x{k}" for k in range(16)]
+    a = SymbolicMatrix.build(4, 4, Alphabet.of(*names), lambda i, j: FormalSum.of(names[4 * i + j]))
+    s = sft_smb(a, depth=3)
+    plus = list(s.plus)
+    m = plus[-1]
+    i, j = next((i, j) for i in range(m.rows) for j in range(m.cols) if not m.entry(i, j).is_zero)
+    grid = [list(row) for row in m.entries]
+    grid[i][j] = FormalSum.zero()
+    plus[-1] = SymbolicMatrix(m.rows, m.cols, tuple(map(tuple, grid)), m.alphabet)
+    dropped = SymbolicMatrixBisystem(s.minus, tuple(plus), s.sigma_minus, s.sigma_plus)
+    count_cell_reads(monkeypatch, 50_000)
+    assert smb_isomorphic(s, dropped) is None
+    assert smb_isomorphic(dropped, s) is None
