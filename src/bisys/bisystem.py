@@ -9,8 +9,9 @@ are words (tuples of strings), length 1 unless the alphabet is a product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain
+from functools import cache, cached_property, reduce
+from itertools import islice
+from operator import eq
 
 from .core import Alphabet, WordDag, word_str
 
@@ -469,7 +470,7 @@ def lgs_from_graph(graph_edges, n_states: int, depth: int) -> LambdaGraphSystem:
     )
 
 
-def lgs_from_matrix(matrix, depth: int, labels=None) -> LambdaGraphSystem:
+def lgs_from_matrix(matrix, depth: int) -> LambdaGraphSystem:
     """Finite-graph system from a nonnegative integer adjacency matrix.
 
     Entry (i, j) = k spawns k parallel edges with distinct labels, named
@@ -481,10 +482,7 @@ def lgs_from_matrix(matrix, depth: int, labels=None) -> LambdaGraphSystem:
         for j in range(n):
             k = matrix[i][j]
             for r in range(k):
-                name = f"a{i+1}{j+1}" + (f"_{r+1}" if k > 1 else "")
-                if labels is not None:
-                    name = labels[(i, j, r)]
-                edges.append((i, j, name))
+                edges.append((i, j, f"a{i+1}{j+1}" + (f"_{r+1}" if k > 1 else "")))
     return lgs_from_graph(tuple(edges), n, depth)
 
 
@@ -504,18 +502,6 @@ class SigmaIResult:
     @property
     def found(self) -> bool:
         return self.status == "witness"
-
-
-def _column(b, top_level, top_vertex, labels):
-    """Downward minus path from the top vertex with the given labels, or None."""
-    upper = b.adjacency["minus", "upper"]
-    path = [top_vertex]
-    for lvl, a in zip(range(top_level - 1, -1, -1), map(tuple, labels)):
-        step = next((t for (t, lab) in upper[lvl][path[-1]] if lab == a), None)
-        if step is None:
-            return None
-        path.append(step)
-    return tuple(path)
 
 
 def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
@@ -538,117 +524,83 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
     if level > b.depth:
         return SigmaIResult("inconclusive", level, bound)
     width = 2 * bound
-
-    F = follower_sets(b)
     lam = b.sigma_minus.word_length
-    items = []
-    for i in range(b.level_sizes[level]):
-        for xi in sorted(F[level][i]):
-            items.append((i, xi))
-
+    F = follower_sets(b)
+    items = [(i, xi) for i in range(b.level_sizes[level]) for xi in sorted(F[level][i])]
+    upper = b.adjacency["minus", "upper"]
     plus_lower = b.adjacency["plus", "lower"]
 
-    def label_chunks(w):
-        return [w[p : p + lam] for p in range(0, len(w), lam)]
+    @cache
+    def column(top, labels):
+        """Downward minus path from a top vertex with the given labels, or None."""
+        path = [top]
+        for lvl, a in zip(range(level - 1, -1, -1), labels):
+            step = next((t for (t, lab) in upper[lvl][path[-1]] if lab == a), None)
+            if step is None:
+                return None
+            path.append(step)
+        return tuple(path)
 
-    capped = False
+    def windows(col, steps):
+        """(plus symbols, bottom labels, columns) of every continuation of a
+        column by the given number of steps, in (plus symbol, bottom label,
+        top vertex) order; the labels shift down one per step."""
+        if not steps:
+            yield (), (), (col,)
+            return
+        path, labels = col
+        for alpha in b.sigma_plus.symbols:
+            for bot in b.sigma_minus.symbols:
+                labs = labels[1:] + (bot,)
+                for top in range(b.level_sizes[level]):
+                    new = column(top, labs)
+                    # plus edges: the column's level j -> the new column's level j+1
+                    if new is not None and all(
+                        (new[level - j - 1], alpha) in plus_lower[j][path[level - j]]
+                        for j in range(level)
+                    ):
+                        for alphas, bots, cols in windows((new, labs), steps - 1):
+                            yield (alpha,) + alphas, (bot,) + bots, (col,) + cols
 
-    def candidates(i, xi):
-        """Deterministic stream of windows for one (vertex, word) item."""
-        nonlocal capped
-        base_labels = label_chunks(xi)
-        col0 = (_column(b, level, i, base_labels), tuple(base_labels))
-        out = []
+    def keyed(win):
+        """The window with, for n = 1..bound, its symbols and columns shifted
+        by n and its heads of the same lengths: shift^n of window x differs
+        from window y when x's n-th shift differs from y's n-th head."""
+        alphas, _, cols = win
+        shifts = range(1, bound + 1)
+        return (*win, [(alphas[n:], cols[n:]) for n in shifts],
+                [(alphas[: width - n], cols[: width - n + 1]) for n in shifts])
 
-        def extend(cols, alphas, bottoms):
-            nonlocal capped
-            if len(alphas) == width:
-                out.append((tuple(alphas), tuple(bottoms), tuple(cols)))
-                if len(out) >= max_candidates:
-                    capped = True
-                    return True
-                return False
-            prev_path, prev_labels = cols[-1]
-            want = list(prev_labels[1:])  # shift down: drop the top label
-            for alpha in b.sigma_plus.symbols:
-                for bot in b.sigma_minus.symbols:
-                    labs = want + [bot]
-                    for top in range(b.level_sizes[level]):
-                        path = _column(b, level, top, labs)
-                        if path is None:
-                            continue
-                        # plus edges: prev column level j -> new column level j+1
-                        if not all(
-                            (path[level - j - 1], alpha) in plus_lower[j][prev_path[level - j]]
-                            for j in range(level)
-                        ):
-                            continue
-                        if extend(cols + [(path, tuple(labs))], alphas + [alpha],
-                                  bottoms + [bot]):
-                            return True
-            return False
-
-        extend([col0], [], [])
-        return out
-
-    cand = {}
-    for it in items:
-        cs = candidates(*it)
+    cap = max(max_candidates, 1)  # the first window is always kept
+    cands, capped = [], False
+    for i, xi in items:
+        labels = tuple(xi[p : p + lam] for p in range(0, len(xi), lam))
+        cs = list(map(keyed, islice(windows((column(i, labels), labels), width), cap)))
+        capped = capped or len(cs) == cap
         if not cs:
             return SigmaIResult("inconclusive" if capped else "absent", level, bound)
-        cand[it] = cs
+        cands.append(cs)
 
-    def distinct(win_x, win_y, n):
-        """Certify shift^n of the x-window differs from the y-window."""
-        ax, _, cx = win_x
-        ay, _, cy = win_y
-        for p in range(width - n):
-            if ax[n + p] != ay[p]:
-                return True
-        for p in range(width - n + 1):
-            if cx[n + p] != cy[p]:
-                return True
-        return False
-
-    chosen = {}
     budget = max_candidates * len(items)  # window comparisons the backtracking may make
-
-    def assign(pos):
-        nonlocal budget, capped
-        if pos == len(items):
-            return True
-        it = items[pos]
-        for win in cand[it]:
-            ok = True
-            for other, owin in chain(chosen.items(), ((it, win),)):
-                if not budget:
-                    capped = True
-                    return False
-                budget -= 1
-                for n in range(1, bound + 1):
-                    if not distinct(win, owin, n) or (
-                        other != it and not distinct(owin, win, n)
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                chosen[it] = win
-                if assign(pos + 1):
-                    return True
-                del chosen[it]
-        return False
-
-    if assign(0):
-        rows = tuple(
-            (
-                b.vertex_name(level, i),
-                xi,
-                tuple(a for a in chosen[(i, xi)][0]),
-                tuple(t for t in chosen[(i, xi)][1]),
-            )
-            for (i, xi) in items
-        )
-        return SigmaIResult("witness", level, bound, rows)
-    return SigmaIResult("inconclusive" if capped else "absent", level, bound)
+    chosen, tries = [], []  # the windows placed so far; each position's untried ones
+    while len(chosen) < len(items):
+        if len(tries) == len(chosen):
+            tries.append(iter(cands[len(chosen)]))
+        win = next(tries[-1], None)
+        if win is None:  # this position is exhausted: take back the one before
+            tries.pop()
+            if not chosen:
+                return SigmaIResult("inconclusive" if capped else "absent", level, bound)
+            chosen.pop()
+            continue
+        chosen.append(win)  # compared with every placed window, itself last
+        for other in chosen:
+            if not budget:
+                return SigmaIResult("inconclusive", level, bound)
+            budget -= 1
+            if any(map(eq, win[3], other[4])) or any(map(eq, other[3], win[4])):
+                chosen.pop()
+                break
+    rows = tuple((b.vertex_name(level, i), xi, win[0], win[1])
+                 for (i, xi), win in zip(items, chosen))
+    return SigmaIResult("witness", level, bound, rows)

@@ -319,6 +319,8 @@ def _parse_subshift(p, depth):
             if not (isinstance(w, list) and all(isinstance(x, str) and x in symbols for x in w)):
                 raise DocumentError("forbidden word must be a list of strings from symbols",
                                     f"{loc}.words[{k}]")
+            if len(w) < 2:
+                raise DocumentError("forbidden word must have length >= 2", f"{loc}.words[{k}]")
         return SubshiftPresentation.from_forbidden(symbols, tuple(map(tuple, words)))
     raise DocumentError(f"unknown variant {variant!r}", loc + ".variant")
 

@@ -491,18 +491,13 @@ def conjugacy_block_map(
     s_m: SymbolicMatrixBisystem,
     s_n: SymbolicMatrixBisystem,
     w: PsseWitness,
-    reverse: bool = False,
 ) -> BlockCode:
     """Two-block map on the presented language of the first system.
 
     For a passing witness, the pair (second half of the first symbol's image,
     first half of the next symbol's image) has a unique preimage symbol on the
     other side; failure of that uniqueness falsifies the witness and raises.
-    With ``reverse`` the map runs from the second system, on the swapped
-    witness.
     """
-    if reverse:
-        s_m, s_n, w = s_n, s_m, w.swapped()
     if not verify_psse_1step(s_m, s_n, w).ok:
         raise EquivalenceError("witness does not verify; no block code")
     cut = w.alphabet_c.word_length

@@ -328,18 +328,22 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
             return None
         return SmbIsomorphism(tuple(map(tuple, perms)), spec_m, spec_p)
 
-    def place(l, pos):
-        if l == len(sizes):
-            return witness()
-        if pos == sizes[l]:
-            return place(l + 1, 0)
-        for cand in range(sizes[l]):
-            if cand not in perms[l] and fits(l, pos, cand):
+    slots = [l for l, size in enumerate(sizes) for _ in range(size)]
+    k, start = 0, 0  # the slot to fill next and its first untried candidate
+    while True:
+        if k == len(slots):
+            found = witness()
+            if found is not None:
+                return found
+        else:
+            l = slots[k]
+            cand = next((c for c in range(start, sizes[l])
+                         if c not in perms[l] and fits(l, len(perms[l]), c)), None)
+            if cand is not None:
                 perms[l].append(cand)
-                found = place(l, pos + 1)
-                if found is not None:
-                    return found
-                perms[l].pop()
-        return None
-
-    return place(0, 0)
+                k, start = k + 1, 0
+                continue
+        if not k:  # every order is tried
+            return None
+        k -= 1
+        start = perms[slots[k]].pop() + 1

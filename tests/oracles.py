@@ -6,12 +6,23 @@ word, one path or one pair at a time, and are what the tests compare the
 DAG code against.  ``specified_equivalence_failure`` is the cell check that
 builds a checked formal sum for every cell, which the dict-level check
 replaced.  ``ray_sets`` is the relation walk over frozensets of (source,
-target) pairs that the bitmask walk replaced.
+target) pairs that the bitmask walk replaced.  ``sigma_condition_I_witness``
+is the shift-distinctness search with nested window closures and a recursive
+backtracking, which one window generator and one backtracking loop replaced.
 """
 
 from __future__ import annotations
 
-from bisys.bisystem import LambdaGraphBisystem, Verdict, follower_sets, predecessor_sets
+from itertools import chain
+
+from bisys.bisystem import (
+    BisystemError,
+    LambdaGraphBisystem,
+    SigmaIResult,
+    Verdict,
+    follower_sets,
+    predecessor_sets,
+)
 from bisys.canonical import CanonicalError, CentralClass
 from bisys.core import FormalSum, WordDag, word_str
 from bisys.subshift import (
@@ -213,3 +224,151 @@ def specified_equivalence_failure(a, b, spec):
             if FormalSum(image) != b.entries[i][j]:
                 return f"cell ({i},{j}): {FormalSum(image)!r} != {b.entries[i][j]!r}"
     return None
+
+
+def _column(b, top_level, top_vertex, labels):
+    """Downward minus path from the top vertex with the given labels, or None."""
+    upper = b.adjacency["minus", "upper"]
+    path = [top_vertex]
+    for lvl, a in zip(range(top_level - 1, -1, -1), map(tuple, labels)):
+        step = next((t for (t, lab) in upper[lvl][path[-1]] if lab == a), None)
+        if step is None:
+            return None
+        path.append(step)
+    return tuple(path)
+
+
+def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
+                              max_candidates: int = 4096) -> SigmaIResult:
+    """Search for cylinder refinements certifying shift-distinctness.
+
+    For each (vertex at the level, follower word) the search picks a window
+    of horizontal width 2*bound: a forward symbol word, the added bottom
+    labels, and the column of vertices after each step.  Windows are simulated
+    column by column through the plus edges; two window points are certified
+    distinct under n shifts when their visible symbol words or their columns
+    (vertices or labels) disagree.  Outcomes are three-valued: a witness,
+    absent at this depth (exhaustive failure over the window class), or
+    inconclusive when the level is out of range, the candidate cap cut the
+    enumeration short, or the backtracking compared more than max_candidates
+    pairs of windows per item in all.
+    """
+    if not (1 <= bound <= level):
+        raise BisystemError("need 1 <= bound <= level")
+    if level > b.depth:
+        return SigmaIResult("inconclusive", level, bound)
+    width = 2 * bound
+
+    F = follower_sets(b)
+    lam = b.sigma_minus.word_length
+    items = []
+    for i in range(b.level_sizes[level]):
+        for xi in sorted(F[level][i]):
+            items.append((i, xi))
+
+    plus_lower = b.adjacency["plus", "lower"]
+
+    def label_chunks(w):
+        return [w[p : p + lam] for p in range(0, len(w), lam)]
+
+    capped = False
+
+    def candidates(i, xi):
+        """Deterministic stream of windows for one (vertex, word) item."""
+        nonlocal capped
+        base_labels = label_chunks(xi)
+        col0 = (_column(b, level, i, base_labels), tuple(base_labels))
+        out = []
+
+        def extend(cols, alphas, bottoms):
+            nonlocal capped
+            if len(alphas) == width:
+                out.append((tuple(alphas), tuple(bottoms), tuple(cols)))
+                if len(out) >= max_candidates:
+                    capped = True
+                    return True
+                return False
+            prev_path, prev_labels = cols[-1]
+            want = list(prev_labels[1:])  # shift down: drop the top label
+            for alpha in b.sigma_plus.symbols:
+                for bot in b.sigma_minus.symbols:
+                    labs = want + [bot]
+                    for top in range(b.level_sizes[level]):
+                        path = _column(b, level, top, labs)
+                        if path is None:
+                            continue
+                        # plus edges: prev column level j -> new column level j+1
+                        if not all(
+                            (path[level - j - 1], alpha) in plus_lower[j][prev_path[level - j]]
+                            for j in range(level)
+                        ):
+                            continue
+                        if extend(cols + [(path, tuple(labs))], alphas + [alpha],
+                                  bottoms + [bot]):
+                            return True
+            return False
+
+        extend([col0], [], [])
+        return out
+
+    cand = {}
+    for it in items:
+        cs = candidates(*it)
+        if not cs:
+            return SigmaIResult("inconclusive" if capped else "absent", level, bound)
+        cand[it] = cs
+
+    def distinct(win_x, win_y, n):
+        """Certify shift^n of the x-window differs from the y-window."""
+        ax, _, cx = win_x
+        ay, _, cy = win_y
+        for p in range(width - n):
+            if ax[n + p] != ay[p]:
+                return True
+        for p in range(width - n + 1):
+            if cx[n + p] != cy[p]:
+                return True
+        return False
+
+    chosen = {}
+    budget = max_candidates * len(items)  # window comparisons the backtracking may make
+
+    def assign(pos):
+        nonlocal budget, capped
+        if pos == len(items):
+            return True
+        it = items[pos]
+        for win in cand[it]:
+            ok = True
+            for other, owin in chain(chosen.items(), ((it, win),)):
+                if not budget:
+                    capped = True
+                    return False
+                budget -= 1
+                for n in range(1, bound + 1):
+                    if not distinct(win, owin, n) or (
+                        other != it and not distinct(owin, win, n)
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                chosen[it] = win
+                if assign(pos + 1):
+                    return True
+                del chosen[it]
+        return False
+
+    if assign(0):
+        rows = tuple(
+            (
+                b.vertex_name(level, i),
+                xi,
+                tuple(a for a in chosen[(i, xi)][0]),
+                tuple(t for t in chosen[(i, xi)][1]),
+            )
+            for (i, xi) in items
+        )
+        return SigmaIResult("witness", level, bound, rows)
+    return SigmaIResult("inconclusive" if capped else "absent", level, bound)

@@ -37,6 +37,7 @@ from fixtures import (
     two_power_split_bisystem,
 )
 from oracles import fpcc_verdict as oracle_fpcc
+from oracles import sigma_condition_I_witness as oracle_sigma
 
 
 def drop_edge(b, side, block, idx):
@@ -411,6 +412,36 @@ def test_sigma_condition_budget_counts_every_window_comparison():
         start = time.perf_counter()
         assert sigma_condition_I_witness(even, level, 1).status != "absent"
         assert time.perf_counter() - start < 2.0, level
+
+
+def truncated(b, depth):
+    """The first depth edge blocks of a bisystem."""
+    return LambdaGraphBisystem(b.level_sizes[: depth + 1], b.minus_edges[:depth],
+                               b.plus_edges[:depth], b.sigma_minus, b.sigma_plus)
+
+
+def test_sigma_search_matches_the_reference():
+    # depth 2 where the search stays cheap, depth 1 for the wider systems
+    rng = random.Random(7)
+    systems = [canonical_bisystem(p, 2).bisystem
+               for p in (golden_mean_pres(), full_shift_pres(1), full_shift_pres(2))]
+    systems += [paper_golden_mean_bisystem(2),
+                from_lambda_graph_system(golden_mean_lgs(2)),
+                truncated(two_power_split_bisystem(), 1)]
+    systems += [canonical_bisystem(p, 1).bisystem for p in (
+        even_shift_pres(), full_shift_pres(3), *(random_sofic_pres(rng, 3) for _ in range(3)))]
+    statuses = set()
+    for b in systems + [transpose(b) for b in systems]:
+        for level in range(1, b.depth + 2):
+            for bound in range(1, min(level, 2) + 1):
+                for budget in (1, 3, 20, 200):
+                    case = (b, level, bound, budget)
+                    got = sigma_condition_I_witness(*case)
+                    assert got == oracle_sigma(*case), (b.level_sizes, level, bound, budget)
+                    statuses.add((got.status, level > b.depth))
+    # "inconclusive" within the depth comes only from a cut-off search
+    assert statuses >= {("witness", False), ("absent", False),
+                        ("inconclusive", False), ("inconclusive", True)}
 
 
 def random_single_edge_mutations(b, rng, count):

@@ -495,6 +495,8 @@ def test_forbidden_words_must_be_lists_of_the_symbols(tmp_path, capsys):
         ("words", [[1, 2]], f"$.payload.words[0]: {word}"),
         ("words", [["1", "2", "1"], ["1", "3"]], f"$.payload.words[1]: {word}"),
         ("symbols", ["1", 2], "$.payload.symbols[1]: symbol must be a string"),
+        ("words", [["1"]], "$.payload.words[0]: forbidden word must have length >= 2"),
+        ("words", [[]], "$.payload.words[0]: forbidden word must have length >= 2"),
     )
     for key, value, error in cases:
         node = json.loads(json.dumps(good))

@@ -196,7 +196,7 @@ def test_block_code_round_composition_is_shift():
     s_alt = canonical_smb(alternating_pres(), 6)
     s_cd, s_dc, w = bipartite_split(s_alt, detect_bipartite(s_alt))
     fwd = conjugacy_block_map(s_cd, s_dc, w)
-    back = conjugacy_block_map(s_cd, s_dc, w, reverse=True)
+    back = conjugacy_block_map(s_dc, s_cd, w.swapped())
     b_cd = from_smb(s_cd)
     for word in presented_words(b_cd, "plus", 3):
         image = apply_block_code(fwd, word)

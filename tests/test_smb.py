@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -480,3 +481,22 @@ def test_isomorphism_search_rejects_term_count_mismatch_up_front(monkeypatch):
     count_cell_reads(monkeypatch, 50_000)
     assert smb_isomorphic(s, dropped) is None
     assert smb_isomorphic(dropped, s) is None
+
+
+def test_isomorphism_search_places_slots_without_recursion():
+    """A 4x4 sft build at depth 20 has 321 vertex slots; the search must not
+    take a stack frame per slot."""
+    names = [f"x{k}" for k in range(16)]
+    a = SymbolicMatrix.build(4, 4, Alphabet.of(*names), lambda i, j: FormalSum.of(names[4 * i + j]))
+    s = sft_smb(a, depth=20)
+    assert sum(s.level_sizes) == 321
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        iso = smb_isomorphic(s, s)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert iso is not None
