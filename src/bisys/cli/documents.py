@@ -29,12 +29,18 @@ class DocumentError(ValueError):
         self.location = location
 
 
-def _word(x, loc):
+def _at(loc, index):
+    """``loc`` followed by ``[i]`` for each i of ``index``.  Readers pass the
+    indices and make the location only for an error."""
+    return loc + "".join(f"[{i}]" for i in index)
+
+
+def _word(x, loc, *index):
     if isinstance(x, str):
         return (x,)
     if isinstance(x, list) and all(isinstance(s, str) for s in x):
         return tuple(x)
-    raise DocumentError("symbol must be a string or list of strings", loc)
+    raise DocumentError("symbol must be a string or list of strings", _at(loc, index))
 
 
 def _list(node, key, loc):
@@ -97,7 +103,7 @@ def _matrix(node, rows, cols, alphabet, loc):
                 continue
             counts = {}
             for t in cell:
-                w = (t,) if isinstance(t, str) else _word(t, f"{loc}[{i}][{j}]")
+                w = (t,) if isinstance(t, str) else _word(t, loc, i, j)
                 counts[w] = counts.get(w, 0) + 1
             for w in counts:
                 if w not in allowed:
@@ -118,13 +124,25 @@ def _spec(node, loc):
         raise DocumentError(str(e), loc)
 
 
+def _matrix_list(nodes, shapes, alphabet, loc):
+    """One matrix per node, of the shape ``shapes`` gives it.  A node equal
+    to the one before it, with the same shape, is read as the same object,
+    as ``to_smb`` makes equal blocks."""
+    out, last = [], None
+    for idx, (node, shape) in enumerate(zip(nodes, shapes)):
+        if last == (node, shape):
+            out.append(out[-1])
+        else:
+            out.append(_matrix(node, *shape, alphabet, f"{loc}[{idx}]"))
+            last = (node, shape)
+    return out
+
+
 def _matrices(p, key, alphabet):
     """The list of matrices under ``key``, each shaped as it is written."""
-    return tuple(
-        _matrix(node, len(node), len(node[0]) if node else 0, alphabet,
-                f"$.payload.{key}[{idx}]")
-        for idx, node in enumerate(p[key])
-    )
+    nodes = p[key]
+    shapes = ((len(node), len(node[0]) if node else 0) for node in nodes)
+    return tuple(_matrix_list(nodes, shapes, alphabet, f"$.payload.{key}"))
 
 
 def _spec_out(s: Specification):
@@ -189,12 +207,15 @@ def _write(doc) -> str:
 
     A SymbolicMatrix in the tree is written where it stands, as its grid of
     term lists: each cell's words in sorted order, each repeated by its
-    multiplicity, and a product symbol as a list of strings.
+    multiplicity, and a product symbol as a list of strings.  A matrix
+    object that stands at one depth more than once is written once, and its
+    text emitted again.
     """
     out = []
     emit = out.append
     escaped = {}
     newline = _Newlines()
+    written = {}  # (id, depth) of a matrix -> (the matrix, where its text is in out)
 
     def string(s):
         text = escaped.get(s)
@@ -212,6 +233,15 @@ def _write(doc) -> str:
         return "[" + inner + ("," + inner).join(map(string, w)) + newline[depth] + "]"
 
     def matrix(m, depth):
+        got = written.get((id(m), depth))
+        if got is not None:
+            out.extend(out[got[1]:got[2]])
+            return
+        start = len(out)
+        grid(m, depth)
+        written[id(m), depth] = (m, start, len(out))
+
+    def grid(m, depth):
         texts = {}  # word -> its text at the depth of a term
         row_nl, cell_nl, term_nl = newline[depth + 1], newline[depth + 2], newline[depth + 3]
         row_first, cell_first, term_first = "[" + row_nl, "[" + cell_nl, "[" + term_nl
@@ -364,15 +394,16 @@ def _repeat_from(p, depth, sizes, *families):
 
 def _edges(node, loc, label):
     """Sorted edge blocks of 0-based (src, tgt, label) triples from blocks of
-    1-based [src, tgt, label] lists; ``label(x, loc)`` reads one label."""
+    1-based [src, tgt, label] lists; ``label(x, loc, l, k)`` reads the label
+    of edge k of block l."""
     blocks = []
     for l, block in enumerate(node):
         out = []
         for k, e in enumerate(block):
             if len(e) != 3:
-                raise DocumentError("edge must be [src, tgt, label]", f"{loc}[{l}][{k}]")
+                raise DocumentError("edge must be [src, tgt, label]", _at(loc, (l, k)))
             s, t, a = e
-            out.append((int(s) - 1, int(t) - 1, label(a, f"{loc}[{l}][{k}]")))
+            out.append((int(s) - 1, int(t) - 1, label(a, loc, l, k)))
         blocks.append(tuple(sorted(out)))
     return blocks
 
@@ -381,10 +412,10 @@ def _edges_out(blocks, label):
     return [sorted([s + 1, t + 1, label(a)] for (s, t, a) in block) for block in blocks]
 
 
-def _label(x, loc):
+def _label(x, loc, *index):
     """A label of a one-sided system: a plain string."""
     if not isinstance(x, str):
-        raise DocumentError("label must be a string", loc)
+        raise DocumentError("label must be a string", _at(loc, index))
     return x
 
 
@@ -438,10 +469,7 @@ def _blocks(p, key, sizes, alphabet):
             f"got {len(sizes)}",
             "$.payload.level_sizes",
         )
-    return [
-        _matrix(node, sizes[l], sizes[l + 1], alphabet, f"$.payload.{key}[{l}]")
-        for l, node in enumerate(p[key])
-    ]
+    return _matrix_list(p[key], zip(sizes, sizes[1:]), alphabet, f"$.payload.{key}")
 
 
 def _parse_smb(p, depth):

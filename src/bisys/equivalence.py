@@ -6,6 +6,11 @@ with parity-dependent shapes; verification re-checks every stated equality as
 an exact formal-sum identity and reports the first failure per family.  No
 search for witnesses between arbitrary systems is attempted: the only
 constructors are the self-witness and the bipartite split.
+
+Within one verification or conversion, products and equation outcomes are
+memoized by the identity of their operands.  Equal blocks are one object
+where they are made, so a system whose blocks stabilize costs its distinct
+blocks, not its depth.
 """
 
 from __future__ import annotations
@@ -137,6 +142,39 @@ def _too_short(depth: int, have: int, need: int, unit: str) -> VerifyReport:
     ))
 
 
+def _by_identity(fn):
+    """``fn`` memoized by the identity of its arguments.
+
+    Each entry holds its arguments, so no id is reused while the memo lives.
+    It lives for the one call that makes it: a memo kept longer would hit on
+    every repeat of a whole input.
+    """
+    memo = {}
+
+    def call(*args):
+        key = tuple(map(id, args))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (args, fn(*args))
+        return got[1]
+
+    return call
+
+
+def _psse_equation_failure(lhs, rhs, spec):
+    """None when lhs maps onto rhs under spec, or when spec is None and the
+    kappa-exchange of lhs is rhs; else the reason."""
+    if spec is not None:
+        return specified_equivalence_failure(lhs, rhs, spec)
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        return "shape mismatch"
+    try:
+        k = kappa_matrix(lhs)
+    except CoreError as e:  # unfactorable product term
+        return str(e)
+    return None if k.same_entries(rhs) else "kappa-exchanged products differ"
+
+
 def _verify_psse(s_m, s_n, w, depth) -> VerifyReport:
     if w.levels < 2 * depth:
         return _too_short(depth, w.levels, 2 * depth, "half-levels")
@@ -153,29 +191,19 @@ def _verify_psse(s_m, s_n, w, depth) -> VerifyReport:
     if failures:
         return VerifyReport(False, depth, tuple(failures))
 
+    mul = _by_identity(symbolic_matrix_multiply)
+    check = _by_identity(_psse_equation_failure)
+
     def eq(family, level, lhs_fn, rhs_fn, spec=None):
         try:
             lhs, rhs = lhs_fn(), rhs_fn()
         except CoreError as e:  # inner-dimension mismatch in a product
             failures.append((family, level, str(e)))
             return
-        if spec is None:
-            if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
-                failures.append((family, level, "shape mismatch"))
-                return
-            try:
-                k = kappa_matrix(lhs)
-            except CoreError as e:  # unfactorable product term
-                failures.append((family, level, str(e)))
-                return
-            if not k.same_entries(rhs):
-                failures.append((family, level, "kappa-exchanged products differ"))
-        else:
-            msg = specified_equivalence_failure(lhs, rhs, spec)
-            if msg is not None:
-                failures.append((family, level, msg))
+        msg = check(lhs, rhs, spec)
+        if msg is not None:
+            failures.append((family, level, msg))
 
-    mul = symbolic_matrix_multiply
     for side, s, v, names in sides:
         p, q, x, y = v.p_mats, v.q_mats, v.x_mats, v.y_mats
         kphi = v.phi_m.then_kappa(v.alphabet_c.word_length)
@@ -209,10 +237,11 @@ def trivial_psse_witness(s: SymbolicMatrixBisystem) -> PsseWitness:
     phi_m = Specification.from_dict({w: w + unit for w in c.symbols})
     phi_n = Specification.from_dict({w: unit + w for w in c.symbols})
     sizes = s.level_sizes
+    identity = {n: SymbolicMatrix.identity_pattern(n, unit, d) for n in set(sizes)}
     p_mats, q_mats, x_mats, y_mats = [], [], [], []
     for idx in range(2 * s.depth):
         l, odd = divmod(idx, 2)
-        e = SymbolicMatrix.identity_pattern(sizes[l + 1] if odd else sizes[l], unit, d)
+        e = identity[sizes[l + 1] if odd else sizes[l]]
         p_mats.append(s.plus[l])
         q_mats.append(e)
         x_mats.append(e)
@@ -403,12 +432,14 @@ def verify_sse_1step(
     if failures:
         return VerifyReport(False, depth, tuple(failures))
 
+    mul = _by_identity(symbolic_matrix_multiply)
+    check = _by_identity(specified_equivalence_failure)
+
     def eq(family, level, lhs, rhs, spec):
-        msg = specified_equivalence_failure(lhs, rhs, spec)
+        msg = check(lhs, rhs, spec)
         if msg is not None:
             failures.append((family, level, msg))
 
-    mul = symbolic_matrix_multiply
     for side, _, s, t, h, k, phi, phi_plus, phi_minus in sides:
         for l in range(depth - 1):
             eq(f"square-factorisation({side})", l,
@@ -452,10 +483,8 @@ def _sse_half(w: PsseWitness):
     inv_kphi_n = {v[kd:] + v[:kd]: s for s, v in phi_n.items()}
 
     c_sse = Alphabet.product(w.alphabet_d, w.alphabet_c)
-    h_mats = tuple(
-        _cast(symbolic_matrix_multiply(w.x_mats[2 * l], w.p_mats[2 * l + 1]), c_sse)
-        for l in range(w.levels // 2)
-    )
+    h = _by_identity(lambda x, p: _cast(symbolic_matrix_multiply(x, p), c_sse))
+    h_mats = tuple(h(w.x_mats[2 * l], w.p_mats[2 * l + 1]) for l in range(w.levels // 2))
     phi1 = {
         b + a: bw[kc:] + aw[:kc] + bw[:kc] + aw[kc:]
         for b, bw in phi_m.items()

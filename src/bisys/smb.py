@@ -106,10 +106,17 @@ def validate_smb(s: SymbolicMatrixBisystem) -> SmbValidationReport:
 def _expand(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
     """The bisystem whose edges are the matrix terms, a term of multiplicity c
     making c edges.  Blocks are sorted, so each adjacency list of the result
-    is sorted by (other end, label)."""
+    is sorted by (other end, label).  A pair of blocks that are the objects of
+    the pair before it shares that pair's edge blocks."""
     minus = []
     plus = []
+    last = None
     for mm, mp in zip(s.minus, s.plus):
+        if last == (id(mm), id(mp)):  # the blocks of the last pair again
+            minus.append(minus[-1])
+            plus.append(plus[-1])
+            continue
+        last = (id(mm), id(mp))
         mblock = []
         pblock = []
         for i in range(mm.rows):
@@ -170,7 +177,9 @@ def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBis
     """Matrix presentation of a validated bisystem.
 
     ``unchecked`` skips the validation gate so that defective inputs can be
-    presented and judged on the matrix side instead.
+    presented and judged on the matrix side instead.  A block equal to the
+    one before it is that same object, so a stabilized build costs the
+    verifiers and the writer one block per run of equal blocks.
     """
     if not unchecked and not all(v.ok for _, v in b._axioms):
         raise SmbError("bisystem fails validation; refusing to present")
@@ -178,8 +187,12 @@ def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBis
     blocks = {}
     for side, alphabet in (("minus", b.sigma_minus), ("plus", b.sigma_plus)):
         mats = []
-        for l, rows in enumerate(b.adjacency[side, "lower"]):
+        lower = b.adjacency[side, "lower"]
+        for l, rows in enumerate(lower):
             cols = b.level_sizes[l + 1]
+            if l and rows == lower[l - 1] and cols == mats[-1].cols:
+                mats.append(mats[-1])  # a run of equal blocks is one object
+                continue
             grid = []
             for edges in rows:
                 cells: dict = {}
@@ -297,11 +310,18 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
     sides = [(getattr(s1, side), getattr(s2, side)) for side in ("minus", "plus")]
     joint = all(s.sigma_minus.symbols == s.sigma_plus.symbols for s in (s1, s2))
     perms: list = [[] for _ in sizes]
+    grids: dict = {}  # id of a block -> (the block, its grid of cell term counts)
+
+    def counts(m):
+        got = grids.get(id(m))
+        if got is None:
+            got = grids[id(m)] = (m, [[cell.term_count for cell in row] for row in m.entries])
+        return got[1]
 
     def profile(m):
         # sorted term counts of each row and each column; permuting keeps them
-        counts = [[m.entry(i, j).term_count for j in range(m.cols)] for i in range(m.rows)]
-        return [sorted(sorted(line) for line in grid) for grid in (counts, zip(*counts))]
+        grid = counts(m)
+        return [sorted(sorted(line) for line in lines) for lines in (grid, zip(*grid))]
 
     if sizes != s2.level_sizes or any(
         profile(a[l]) != profile(b[l]) for a, b in sides for l in range(s1.depth)
@@ -310,8 +330,8 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
 
     def fits(l, pos, cand):
         return not l or all(
-            a[l - 1].entry(row, cand).term_count == b[l - 1].entry(r, pos).term_count
-            for a, b in sides
+            ga[row][cand] == gb[r][pos]
+            for ga, gb in [(counts(a[l - 1]), counts(b[l - 1])) for a, b in sides]
             for r, row in enumerate(perms[l - 1])
         )
 

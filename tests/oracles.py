@@ -9,6 +9,9 @@ replaced.  ``ray_sets`` is the relation walk over frozensets of (source,
 target) pairs that the bitmask walk replaced.  ``sigma_condition_I_witness``
 is the shift-distinctness search with nested window closures and a recursive
 backtracking, which one window generator and one backtracking loop replaced.
+``verify_psse_1step`` and ``verify_sse_1step`` are the verifiers that make
+every product and check every equation at every level, where the library
+makes each once per distinct operand object.
 """
 
 from __future__ import annotations
@@ -24,7 +27,16 @@ from bisys.bisystem import (
     predecessor_sets,
 )
 from bisys.canonical import CanonicalError, CentralClass
-from bisys.core import FormalSum, WordDag, word_str
+from bisys.core import (
+    CoreError,
+    FormalSum,
+    WordDag,
+    kappa_matrix,
+    specified_equivalence_failure as _specified_equivalence_failure,
+    symbolic_matrix_multiply,
+    word_str,
+)
+from bisys.equivalence import VerifyReport
 from bisys.subshift import (
     LabeledGraph,
     SubshiftError,
@@ -372,3 +384,126 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
         )
         return SigmaIResult("witness", level, bound, rows)
     return SigmaIResult("inconclusive" if capped else "absent", level, bound)
+
+
+# ---------------------------------------------------------------------------
+# the verifiers without a product or equation memo; they call the library's
+# cell check, not the reference one above
+
+
+def verify_psse_1step(s_m, s_n, w, depth=None) -> VerifyReport:
+    """The library's verdict, checked afresh: no report is kept on ``w``."""
+    depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
+    return _verify_psse(s_m, s_n, w, depth)
+
+
+def _too_short(depth: int, have: int, need: int, unit: str) -> VerifyReport:
+    """The report on a witness with fewer matrices per family than the depth
+    needs; the failure is placed at the first missing index."""
+    return VerifyReport(False, depth, (
+        ("shape", have, f"witness covers {have} of the {need} {unit} depth {depth} needs"),
+    ))
+
+
+def _verify_psse(s_m, s_n, w, depth) -> VerifyReport:
+    if w.levels < 2 * depth:
+        return _too_short(depth, w.levels, 2 * depth, "half-levels")
+    failures = []
+    # each side with its reading of the witness and the names of its P, X, Y
+    sides = (("M", s_m, w, "PXY"), ("N", s_n, w.swapped(), "QYX"))
+
+    # horizontal anchors of the witness shape chain
+    for idx in range(0, 2 * depth, 2):
+        for _, s, v, names in sides:
+            rows = s.level_sizes[idx // 2]
+            if v.p_mats[idx].rows != rows:
+                failures.append(("shape", idx, f"{names[0]}_{idx} must have {rows} rows"))
+    if failures:
+        return VerifyReport(False, depth, tuple(failures))
+
+    def eq(family, level, lhs_fn, rhs_fn, spec=None):
+        try:
+            lhs, rhs = lhs_fn(), rhs_fn()
+        except CoreError as e:  # inner-dimension mismatch in a product
+            failures.append((family, level, str(e)))
+            return
+        if spec is None:
+            if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+                failures.append((family, level, "shape mismatch"))
+                return
+            try:
+                k = kappa_matrix(lhs)
+            except CoreError as e:  # unfactorable product term
+                failures.append((family, level, str(e)))
+                return
+            if not k.same_entries(rhs):
+                failures.append((family, level, "kappa-exchanged products differ"))
+        else:
+            msg = _specified_equivalence_failure(lhs, rhs, spec)
+            if msg is not None:
+                failures.append((family, level, msg))
+
+    mul = symbolic_matrix_multiply
+    for side, s, v, names in sides:
+        p, q, x, y = v.p_mats, v.q_mats, v.x_mats, v.y_mats
+        kphi = v.phi_m.then_kappa(v.alphabet_c.word_length)
+        for l in range(depth):
+            eq(f"plus-factorisation({side})", l, lambda: s.plus[l],
+               lambda: mul(p[2 * l], q[2 * l + 1]), v.phi_m)
+            eq(f"minus-factorisation({side})", l, lambda: s.minus[l],
+               lambda: mul(x[2 * l], y[2 * l + 1]), kphi)
+        # Y and P commute up to kappa across odd half-levels, X and P across even
+        for a in range(2 * depth - 1):
+            z, name = (y, names[2]) if a % 2 else (x, names[1])
+            eq(f"intertwine {name}{names[0]}", a, lambda: mul(z[a], p[a + 1]),
+               lambda: mul(p[a], z[a + 1]))
+
+    failures.sort(key=lambda t: (t[1], t[0]))
+    return VerifyReport(not failures, depth, tuple(failures))
+
+
+def verify_sse_1step(
+    s_m: SymbolicMatrixBisystem,
+    s_n: SymbolicMatrixBisystem,
+    w: SseWitness,
+    depth: int | None = None,
+) -> VerifyReport:
+    """Check the six equation families to the stored depth.
+
+    Each family is written once: for M with H, phi1 and the phi_c maps, and
+    for N with K, phi2 and the phi_d maps.
+    """
+    depth = min(depth if depth is not None else s_m.depth, s_m.depth, s_n.depth)
+    if w.levels < depth:
+        return _too_short(depth, w.levels, depth, "levels")
+    failures = []
+    sides = (
+        ("M", "H", s_m, s_n, w.h_mats, w.k_mats, w.phi1, w.phi_c_plus, w.phi_c_minus),
+        ("N", "K", s_n, s_m, w.k_mats, w.h_mats, w.phi2, w.phi_d_plus, w.phi_d_minus),
+    )
+
+    for l in range(depth):
+        for _, name, s, t, h, *_ in sides:
+            rows, cols = s.level_sizes[l], t.level_sizes[l + 1]
+            if (h[l].rows, h[l].cols) != (rows, cols):
+                failures.append(("shape", l, f"{name}_{l} is not {rows}x{cols}"))
+    if failures:
+        return VerifyReport(False, depth, tuple(failures))
+
+    def eq(family, level, lhs, rhs, spec):
+        msg = _specified_equivalence_failure(lhs, rhs, spec)
+        if msg is not None:
+            failures.append((family, level, msg))
+
+    mul = symbolic_matrix_multiply
+    for side, _, s, t, h, k, phi, phi_plus, phi_minus in sides:
+        for l in range(depth - 1):
+            eq(f"square-factorisation({side})", l,
+               mul(s.minus[l], s.plus[l + 1]), mul(h[l], k[l + 1]), phi)
+            eq(f"plus-intertwine({side})", l,
+               mul(s.plus[l], h[l + 1]), mul(h[l], t.plus[l + 1]), phi_plus)
+            eq(f"minus-intertwine({side})", l,
+               mul(s.minus[l], h[l + 1]), mul(h[l], t.minus[l + 1]), phi_minus)
+
+    failures.sort(key=lambda t: (t[1], t[0]))
+    return VerifyReport(not failures, depth, tuple(failures))

@@ -83,6 +83,15 @@ def _leveled_faults(kind):
     yield "depth 2 with repeat_from", mark, 2
     yield "repeat_from as a string, depth 5", lambda q: q.__setitem__("repeat_from", "x"), 5
 
+    def copy_block(q):
+        for key in families:
+            q[key][2] = copy.deepcopy(q[key][1])
+
+    # block 1 is from 2 to 4 vertices and block 2 from 4 to 4: a reader that
+    # reads a block equal to the one before it as the same object must still
+    # check it against its own level sizes
+    yield "block 2 a copy of block 1", copy_block, None
+
 
 def _edge_faults(key):
     def edge(field, value):
@@ -267,6 +276,9 @@ PARENT = {
     'bisystem: extension to depth 5 without repeat_from': 'ok 7e5ebba7d30c',
     'bisystem: depth 2 with repeat_from': 'ok 7e5ebba7d30c',
     'bisystem: repeat_from as a string, depth 5': 'ok 660d81eeccc0',
+    # this row and the other two 'block 2 a copy of block 1' rows were recorded
+    # from the readers before they read equal blocks as one object
+    'bisystem: block 2 a copy of block 1': 'ok 7fe26a21063e',
     'bisystem: minus_edges source 0':
         "error $.payload: minus edge (-1, 0, ('1',)) out of range at block 1",
     'bisystem: minus_edges source 99':
@@ -362,6 +374,7 @@ PARENT = {
     'lambda_graph_system: extension to depth 5 without repeat_from': 'ok 212061bb73b3',
     'lambda_graph_system: depth 2 with repeat_from': 'ok 212061bb73b3',
     'lambda_graph_system: repeat_from as a string, depth 5': 'ok 5d2e99abeac3',
+    'lambda_graph_system: block 2 a copy of block 1': 'ok 212061bb73b3',
     'lambda_graph_system: edges source 0': 'ok 996ea225678a',
     'lambda_graph_system: edges source 99': 'ok af007b078f22',
     "lambda_graph_system: edges source 'x'":
@@ -423,6 +436,7 @@ PARENT = {
     'smb: extension to depth 5 without repeat_from': 'ok 577118f270e4',
     'smb: depth 2 with repeat_from': 'ok 2ea200f2e212',
     'smb: repeat_from as a string, depth 5': 'ok 160688b17298',
+    'smb: block 2 a copy of block 1': 'error $.payload.minus[2]: expected 4 rows',
     "smb: minus cell ['zz']": 'error $.payload.minus[1][0][0]: symbol zz not in matrix alphabet',
     'smb: minus cell [7]':
         'error $.payload.minus[1][0][0]: symbol must be a string or list of strings',

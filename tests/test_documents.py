@@ -85,17 +85,27 @@ def random_value(rng, seen, depth=0):
 
 
 def random_document(rng, seen):
+    """A document tree; one matrix object may stand at several places, at one
+    depth in ``minus`` and ``P`` and at deeper ones under ``shared``."""
     repeat = rng.choice((None, rng.randint(0, 5)))
     seen["repeat_from null"] |= repeat is None
     seen["repeat_from int"] |= repeat is not None
+    shared = random_matrix(rng, seen)
+    minus = [rng.choice((shared, random_matrix(rng, seen))) for _ in range(rng.randint(0, 3))]
+    deeper = rng.choice((None, shared, [shared, {"again": shared}]))
+    places = sum(m is shared for m in minus)
+    seen["one matrix at several places"] |= places > 1
+    seen["one matrix at several depths"] |= places > 0 and deeper is not None
     return {
         "schema_version": 1,
         "kind": rng.choice(("smb", "psse_witness", "sse_witness")),
         "name": random_value(rng, seen),
         "payload": {
             "level_sizes": [rng.randint(1, 4) for _ in range(rng.randint(0, 4))],
-            "minus": [random_matrix(rng, seen) for _ in range(rng.randint(0, 3))],
-            "P": tuple(random_matrix(rng, seen) for _ in range(rng.randint(0, 2))),
+            "minus": minus,
+            "P": tuple(rng.choice((shared, random_matrix(rng, seen)))
+                       for _ in range(rng.randint(0, 2))),
+            "shared": deeper,
             "repeat_from": repeat,
             random_string(rng): random_value(rng, seen),
         },
@@ -105,7 +115,8 @@ def random_document(rng, seen):
 def test_writer_matches_json_dumps_on_random_documents():
     rng = random.Random(20)
     seen = dict.fromkeys(
-        ("empty cell", "repeated term", "product term", "repeat_from null", "repeat_from int"),
+        ("empty cell", "repeated term", "product term", "repeat_from null", "repeat_from int",
+         "one matrix at several places", "one matrix at several depths"),
         False,
     )
     for _ in range(400):

@@ -38,6 +38,7 @@ from fixtures import (
     full_shift_pres,
     golden_mean_pres,
 )
+import oracles
 
 
 def fixture_systems():
@@ -588,3 +589,145 @@ def test_a_block_map_after_verification_checks_nothing_again(monkeypatch):
     calls.clear()
     code = conjugacy_block_map(s, s, w)
     assert code.mapping and calls == Counter()
+
+
+# -- the per-call product and equation memo against the verifiers without it
+
+
+def dropped_term(m):
+    """m with one term dropped from its first nonzero cell."""
+    grid = [list(row) for row in m.entries]
+    i, j = next((i, j) for i in range(m.rows) for j in range(m.cols) if not grid[i][j].is_zero)
+    terms = [w for w, c in grid[i][j].items() for _ in range(c)]
+    grid[i][j] = FormalSum(terms[1:])
+    return SymbolicMatrix(m.rows, m.cols, tuple(map(tuple, grid)), m.alphabet)
+
+
+def shared_block_replaced(w, family):
+    """w with the block object that most indices of ``family`` share replaced,
+    at each of them, by one wrong block; and those indices."""
+    mats = getattr(w, family)
+    block = max(mats, key=lambda m: sum(x is m for x in mats))
+    at = [k for k, m in enumerate(mats) if m is block]
+    bad = dropped_term(block)
+    return replace(w, **{family: tuple(bad if m is block else m for m in mats)}), at
+
+
+def with_matrix(w, family, k, m):
+    mats = list(getattr(w, family))
+    mats[k] = m
+    return replace(w, **{family: tuple(mats)})
+
+
+def cut(m, rows=0, cols=0):
+    """m without its last ``rows`` rows and last ``cols`` columns."""
+    grid = tuple(row[:m.cols - cols] for row in m.entries[:m.rows - rows])
+    return SymbolicMatrix(m.rows - rows, m.cols - cols, grid, m.alphabet)
+
+
+def wrong_images(spec):
+    """spec with the images of its first two symbols exchanged, or with the
+    image of its only symbol reversed."""
+    pairs = list(spec.pairs)
+    if len(pairs) == 1:
+        return Specification(((pairs[0][0], pairs[0][1][::-1]),))
+    (a, x), (b, y) = pairs[:2]
+    pairs[:2] = [(a, y), (b, x)]
+    return Specification(tuple(pairs))
+
+
+def psse_variants(w):
+    """w and wrong readings of it: shared blocks replaced, wrong and partial
+    symbol maps, a P with the wrong row count, an X whose intertwining
+    products differ in shape, a Q whose product with P is undefined, and
+    Q and X that are P and Y."""
+    yield w
+    for family in PSSE_FAMILIES:
+        yield shared_block_replaced(w, family)[0]
+    yield replace(w, phi_m=wrong_images(w.phi_m))
+    yield replace(w, phi_n=Specification(w.phi_n.pairs[1:]))
+    yield with_matrix(w, "p_mats", 2, cut(w.p_mats[2], rows=1))
+    yield with_matrix(w, "x_mats", 3, cut(w.x_mats[3], cols=1))
+    yield with_matrix(w, "q_mats", 1, cut(w.q_mats[1], rows=1))
+    # the N side then makes the M side's products, under its own symbol maps
+    yield replace(w, q_mats=w.p_mats, x_mats=w.y_mats)
+
+
+def sse_variants(sw):
+    yield sw
+    for family in SSE_FAMILIES:
+        yield shared_block_replaced(sw, family)[0]
+    yield replace(sw, phi1=wrong_images(sw.phi1))
+    yield replace(sw, phi_c_minus=Specification(sw.phi_c_minus.pairs[1:]))
+    yield with_matrix(sw, "k_mats", 1, cut(sw.k_mats[1], cols=1))
+    yield replace(sw, k_mats=sw.h_mats)
+
+
+def test_verifiers_match_the_memo_free_oracle():
+    """Whole reports, failures in order, of the memoized verifiers and of the
+    ones that make every product at every level (``tests/oracles.py``)."""
+    failed = set()
+    for s_m, s_n, w in witness_cases():
+        for v in psse_variants(w):
+            for depth in (None, 2) if v is w else (None,):
+                rep = verify_psse_1step(s_m, s_n, v, depth)
+                assert rep == oracles.verify_psse_1step(s_m, s_n, v, depth)
+                failed |= {msg.split(" ")[0] for _, _, msg in rep.failures}
+        for v in sse_variants(psse_to_sse(w)):
+            rep = verify_sse_1step(s_m, s_n, v)
+            assert rep == oracles.verify_sse_1step(s_m, s_n, v)
+            failed |= {msg.split(" ")[0] for _, _, msg in rep.failures}
+    # every kind of failure message occurs: unmapped symbols, wrong cells,
+    # shapes, kappa mismatches and undefined products
+    assert {"not", "cell", "shape", "P_2", "kappa-exchanged", "inner"} <= failed, failed
+
+
+def test_a_wrong_shared_block_fails_at_every_level_that_reads_it():
+    s = canonical_smb(golden_mean_pres(), 8)
+    w = trivial_psse_witness(s)
+    v, at = shared_block_replaced(w, "p_mats")
+    assert len(at) > 2
+    rep = verify_psse_1step(s, s, v)
+    # plus-factorisation(M) at level l reads P_2l, and only there
+    assert sorted(l for fam, l, _ in rep.failures if fam == "plus-factorisation(M)") == [
+        k // 2 for k in at if k % 2 == 0
+    ]
+    assert rep == oracles.verify_psse_1step(s, s, v)
+    sv, at = shared_block_replaced(psse_to_sse(w), "h_mats")
+    assert len(at) > 2
+    rep = verify_sse_1step(s, s, sv)
+    # square-factorisation(M) at level l reads H_l, for each level below the last
+    assert sorted(l for fam, l, _ in rep.failures if fam == "square-factorisation(M)") == [
+        l for l in at if l < s.depth - 1
+    ]
+    assert rep == oracles.verify_sse_1step(s, s, sv)
+
+
+def test_verification_costs_distinct_blocks_not_depth(monkeypatch):
+    """The golden-mean self-witness stabilizes from block 2 on, so the
+    verifiers and the conversion make no more products at depth 8 than at
+    depth 4 (20 and 33 products in the verifiers, against 44 and 36 at depth
+    4 and 92 and 84 at depth 8 without the memo)."""
+    import bisys.equivalence as equivalence
+
+    calls = []
+    real = equivalence.symbolic_matrix_multiply
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(equivalence, "symbolic_matrix_multiply", counting)
+    made = {}
+    for depth in (4, 8):
+        s = canonical_smb(golden_mean_pres(), depth)
+        w = trivial_psse_witness(s)
+        counts = []
+        for step in (lambda: verify_psse_1step(s, s, w).ok, lambda: psse_to_sse(w),
+                     lambda: verify_sse_1step(s, s, psse_to_sse(w)).ok):
+            del calls[:]
+            assert step()
+            counts.append(len(calls))
+        counts[2] -= counts[1]  # the conversion inside the last step
+        made[depth] = counts
+    assert made[8] == made[4], made

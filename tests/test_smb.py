@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,8 +13,17 @@ from bisys.core import (
     symbolic_matrix_multiply,
     word_str,
 )
-from bisys.bisystem import Verdict, from_lambda_graph_system, fpcc_check, transpose, validate
+from bisys.bisystem import (
+    LambdaGraphBisystem,
+    Verdict,
+    fpcc_check,
+    from_lambda_graph_system,
+    transpose,
+    validate,
+)
 from bisys.canonical import canonical_bisystem, canonical_smb
+from bisys.cli.documents import dump_document, parse_document
+import bisys.smb as smb_module
 from bisys.smb import (
     SmbError,
     SmbValidationReport,
@@ -94,6 +104,25 @@ def test_round_trip():
         back = from_smb(s)
         assert to_smb(back).minus == s.minus
         assert to_smb(back).plus == s.plus
+
+
+def test_equal_blocks_are_one_object():
+    """The golden-mean build stabilizes from block 2 on; there each block of
+    the matrix presentation, and of the parse of its document, is the object
+    before it, and a block is that object only where it equals it."""
+    s = to_smb(canonical_bisystem(golden_mean_pres(), 8).bisystem)
+    parsed = parse_document(dump_document("smb", "gm", s))[2]
+    assert parsed == s
+    for t in (s, parsed):
+        for blocks in (t.minus, t.plus):
+            same = [blocks[l] is blocks[l + 1] for l in range(7)]
+            assert same == [blocks[l] == blocks[l + 1] for l in range(7)]
+            assert same == [False, False] + [True] * 5
+    # equal rows over a wider upper level are another block
+    a = Alphabet.of("a")
+    edges = (((0, 0, ("a",)),), ((0, 0, ("a",)),))
+    wide = to_smb(LambdaGraphBisystem((1, 1, 2), edges, edges, a, a), unchecked=True)
+    assert wide.level_sizes == (1, 1, 2)
 
 
 def test_sft_smb_eq42_entries():
@@ -438,33 +467,46 @@ def test_isomorphism_search_keeps_the_pinned_witnesses():
     assert sum(t != "-" for t in got) == 209
 
 
-def count_cell_reads(monkeypatch, limit):
-    """Make SymbolicMatrix.entry raise after `limit` calls."""
-    entry = SymbolicMatrix.entry
-    calls = []
+@contextmanager
+def forward_checks_at_most(limit):
+    """Raise once the search's forward check, the closure ``fits`` in
+    ``smb_isomorphic`` that compares a candidate slot's cells with the placed
+    rows above it, has run more than ``limit`` times.  The check reads a
+    term-count grid made once per block, so counting cell reads would not
+    see it."""
+    calls = 0
 
-    def counted(m, i, j):
-        calls.append(None)
-        if len(calls) > limit:
-            raise RuntimeError(f"more than {limit} cell reads")
-        return entry(m, i, j)
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "fits" and code.co_filename == smb_module.__file__:
+            calls += 1
+            if calls > limit:
+                raise RuntimeError(f"more than {limit} forward checks")
 
-    monkeypatch.setattr(SymbolicMatrix, "entry", counted)
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield
+    finally:
+        sys.setprofile(before)
 
 
-def test_isomorphism_search_checks_cells_slot_by_slot(monkeypatch):
-    """A scramble of a depth-3 build with level sizes 1, 3, 12, 27 is found in a
-    few thousand cell reads.  A search that places a whole level before it
-    checks any cell makes more than 50 000 without finding it."""
+def test_isomorphism_search_checks_cells_slot_by_slot():
+    """A scramble of a depth-3 build with level sizes 1, 3, 12, 27 is found in
+    about 300 forward checks.  The limit keeps the tenfold margin of the
+    earlier limit of 50 000 cell reads, against 4 736 made; a search that
+    places a whole level before it checks any cell made more than 50 000 cell
+    reads without finding it."""
     s = to_smb(canonical_bisystem(random_sofic_pres(random.Random(0), 6), 3).bisystem)
     s2 = scramble(s, random.Random(1))
     assert s.level_sizes == (1, 3, 12, 27)
-    count_cell_reads(monkeypatch, 50_000)
-    iso = smb_isomorphic(s, s2)
+    with forward_checks_at_most(3_000):
+        iso = smb_isomorphic(s, s2)
     assert iso is not None
 
 
-def test_isomorphism_search_rejects_term_count_mismatch_up_front(monkeypatch):
+def test_isomorphism_search_rejects_term_count_mismatch_up_front():
     """Every level-1 cell of a 4x4 sft build holds one term, so the slot checks
     prune nothing there; a term dropped from the last plus block must be
     caught before the 16! orders of level 1 are tried."""
@@ -478,9 +520,9 @@ def test_isomorphism_search_rejects_term_count_mismatch_up_front(monkeypatch):
     grid[i][j] = FormalSum.zero()
     plus[-1] = SymbolicMatrix(m.rows, m.cols, tuple(map(tuple, grid)), m.alphabet)
     dropped = SymbolicMatrixBisystem(s.minus, tuple(plus), s.sigma_minus, s.sigma_plus)
-    count_cell_reads(monkeypatch, 50_000)
-    assert smb_isomorphic(s, dropped) is None
-    assert smb_isomorphic(dropped, s) is None
+    with forward_checks_at_most(0):
+        assert smb_isomorphic(s, dropped) is None
+        assert smb_isomorphic(dropped, s) is None
 
 
 def test_isomorphism_search_places_slots_without_recursion():
