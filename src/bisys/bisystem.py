@@ -13,7 +13,7 @@ from functools import cache, cached_property, reduce
 from itertools import islice
 from operator import eq
 
-from .core import Alphabet, WordDag, word_str
+from .core import Alphabet, WordDag, share, word_str
 
 
 class BisystemError(ValueError):
@@ -64,21 +64,23 @@ class LambdaGraphBisystem:
         """Edge index, built on first use: ``adjacency[side, end][l][v]``
         lists ``(w, label)`` in block order for each block-l edge of the side
         whose ``end`` is v, where the "lower" end lies at level l, the
-        "upper" end at level l+1, and w is the other end."""
+        "upper" end at level l+1, and w is the other end.  Equal blocks
+        between equal level sizes share their lists."""
         index = {}
         for side, blocks in (("minus", self.minus_edges), ("plus", self.plus_edges)):
-            lower, upper = [], []
-            for l, block in enumerate(blocks):
+
+            def lists(l):
                 lo = [[] for _ in range(self.level_sizes[l])]
                 up = [[] for _ in range(self.level_sizes[l + 1])]
-                for (s, t, a) in block:
+                for (s, t, a) in blocks[l]:
                     i, j = (t, s) if side == "minus" else (s, t)
                     lo[i].append((j, tuple(a)))
                     up[j].append((i, tuple(a)))
-                lower.append(lo)
-                upper.append(up)
-            index[side, "lower"] = lower
-            index[side, "upper"] = upper
+                return lo, up
+
+            pairs = share(list(zip(blocks, self.level_sizes, self.level_sizes[1:])), lists)
+            index[side, "lower"] = [lo for lo, _ in pairs]
+            index[side, "upper"] = [up for _, up in pairs]
         return index
 
     @cached_property
@@ -303,14 +305,13 @@ def presented_words(b: LambdaGraphBisystem, side: str, n: int):
 
 def transpose(b: LambdaGraphBisystem) -> LambdaGraphBisystem:
     """Reverse every edge and swap the two sides."""
-    new_minus = tuple(
-        tuple(sorted((t, s, a) for (s, t, a) in block)) for block in b.plus_edges
-    )
-    new_plus = tuple(
-        tuple(sorted((t, s, a) for (s, t, a) in block)) for block in b.minus_edges
-    )
+
+    def reversed_blocks(blocks):
+        return tuple(share(blocks, lambda l: tuple(sorted((t, s, a) for (s, t, a) in blocks[l]))))
+
     return LambdaGraphBisystem(
-        b.level_sizes, new_minus, new_plus, b.sigma_plus, b.sigma_minus
+        b.level_sizes, reversed_blocks(b.plus_edges), reversed_blocks(b.minus_edges),
+        b.sigma_plus, b.sigma_minus,
     )
 
 
@@ -434,17 +435,14 @@ def from_lambda_graph_system(lgs: LambdaGraphSystem) -> LambdaGraphBisystem:
     defects = validate_lambda_graph_system(lgs)
     if defects:
         raise BisystemError("not a lambda-graph system: " + "; ".join(defects[:3]))
-    minus = tuple(
-        tuple((j, lgs.iota[l][j], (IOTA_SYMBOL,)) for j in range(lgs.level_sizes[l + 1]))
-        for l in range(lgs.depth)
-    )
-    plus = tuple(
-        tuple(sorted((s, t, (a,)) for (s, t, a) in lgs.edges[l])) for l in range(lgs.depth)
-    )
+    minus = share(lgs.iota, lambda l: tuple(
+        (j, i, (IOTA_SYMBOL,)) for j, i in enumerate(lgs.iota[l])
+    ))
+    plus = share(lgs.edges, lambda l: tuple(sorted((s, t, (a,)) for (s, t, a) in lgs.edges[l])))
     b = LambdaGraphBisystem(
         lgs.level_sizes,
-        minus,
-        plus,
+        tuple(minus),
+        tuple(plus),
         Alphabet.of(IOTA_SYMBOL),
         Alphabet.from_words((a,) for a in sorted({a for bl in lgs.edges for (_, _, a) in bl})),
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 
-from .core import Alphabet, WordDag
+from .core import Alphabet, WordDag, share
 from .bisystem import LambdaGraphBisystem, validate
 from .smb import SymbolicMatrixBisystem, to_smb
 from .subshift import (
@@ -173,8 +173,8 @@ def canonical_bisystem(pres: SubshiftPresentation, depth: int) -> CanonicalBuild
     alphabet = Alphabet.of(*g.labels)
     b = LambdaGraphBisystem(
         tuple(len(c) for c in classes),
-        tuple(m for m, _ in blocks),
-        tuple(p for _, p in blocks),
+        tuple(share([m for m, _ in blocks])),
+        tuple(share([p for _, p in blocks])),
         alphabet,
         alphabet,
     )

@@ -14,7 +14,7 @@ import json
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
-from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix, word_str
+from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix, share, word_str
 from ..bisystem import LambdaGraphBisystem, LambdaGraphSystem
 from ..smb import SymbolicMatrixBisystem
 from ..subshift import LabeledGraph, SftMatrix, SubshiftPresentation
@@ -41,6 +41,13 @@ def _word(x, loc, *index):
     if isinstance(x, list) and all(isinstance(s, str) for s in x):
         return tuple(x)
     raise DocumentError("symbol must be a string or list of strings", _at(loc, index))
+
+
+def _int(x, what, loc, *index):
+    """``x``, which must be a JSON integer: not a bool, float or string."""
+    if type(x) is not int:
+        raise DocumentError(f"{what} must be an integer", _at(loc, index))
+    return x
 
 
 def _list(node, key, loc):
@@ -124,25 +131,15 @@ def _spec(node, loc):
         raise DocumentError(str(e), loc)
 
 
-def _matrix_list(nodes, shapes, alphabet, loc):
-    """One matrix per node, of the shape ``shapes`` gives it.  A node equal
-    to the one before it, with the same shape, is read as the same object,
-    as ``to_smb`` makes equal blocks."""
-    out, last = [], None
-    for idx, (node, shape) in enumerate(zip(nodes, shapes)):
-        if last == (node, shape):
-            out.append(out[-1])
-        else:
-            out.append(_matrix(node, *shape, alphabet, f"{loc}[{idx}]"))
-            last = (node, shape)
-    return out
-
-
 def _matrices(p, key, alphabet):
     """The list of matrices under ``key``, each shaped as it is written."""
     nodes = p[key]
-    shapes = ((len(node), len(node[0]) if node else 0) for node in nodes)
-    return tuple(_matrix_list(nodes, shapes, alphabet, f"$.payload.{key}"))
+
+    def read(n):
+        shape = (len(nodes[n]), len(nodes[n][0]) if nodes[n] else 0)
+        return _matrix(nodes[n], *shape, alphabet, f"$.payload.{key}[{n}]")
+
+    return tuple(share(nodes, read))
 
 
 def _spec_out(s: Specification):
@@ -329,7 +326,10 @@ def _parse_subshift(p, depth):
     loc = "$.payload"
     if variant == "sft":
         m = SftMatrix(
-            tuple(tuple(int(v) for v in row) for row in _list(p, "matrix", loc)),
+            tuple(
+                tuple(_int(v, "matrix entry", loc + ".matrix", i, j) for j, v in enumerate(row))
+                for i, row in enumerate(_list(p, "matrix", loc))
+            ),
             _strings(p, "symbols", loc, "symbol"),
         )
         return SubshiftPresentation.from_sft(m)
@@ -392,10 +392,17 @@ def _repeat_from(p, depth, sizes, *families):
         blocks += [blocks[-1]] * count
 
 
+def _sizes(p):
+    """The level sizes under ``p``, each an integer."""
+    return [_int(x, "level size", "$.payload.level_sizes", k)
+            for k, x in enumerate(p["level_sizes"])]
+
+
 def _edges(node, loc, label):
     """Sorted edge blocks of 0-based (src, tgt, label) triples from blocks of
     1-based [src, tgt, label] lists; ``label(x, loc, l, k)`` reads the label
-    of edge k of block l."""
+    of edge k of block l.  Equal blocks are one object: they are compared
+    once read, since ``1 == True == 1.0`` in JSON values."""
     blocks = []
     for l, block in enumerate(node):
         out = []
@@ -403,9 +410,10 @@ def _edges(node, loc, label):
             if len(e) != 3:
                 raise DocumentError("edge must be [src, tgt, label]", _at(loc, (l, k)))
             s, t, a = e
-            out.append((int(s) - 1, int(t) - 1, label(a, loc, l, k)))
+            out.append((_int(s, "edge end", loc, l, k, 0) - 1,
+                        _int(t, "edge end", loc, l, k, 1) - 1, label(a, loc, l, k)))
         blocks.append(tuple(sorted(out)))
-    return blocks
+    return share(blocks)
 
 
 def _edges_out(blocks, label):
@@ -420,7 +428,7 @@ def _label(x, loc, *index):
 
 
 def _parse_bisystem(p, depth):
-    sizes = [int(x) for x in p["level_sizes"]]
+    sizes = _sizes(p)
     minus = _edges(p["minus_edges"], "$.payload.minus_edges", _word)
     plus = _edges(p["plus_edges"], "$.payload.plus_edges", _word)
     _repeat_from(p, depth, sizes, minus, plus)
@@ -442,9 +450,12 @@ def _emit_bisystem(b: LambdaGraphBisystem):
 
 
 def _parse_lgs(p, depth):
-    sizes = [int(x) for x in p["level_sizes"]]
+    sizes = _sizes(p)
     edges = _edges(p["edges"], "$.payload.edges", _label)
-    iota = [tuple(int(v) - 1 for v in block) for block in p["iota"]]
+    iota = [
+        tuple(_int(v, "iota entry", "$.payload.iota", l, k) - 1 for k, v in enumerate(block))
+        for l, block in enumerate(p["iota"])
+    ]
     _repeat_from(p, depth, sizes, edges, iota)
     alphabet = Alphabet.of(*_strings(p, "alphabet", "$.payload", "symbol"))
     return LambdaGraphSystem(tuple(sizes), tuple(edges), tuple(iota), alphabet)
@@ -469,11 +480,12 @@ def _blocks(p, key, sizes, alphabet):
             f"got {len(sizes)}",
             "$.payload.level_sizes",
         )
-    return _matrix_list(p[key], zip(sizes, sizes[1:]), alphabet, f"$.payload.{key}")
+    keys = list(zip(p[key], sizes, sizes[1:]))  # (node, rows, cols)
+    return share(keys, lambda l: _matrix(*keys[l], alphabet, f"$.payload.{key}[{l}]"))
 
 
 def _parse_smb(p, depth):
-    sizes = [int(x) for x in p["level_sizes"]]
+    sizes = _sizes(p)
     sm = _alphabet(p["sigma_minus"], "$.payload.sigma_minus")
     sp = _alphabet(p["sigma_plus"], "$.payload.sigma_plus")
     minus = _blocks(p, "minus", sizes, sm)

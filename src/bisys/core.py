@@ -25,6 +25,21 @@ def word_str(w: Word) -> str:
     return ".".join(w) if w else "0"
 
 
+def share(keys, make=None) -> list:
+    """``make(n)`` for each index n of ``keys``, or the key itself without
+    ``make``; a key ``==`` to one of the two keys before it gets that key's
+    object instead, so blocks that repeat with period 1 or 2 are one object."""
+    out = []
+    for n, key in enumerate(keys):
+        if n and key == keys[n - 1]:
+            out.append(out[n - 1])
+        elif n > 1 and key == keys[n - 2]:
+            out.append(out[n - 2])
+        else:
+            out.append(key if make is None else make(n))
+    return out
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of symbols, each a word of one fixed length.

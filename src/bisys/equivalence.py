@@ -24,6 +24,7 @@ from .core import (
     Specification,
     SymbolicMatrix,
     kappa_matrix,
+    share,
     specified_equivalence_failure,
     symbolic_matrix_multiply,
     word_str,
@@ -347,15 +348,18 @@ def detect_bipartite(s: SymbolicMatrixBisystem):
         # per colour: its plus block (P for C, Q for D) runs from its own
         # vertices to the other colour's, and its minus block (Y for C, X for
         # D) stays among the other colour's vertices on even blocks, its own
-        # on odd ones
-        plus_blocks, minus_blocks = ([], []), ([], [])
-        for l in range(s.depth):
-            for k, (own, other, keep, alph) in enumerate(
-                ((vc, vd, cset, alpha_c), (vd, vc, dset, alpha_d))
-            ):
-                plus_blocks[k].append(sub(s.plus[l], own[l], other[l + 1], keep, alph))
-                at = other if l % 2 == 0 else own
-                minus_blocks[k].append(sub(s.minus[l], at[l], at[l + 1], keep, alph))
+        # on odd ones; equal sub-blocks are shared by value, since unequal
+        # blocks of s can give equal ones
+        plus_blocks, minus_blocks = [], []
+        for own, other, keep, alph in ((vc, vd, cset, alpha_c), (vd, vc, dset, alpha_d)):
+            at = (other, own)
+            plus_blocks.append(share([
+                sub(s.plus[l], own[l], other[l + 1], keep, alph) for l in range(s.depth)
+            ]))
+            minus_blocks.append(share([
+                sub(s.minus[l], at[l % 2][l], at[l % 2][l + 1], keep, alph)
+                for l in range(s.depth)
+            ]))
         (p_blocks, q_blocks), (y_blocks, x_blocks) = plus_blocks, minus_blocks
 
         # color propagation plus the parity rules force every nonzero entry
@@ -376,15 +380,15 @@ def bipartite_split(s: SymbolicMatrixBisystem, bip: BipartiteStructure):
     # the symbol maps are the identities on the halves' symbols, set below
     w = PsseWitness(bip.alphabet_c, bip.alphabet_d, None, None,
                     bip.p_blocks, bip.q_blocks, bip.x_blocks, bip.y_blocks)
-    mul = symbolic_matrix_multiply
     systems = []
     for v in (w, w.swapped()):
         cd = Alphabet.product(v.alphabet_c, v.alphabet_d)
-        plus = tuple(_cast(mul(v.p_mats[2 * l], v.q_mats[2 * l + 1]), cd) for l in range(half))
-        minus = tuple(
-            _cast(kappa_matrix(mul(v.x_mats[2 * l], v.y_mats[2 * l + 1])), cd)
-            for l in range(half)
+        plus_of = _by_identity(lambda p, q: _cast(symbolic_matrix_multiply(p, q), cd))
+        minus_of = _by_identity(
+            lambda x, y: _cast(kappa_matrix(symbolic_matrix_multiply(x, y)), cd)
         )
+        plus = tuple(plus_of(v.p_mats[2 * l], v.q_mats[2 * l + 1]) for l in range(half))
+        minus = tuple(minus_of(v.x_mats[2 * l], v.y_mats[2 * l + 1]) for l in range(half))
         systems.append(SymbolicMatrixBisystem(minus, plus, cd, cd))
     specs = []
     for sys in systems:

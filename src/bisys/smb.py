@@ -18,6 +18,7 @@ from .core import (
     Specification,
     SymbolicMatrix,
     find_specification_multi,
+    share,
     word_str,
 )
 from .bisystem import LambdaGraphBisystem, Verdict, corners
@@ -106,29 +107,21 @@ def validate_smb(s: SymbolicMatrixBisystem) -> SmbValidationReport:
 def _expand(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
     """The bisystem whose edges are the matrix terms, a term of multiplicity c
     making c edges.  Blocks are sorted, so each adjacency list of the result
-    is sorted by (other end, label).  A pair of blocks that are the objects of
-    the pair before it shares that pair's edge blocks."""
-    minus = []
-    plus = []
-    last = None
-    for mm, mp in zip(s.minus, s.plus):
-        if last == (id(mm), id(mp)):  # the blocks of the last pair again
-            minus.append(minus[-1])
-            plus.append(plus[-1])
-            continue
-        last = (id(mm), id(mp))
-        mblock = []
-        pblock = []
-        for i in range(mm.rows):
-            for j in range(mm.cols):
-                for w, c in mm.entry(i, j).items():
-                    mblock.extend([(j, i, w)] * c)
-                for w, c in mp.entry(i, j).items():
-                    pblock.extend([(i, j, w)] * c)
-        minus.append(tuple(sorted(mblock)))
-        plus.append(tuple(sorted(pblock)))
+    is sorted by (other end, label), and equal matrices give one edge block."""
+
+    def edges(mats, minus):
+        def block(l):
+            out = []
+            for i, row in enumerate(mats[l].entries):
+                for j, cell in enumerate(row):
+                    for w, c in cell._terms.items():
+                        out.extend([(j, i, w) if minus else (i, j, w)] * c)
+            return tuple(sorted(out))
+
+        return tuple(share(mats, block))
+
     return LambdaGraphBisystem(
-        s.level_sizes, tuple(minus), tuple(plus), s.sigma_minus, s.sigma_plus
+        s.level_sizes, edges(s.minus, True), edges(s.plus, False), s.sigma_minus, s.sigma_plus
     )
 
 
@@ -177,30 +170,28 @@ def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBis
     """Matrix presentation of a validated bisystem.
 
     ``unchecked`` skips the validation gate so that defective inputs can be
-    presented and judged on the matrix side instead.  A block equal to the
-    one before it is that same object, so a stabilized build costs the
-    verifiers and the writer one block per run of equal blocks.
+    presented and judged on the matrix side instead.  Blocks are made through
+    ``share``, so a build whose blocks repeat costs the verifiers and the
+    writer one block per distinct block.
     """
     if not unchecked and not all(v.ok for _, v in b._axioms):
         raise SmbError("bisystem fails validation; refusing to present")
     zero = FormalSum()
     blocks = {}
     for side, alphabet in (("minus", b.sigma_minus), ("plus", b.sigma_plus)):
-        mats = []
         lower = b.adjacency[side, "lower"]
-        for l, rows in enumerate(lower):
+
+        def matrix(l):
             cols = b.level_sizes[l + 1]
-            if l and rows == lower[l - 1] and cols == mats[-1].cols:
-                mats.append(mats[-1])  # a run of equal blocks is one object
-                continue
             grid = []
-            for edges in rows:
+            for edges in lower[l]:
                 cells: dict = {}
                 for (j, a) in edges:
                     cells.setdefault(j, []).append(a)
                 grid.append(tuple(FormalSum(cells[j]) if j in cells else zero for j in range(cols)))
-            mats.append(SymbolicMatrix(len(rows), cols, tuple(grid), alphabet))
-        blocks[side] = tuple(mats)
+            return SymbolicMatrix(len(lower[l]), cols, tuple(grid), alphabet)
+
+        blocks[side] = tuple(share(list(zip(lower, b.level_sizes[1:])), matrix))
     return SymbolicMatrixBisystem(blocks["minus"], blocks["plus"], b.sigma_minus, b.sigma_plus)
 
 

@@ -27,14 +27,12 @@ from oracles import central_classes, fill_in_words, reference_classes, step_past
 
 
 def window_oracle_classes(allowed, window_ok, gap, pad=9):
-    """Distinct fill-in word sets over long finite contexts (filter oracle)."""
+    """Distinct fill-in word sets over long finite contexts (filter oracle).
+    The padding words are filtered once per call."""
+    pads = [w for w in cartesian(allowed, repeat=pad) if window_ok(w)]
     classes = set()
-    for u in cartesian(allowed, repeat=pad):
-        if not window_ok(u):
-            continue
-        for v in cartesian(allowed, repeat=pad):
-            if not window_ok(v):
-                continue
+    for u in pads:
+        for v in pads:
             words = frozenset(
                 m for m in cartesian(allowed, repeat=gap) if window_ok(u + m + v)
             )

@@ -56,6 +56,8 @@ def _leveled_faults(kind):
     families = FAMILIES[kind]
     yield "level_sizes entry 'x'", lambda q: q["level_sizes"].__setitem__(1, "x"), None
     yield "level_sizes entry 99", lambda q: q["level_sizes"].__setitem__(1, 99), None
+    yield "level_sizes entry 2.9", lambda q: q["level_sizes"].__setitem__(1, 2.9), None
+    yield "level_sizes entry '2'", lambda q: q["level_sizes"].__setitem__(1, "2"), None
 
     def truncate(q):
         for key in ("level_sizes",) + families:
@@ -92,6 +94,16 @@ def _leveled_faults(kind):
     # check it against its own level sizes
     yield "block 2 a copy of block 1", copy_block, None
 
+    def copy_two_back(q):
+        q["level_sizes"].append(q["level_sizes"][-1])
+        for key in families:
+            q[key].append(copy.deepcopy(q[key][1]))
+
+    # a new block 3, from 4 to 4 vertices, equal to block 1 two blocks back:
+    # a block shared with one two back must still be checked against its own
+    # level sizes
+    yield "block 3 a copy of block 1", copy_two_back, None
+
 
 def _edge_faults(key):
     def edge(field, value):
@@ -100,6 +112,10 @@ def _edge_faults(key):
     yield f"{key} source 0", edge(0, 0), None
     yield f"{key} source 99", edge(0, 99), None
     yield f"{key} source 'x'", edge(0, "x"), None
+    yield f"{key} source 1.7", edge(0, 1.7), None
+    yield f"{key} source True", edge(0, True), None
+    yield f"{key} source ' 1'", edge(0, " 1"), None
+    yield f"{key} target 1.0", edge(1, 1.0), None
     yield f"{key} target 99", edge(1, 99), None
     yield f"{key} label 7", edge(2, 7), None
     yield f"{key} label as a list", edge(2, ["a", "b"]), None
@@ -114,6 +130,12 @@ def _edge_faults(key):
     yield f"{key} bad source and bad label on one edge", (
         lambda q: (q[key][1][2].__setitem__(0, "x"), q[key][1][2].__setitem__(2, 7))
     ), None
+
+    def true_copy(q):
+        q[key][2] = [[True if x == 1 and type(x) is int else x for x in e] for e in q[key][1]]
+
+    # equal to block 1 under ==, since 1 == True, yet it must be read itself
+    yield f"{key} block 2 a copy of block 1 with each end 1 as true", true_copy, None
 
 
 def faults(kind, payload):
@@ -131,7 +153,7 @@ def faults(kind, payload):
             if key in payload:
                 yield from _edge_faults(key)
     if "iota" in payload:
-        for value in (0, 99, "x"):
+        for value in (0, 99, "x", True, 1.5):
             yield f"iota entry {value!r}", (
                 lambda q, value=value: q["iota"][1].__setitem__(0, value)), None
     for key in MATRICES:
@@ -154,6 +176,8 @@ def faults(kind, payload):
         yield "variant 'nope'", lambda q: q.__setitem__("variant", "nope"), None
         if "matrix" in payload:
             yield "matrix entry 2", lambda q: q["matrix"][0].__setitem__(0, 2), None
+            yield "matrix entry True", lambda q: q["matrix"][0].__setitem__(0, True), None
+            yield "matrix entry 1.0", lambda q: q["matrix"][0].__setitem__(0, 1.0), None
             yield "symbol 7", lambda q: q["symbols"].__setitem__(0, 7), None
         if "edges" in payload:
             yield "edge to an unknown state", (
@@ -200,6 +224,11 @@ PARENT = {
     'subshift sft: variant as a string': "error $.payload.variant: unknown variant 'x'",
     "subshift sft: variant 'nope'": "error $.payload.variant: unknown variant 'nope'",
     'subshift sft: matrix entry 2': 'error $.payload: matrix entries must be 0 or 1',
+    # the rows of non-integer sizes, edge ends, iota and matrix entries, the
+    # 'block 3 a copy of block 1' rows and the 'each end 1 as true' rows were
+    # recorded later, from the readers before JSON integers were checked
+    'subshift sft: matrix entry True': 'ok 24fe4be7dafc',
+    'subshift sft: matrix entry 1.0': 'ok 24fe4be7dafc',
     # this row and the sofic rows after 'edge to an unknown state' were
     # recorded later, from the readers before subshift strings were checked
     'subshift sft: symbol 7': 'ok a11f9e6a58c4',
@@ -267,6 +296,8 @@ PARENT = {
     "bisystem: level_sizes entry 'x'":
         "error $.payload: invalid literal for int() with base 10: 'x'",
     'bisystem: level_sizes entry 99': 'ok 497913f4f263',
+    'bisystem: level_sizes entry 2.9': 'ok 7e5ebba7d30c',
+    "bisystem: level_sizes entry '2'": 'ok 7e5ebba7d30c',
     'bisystem: repeat_from on a non-square last block (truncated)':
         'error $.payload: repeating block must be square',
     'bisystem: repeat_from on a non-square last block (last size + 1)':
@@ -279,12 +310,17 @@ PARENT = {
     # this row and the other two 'block 2 a copy of block 1' rows were recorded
     # from the readers before they read equal blocks as one object
     'bisystem: block 2 a copy of block 1': 'ok 7fe26a21063e',
+    'bisystem: block 3 a copy of block 1': 'ok ea6a15442c97',
     'bisystem: minus_edges source 0':
         "error $.payload: minus edge (-1, 0, ('1',)) out of range at block 1",
     'bisystem: minus_edges source 99':
         "error $.payload: minus edge (98, 0, ('1',)) out of range at block 1",
     "bisystem: minus_edges source 'x'":
         "error $.payload: invalid literal for int() with base 10: 'x'",
+    'bisystem: minus_edges source 1.7': 'ok 0e106735a775',
+    'bisystem: minus_edges source True': 'ok 0e106735a775',
+    "bisystem: minus_edges source ' 1'": 'ok 0e106735a775',
+    'bisystem: minus_edges target 1.0': 'ok 7e5ebba7d30c',
     'bisystem: minus_edges target 99':
         "error $.payload: minus edge (2, 98, ('1',)) out of range at block 1",
     'bisystem: minus_edges label 7':
@@ -302,12 +338,17 @@ PARENT = {
         "error $.payload: invalid literal for int() with base 10: 'x'",
     'bisystem: minus_edges bad source and bad label on one edge':
         "error $.payload: invalid literal for int() with base 10: 'x'",
+    'bisystem: minus_edges block 2 a copy of block 1 with each end 1 as true': 'ok 3c07f4ee9370',
     'bisystem: plus_edges source 0':
         "error $.payload: plus edge (-1, 1, ('2',)) out of range at block 1",
     'bisystem: plus_edges source 99':
         "error $.payload: plus edge (98, 1, ('2',)) out of range at block 1",
     "bisystem: plus_edges source 'x'":
         "error $.payload: invalid literal for int() with base 10: 'x'",
+    'bisystem: plus_edges source 1.7': 'ok 7e5ebba7d30c',
+    'bisystem: plus_edges source True': 'ok 7e5ebba7d30c',
+    "bisystem: plus_edges source ' 1'": 'ok 7e5ebba7d30c',
+    'bisystem: plus_edges target 1.0': 'ok c8770bb5fbe8',
     'bisystem: plus_edges target 99':
         "error $.payload: plus edge (0, 98, ('2',)) out of range at block 1",
     'bisystem: plus_edges label 7':
@@ -325,6 +366,7 @@ PARENT = {
         "error $.payload: invalid literal for int() with base 10: 'x'",
     'bisystem: plus_edges bad source and bad label on one edge':
         "error $.payload: invalid literal for int() with base 10: 'x'",
+    'bisystem: plus_edges block 2 a copy of block 1 with each end 1 as true': 'ok d8de6ce186f6',
     'bisystem: sigma_minus without symbols':
         "error $.payload.sigma_minus: alphabet needs 'symbols' or 'product'",
     'bisystem: sigma_minus symbol 7':
@@ -366,6 +408,8 @@ PARENT = {
     "lambda_graph_system: level_sizes entry 'x'":
         "error $.payload: invalid literal for int() with base 10: 'x'",
     'lambda_graph_system: level_sizes entry 99': 'ok f66afc49a53c',
+    'lambda_graph_system: level_sizes entry 2.9': 'ok 212061bb73b3',
+    "lambda_graph_system: level_sizes entry '2'": 'ok 212061bb73b3',
     'lambda_graph_system: repeat_from on a non-square last block (truncated)': 'ok 5d2e99abeac3',
     'lambda_graph_system: repeat_from on a non-square last block (last size + 1)':
         'error $.payload: repeating block must be square',
@@ -375,10 +419,15 @@ PARENT = {
     'lambda_graph_system: depth 2 with repeat_from': 'ok 212061bb73b3',
     'lambda_graph_system: repeat_from as a string, depth 5': 'ok 5d2e99abeac3',
     'lambda_graph_system: block 2 a copy of block 1': 'ok 212061bb73b3',
+    'lambda_graph_system: block 3 a copy of block 1': 'ok 843b9b5b21b9',
     'lambda_graph_system: edges source 0': 'ok 996ea225678a',
     'lambda_graph_system: edges source 99': 'ok af007b078f22',
     "lambda_graph_system: edges source 'x'":
         "error $.payload: invalid literal for int() with base 10: 'x'",
+    'lambda_graph_system: edges source 1.7': 'ok aa226ca092b3',
+    'lambda_graph_system: edges source True': 'ok aa226ca092b3',
+    "lambda_graph_system: edges source ' 1'": 'ok aa226ca092b3',
+    'lambda_graph_system: edges target 1.0': 'ok 212061bb73b3',
     'lambda_graph_system: edges target 99': 'ok 068ea1977152',
     'lambda_graph_system: edges label 7': 'error $.payload.edges[1][2]: label must be a string',
     'lambda_graph_system: edges label as a list':
@@ -394,10 +443,14 @@ PARENT = {
         'error $.payload.edges[1][2]: label must be a string',
     'lambda_graph_system: edges bad source and bad label on one edge':
         'error $.payload.edges[1][2]: label must be a string',
+    'lambda_graph_system: edges block 2 a copy of block 1 with each end 1 as true':
+        'ok 212061bb73b3',
     'lambda_graph_system: iota entry 0': 'ok 3b93d9b6d026',
     'lambda_graph_system: iota entry 99': 'ok 8d2f3e996e42',
     "lambda_graph_system: iota entry 'x'":
         "error $.payload: invalid literal for int() with base 10: 'x'",
+    'lambda_graph_system: iota entry True': 'ok 212061bb73b3',
+    'lambda_graph_system: iota entry 1.5': 'ok 212061bb73b3',
     'smb: missing depth': 'ok 577118f270e4',
     'smb: depth as a number': 'ok 577118f270e4',
     'smb: depth as a string': 'ok 577118f270e4',
@@ -427,6 +480,8 @@ PARENT = {
     'smb: sigma_plus as a string': 'error $.payload.sigma_plus: alphabet must be an object',
     "smb: level_sizes entry 'x'": "error $.payload: invalid literal for int() with base 10: 'x'",
     'smb: level_sizes entry 99': 'error $.payload.minus[0][0]: expected 99 columns',
+    'smb: level_sizes entry 2.9': 'ok 577118f270e4',
+    "smb: level_sizes entry '2'": 'ok 577118f270e4',
     'smb: repeat_from on a non-square last block (truncated)':
         'error $.payload: repeating block must be square',
     'smb: repeat_from on a non-square last block (last size + 1)':
@@ -437,6 +492,7 @@ PARENT = {
     'smb: depth 2 with repeat_from': 'ok 2ea200f2e212',
     'smb: repeat_from as a string, depth 5': 'ok 160688b17298',
     'smb: block 2 a copy of block 1': 'error $.payload.minus[2]: expected 4 rows',
+    'smb: block 3 a copy of block 1': 'error $.payload.minus[3]: expected 4 rows',
     "smb: minus cell ['zz']": 'error $.payload.minus[1][0][0]: symbol zz not in matrix alphabet',
     'smb: minus cell [7]':
         'error $.payload.minus[1][0][0]: symbol must be a string or list of strings',
@@ -644,9 +700,9 @@ CHANGED = {
     'lambda_graph_system: edges edge as a number':
         "error $.payload: object of type 'int' has no len()",
     'lambda_graph_system: edges bad source then bad label':
-        "error $.payload: invalid literal for int() with base 10: 'x'",
+        'error $.payload.edges[1][1][0]: edge end must be an integer',
     'lambda_graph_system: edges bad source and bad label on one edge':
-        "error $.payload: invalid literal for int() with base 10: 'x'",
+        'error $.payload.edges[1][2][0]: edge end must be an integer',
     'smb: level_sizes one short':
         'error $.payload.level_sizes: expected 4 entries (one more than the minus blocks), got 3',
     'smb: level_sizes one long':
@@ -724,6 +780,84 @@ CHANGED = {
     'subshift sofic: edge of two items':
         'error $.payload.edges[0]: edge must be [state, state, label] strings',
     'subshift sofic: state 1': 'error $.payload.states[0]: state must be a string',
+    # sizes, edge ends, iota entries and sft matrix entries must be JSON
+    # integers; int() read a string, float or bool as one
+    'subshift sft: matrix entry True':
+        'error $.payload.matrix[0][0]: matrix entry must be an integer',
+    'subshift sft: matrix entry 1.0':
+        'error $.payload.matrix[0][0]: matrix entry must be an integer',
+    'bisystem: level_sizes as a string':
+        'error $.payload.level_sizes[0]: level size must be an integer',
+    "bisystem: level_sizes entry 'x'":
+        'error $.payload.level_sizes[1]: level size must be an integer',
+    'bisystem: level_sizes entry 2.9':
+        'error $.payload.level_sizes[1]: level size must be an integer',
+    "bisystem: level_sizes entry '2'":
+        'error $.payload.level_sizes[1]: level size must be an integer',
+    "bisystem: minus_edges source 'x'":
+        'error $.payload.minus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: minus_edges source 1.7':
+        'error $.payload.minus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: minus_edges source True':
+        'error $.payload.minus_edges[1][2][0]: edge end must be an integer',
+    "bisystem: minus_edges source ' 1'":
+        'error $.payload.minus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: minus_edges target 1.0':
+        'error $.payload.minus_edges[1][2][1]: edge end must be an integer',
+    'bisystem: minus_edges bad source then bad label':
+        'error $.payload.minus_edges[1][1][0]: edge end must be an integer',
+    'bisystem: minus_edges bad source and bad label on one edge':
+        'error $.payload.minus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: minus_edges block 2 a copy of block 1 with each end 1 as true':
+        'error $.payload.minus_edges[2][0][0]: edge end must be an integer',
+    "bisystem: plus_edges source 'x'":
+        'error $.payload.plus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: plus_edges source 1.7':
+        'error $.payload.plus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: plus_edges source True':
+        'error $.payload.plus_edges[1][2][0]: edge end must be an integer',
+    "bisystem: plus_edges source ' 1'":
+        'error $.payload.plus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: plus_edges target 1.0':
+        'error $.payload.plus_edges[1][2][1]: edge end must be an integer',
+    'bisystem: plus_edges bad source then bad label':
+        'error $.payload.plus_edges[1][1][0]: edge end must be an integer',
+    'bisystem: plus_edges bad source and bad label on one edge':
+        'error $.payload.plus_edges[1][2][0]: edge end must be an integer',
+    'bisystem: plus_edges block 2 a copy of block 1 with each end 1 as true':
+        'error $.payload.plus_edges[2][0][0]: edge end must be an integer',
+    'lambda_graph_system: iota as a string':
+        'error $.payload.iota[0][0]: iota entry must be an integer',
+    'lambda_graph_system: level_sizes as a string':
+        'error $.payload.level_sizes[0]: level size must be an integer',
+    "lambda_graph_system: level_sizes entry 'x'":
+        'error $.payload.level_sizes[1]: level size must be an integer',
+    'lambda_graph_system: level_sizes entry 2.9':
+        'error $.payload.level_sizes[1]: level size must be an integer',
+    "lambda_graph_system: level_sizes entry '2'":
+        'error $.payload.level_sizes[1]: level size must be an integer',
+    "lambda_graph_system: edges source 'x'":
+        'error $.payload.edges[1][2][0]: edge end must be an integer',
+    'lambda_graph_system: edges source 1.7':
+        'error $.payload.edges[1][2][0]: edge end must be an integer',
+    'lambda_graph_system: edges source True':
+        'error $.payload.edges[1][2][0]: edge end must be an integer',
+    "lambda_graph_system: edges source ' 1'":
+        'error $.payload.edges[1][2][0]: edge end must be an integer',
+    'lambda_graph_system: edges target 1.0':
+        'error $.payload.edges[1][2][1]: edge end must be an integer',
+    'lambda_graph_system: edges block 2 a copy of block 1 with each end 1 as true':
+        'error $.payload.edges[2][0][0]: edge end must be an integer',
+    "lambda_graph_system: iota entry 'x'":
+        'error $.payload.iota[1][0]: iota entry must be an integer',
+    'lambda_graph_system: iota entry True':
+        'error $.payload.iota[1][0]: iota entry must be an integer',
+    'lambda_graph_system: iota entry 1.5':
+        'error $.payload.iota[1][0]: iota entry must be an integer',
+    'smb: level_sizes as a string': 'error $.payload.level_sizes[0]: level size must be an integer',
+    "smb: level_sizes entry 'x'": 'error $.payload.level_sizes[1]: level size must be an integer',
+    'smb: level_sizes entry 2.9': 'error $.payload.level_sizes[1]: level size must be an integer',
+    "smb: level_sizes entry '2'": 'error $.payload.level_sizes[1]: level size must be an integer',
 }
 
 

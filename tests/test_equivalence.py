@@ -707,7 +707,12 @@ def test_verification_costs_distinct_blocks_not_depth(monkeypatch):
     """The golden-mean self-witness stabilizes from block 2 on, so the
     verifiers and the conversion make no more products at depth 8 than at
     depth 4 (20 and 33 products in the verifiers, against 44 and 36 at depth
-    4 and 92 and 84 at depth 8 without the memo)."""
+    4 and 92 and 84 at depth 8 without the memo).  The alternating build
+    repeats with period 2, and its bipartite split is one object per
+    distinct block too: the split, its PSSE check and its SSE conversion
+    plus check make 4, 12 and 14 products at depth 4 and at depth 12 (24, 68
+    and 72 at depth 12 when only a block equal to the one before it was
+    shared)."""
     import bisys.equivalence as equivalence
 
     calls = []
@@ -731,3 +736,16 @@ def test_verification_costs_distinct_blocks_not_depth(monkeypatch):
         counts[2] -= counts[1]  # the conversion inside the last step
         made[depth] = counts
     assert made[8] == made[4], made
+    split = {}
+    for depth in (4, 12):
+        s = canonical_smb(alternating_pres(), depth)
+        del calls[:]
+        s_cd, s_dc, v = bipartite_split(s, detect_bipartite(s))
+        counts = [len(calls)]
+        for step in (lambda: verify_psse_1step(s_cd, s_dc, v).ok,
+                     lambda: verify_sse_1step(s_cd, s_dc, psse_to_sse(v)).ok):
+            del calls[:]
+            assert step()
+            counts.append(len(calls))
+        split[depth] = counts
+    assert split[12] == split[4], split

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import sys
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from bisys.bisystem import (
     validate,
 )
 from bisys.canonical import canonical_bisystem, canonical_smb
-from bisys.cli.documents import dump_document, parse_document
+from bisys.cli.documents import dump_document, load_document, parse_document
 import bisys.smb as smb_module
 from bisys.smb import (
     SmbError,
@@ -48,6 +49,8 @@ from fixtures import (
     random_sofic_pres,
     symbolic_2x2,
 )
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
 
 
 def test_sft_smb_validates_for_any_2x2():
@@ -106,18 +109,38 @@ def test_round_trip():
         assert to_smb(back).plus == s.plus
 
 
+def shared_where_equal(blocks):
+    """Whether each block is the object of the block one, and two, before it;
+    asserted to be exactly where it equals that block."""
+    same = [[blocks[l] is blocks[l + k] for l in range(len(blocks) - k)] for k in (1, 2)]
+    assert same == [[blocks[l] == blocks[l + k] for l in range(len(blocks) - k)] for k in (1, 2)]
+    return same
+
+
 def test_equal_blocks_are_one_object():
     """The golden-mean build stabilizes from block 2 on; there each block of
     the matrix presentation, and of the parse of its document, is the object
-    before it, and a block is that object only where it equals it."""
+    before it, and a block is that object only where it equals it.  So are
+    the alternating build's plus blocks, which repeat with period 2, the
+    even-shift build's edge blocks and a one-sided import's edge blocks."""
     s = to_smb(canonical_bisystem(golden_mean_pres(), 8).bisystem)
     parsed = parse_document(dump_document("smb", "gm", s))[2]
     assert parsed == s
     for t in (s, parsed):
         for blocks in (t.minus, t.plus):
-            same = [blocks[l] is blocks[l + 1] for l in range(7)]
-            assert same == [blocks[l] == blocks[l + 1] for l in range(7)]
-            assert same == [False, False] + [True] * 5
+            assert shared_where_equal(blocks)[0] == [False, False] + [True] * 5
+    alt = to_smb(canonical_bisystem(alternating_pres(), 12).bisystem)
+    for t in (alt, parse_document(dump_document("smb", "alt", alt))[2]):
+        assert shared_where_equal(t.plus) == [[False] * 11, [False] + [True] * 9]
+        assert shared_where_equal(t.minus)[0] == [False] + [True] * 10
+    even = canonical_bisystem(even_shift_pres(), 8).bisystem
+    for b in (even, parse_document(dump_document("bisystem", "even", even))[2]):
+        for blocks in (b.minus_edges, b.plus_edges):
+            assert shared_where_equal(blocks)[0] == [False] * 3 + [True] * 4
+    lgs = load_document(os.path.join(EXAMPLES, "full3.lgs.json"), 6)[2]
+    imported = from_lambda_graph_system(lgs)
+    for blocks in (imported.minus_edges, imported.plus_edges):
+        assert shared_where_equal(blocks)[0] == [True] * 5
     # equal rows over a wider upper level are another block
     a = Alphabet.of("a")
     edges = (((0, 0, ("a",)),), ((0, 0, ("a",)),))
