@@ -13,7 +13,7 @@ from functools import cache, cached_property, reduce
 from itertools import islice
 from operator import eq
 
-from .core import Alphabet, WordDag, share, word_str
+from .core import Alphabet, WordDag, by_identity, share, word_str
 
 
 class BisystemError(ValueError):
@@ -32,17 +32,25 @@ class LambdaGraphBisystem:
         L = self.depth
         if len(self.minus_edges) != L or len(self.plus_edges) != L:
             raise BisystemError("edge blocks must cover every consecutive level pair")
-        for l in range(L):
-            for (s, t, a) in self.minus_edges[l]:
-                if not (0 <= s < self.level_sizes[l + 1] and 0 <= t < self.level_sizes[l]):
-                    raise BisystemError(f"minus edge {(s, t, a)} out of range at block {l}")
-                if tuple(a) not in self.sigma_minus:
-                    raise BisystemError(f"minus label {a} outside the alphabet")
-            for (s, t, a) in self.plus_edges[l]:
-                if not (0 <= s < self.level_sizes[l] and 0 <= t < self.level_sizes[l + 1]):
-                    raise BisystemError(f"plus edge {(s, t, a)} out of range at block {l}")
-                if tuple(a) not in self.sigma_plus:
-                    raise BisystemError(f"plus label {a} outside the alphabet")
+        sides = (("minus", self.sigma_minus.symbol_set, 1, 0),
+                 ("plus", self.sigma_plus.symbol_set, 0, 1))
+
+        def fault(minus, plus, *ends):
+            """The first edge, minus block first, with an end off the levels of
+            sizes ``ends`` (the block ends its text) or a label off the alphabet."""
+            for (side, symbols, i, j), block in zip(sides, (minus, plus)):
+                for (s, t, a) in block:
+                    if not (0 <= s < ends[i] and 0 <= t < ends[j]):
+                        return f"{side} edge {(s, t, a)} out of range at block ", True
+                    if tuple(a) not in symbols:
+                        return f"{side} label {a} outside the alphabet", False
+            return None
+
+        fault = by_identity(fault)
+        sizes = self.level_sizes
+        for l, key in enumerate(zip(self.minus_edges, self.plus_edges, sizes, sizes[1:])):
+            if (found := fault(*key)) is not None:
+                raise BisystemError(found[0] + str(l) if found[1] else found[0])
 
     @property
     def depth(self) -> int:
@@ -138,79 +146,100 @@ def validate(b: LambdaGraphBisystem) -> ValidationReport:
 
 
 def axiom_verdicts(b: LambdaGraphBisystem) -> tuple:
-    """((name, Verdict), ...) for axioms (i)-(v): validate without FPCC."""
-    L = b.depth
+    """((name, Verdict), ...) for axioms (i)-(v): validate without FPCC.
+
+    Each adjacency list object is scanned once, and its faults are named at
+    every level that holds it."""
+    adj = b.adjacency
+    name = b.vertex_name
 
     # (i)/(ii) finite leveled vertex and edge sets hold by construction
     v_i = Verdict(True)
     v_ii = Verdict(True)
 
-    adj = b.adjacency
-    bad3 = []
-    for l in range(L + 1):
-        for i in range(b.level_sizes[l]):
-            name = b.vertex_name(l, i)
-            if l < L and not adj["minus", "lower"][l][i]:
-                bad3.append(f"{name} has no incoming minus edge from level {l + 1}")
-            if l > 0 and not adj["minus", "upper"][l - 1][i]:
-                bad3.append(f"{name} has no outgoing minus edge to level {l - 1}")
-            if l < L and not adj["plus", "lower"][l][i]:
-                bad3.append(f"{name} has no outgoing plus edge to level {l + 1}")
-            if l > 0 and not adj["plus", "upper"][l - 1][i]:
-                bad3.append(f"{name} has no incoming plus edge from level {l - 1}")
+    # (iii): the lower lists of block k are the vertices at level k, the upper
+    # ones (up = 1) those at level k+1; each names the other level
+    empty = by_identity(lambda lists: [i for i, e in enumerate(lists) if not e])
+    bad3 = [
+        f"{name(k + up, i)} has no {what} edge {way} level {k + 1 - up}"
+        for side, end, up, what, way in (
+            ("minus", "lower", 0, "incoming minus", "from"),
+            ("minus", "upper", 1, "outgoing minus", "to"),
+            ("plus", "lower", 0, "outgoing plus", "to"),
+            ("plus", "upper", 1, "incoming plus", "from"),
+        )
+        for k, lists in enumerate(adj[side, end])
+        for i in empty(lists)
+    ]
     v_iii = Verdict(not bad3, tuple(sorted(bad3)))
 
     # (iv): labels at an upper vertex are distinct, minus edges leaving it
     # (right-resolving) and plus edges entering it (left-resolving)
-    bad4 = []
-    for side, how, at in (("minus", "right", "from"), ("plus", "left", "into")):
-        for l in range(L):
-            for j, edges in enumerate(adj[side, "upper"][l]):
-                seen = {}
-                for (i, a) in edges:
-                    if a in seen and seen[a] != i:
-                        bad4.append(
-                            f"{side} not {how}-resolving: two {word_str(a)}-edges "
-                            f"{at} {b.vertex_name(l + 1, j)}"
-                        )
-                    elif a in seen:
-                        bad4.append(f"duplicate {side} edge {at} {b.vertex_name(l + 1, j)}")
-                    seen[a] = i
+    repeats = by_identity(_repeats)
+    bad4 = [
+        f"{side} not {how}-resolving: two {word_str(a)}-edges {at} {name(l + 1, j)}"
+        if i0 != i else f"duplicate {side} edge {at} {name(l + 1, j)}"
+        for side, how, at in (("minus", "right", "from"), ("plus", "left", "into"))
+        for l, lists in enumerate(adj[side, "upper"])
+        for j, a, i0, i in repeats(lists)
+    ]
     v_iv = Verdict(not bad4, tuple(sorted(bad4)))
 
     # (v): minus-then-plus corners against plus-then-minus ones
     bad5 = [
-        f"local property fails at ({b.vertex_name(l, u)},{b.vertex_name(l + 2, v)}): "
+        f"local property fails at ({name(l, u)},{name(l + 2, v)}): "
         f"{[f'{word_str(x)}|{word_str(y)}' for x, y in d]} vs "
         f"{[f'{word_str(x)}|{word_str(y)}' for x, y in w]}"
-        for l in range(L - 1)
-        for (u, v), d, w in corners(b, l)
-        if d != w
+        for l, u, v, d, w in corner_faults(b)
     ]
     v_v = Verdict(not bad5, tuple(sorted(bad5)))
 
     return (("i", v_i), ("ii", v_ii), ("iii", v_iii), ("iv", v_iv), ("v", v_v))
 
 
-def corners(b: LambdaGraphBisystem, l: int) -> list:
-    """The corners from u at level l to v at level l+2 through level l+1, as
-    ``((u, v), down, up)`` sorted by (u, v): ``down`` lists the corners that
-    go minus then plus and ``up`` those that go plus then minus, each a sorted
-    list of (minus label, plus label) pairs.  Axiom (v) is ``down == up``."""
+def _repeats(lists) -> list:
+    """``(j, label, i0, i)`` for each edge ``(i, label)`` of list j, in list
+    order, whose label an earlier edge ``(i0, label)`` of the list has; i0 is
+    the end of the last such edge."""
+    out = []
+    for j, edges in enumerate(lists):
+        seen: dict = {}
+        for (i, a) in edges:
+            if a in seen:
+                out.append((j, a, seen[a], i))
+            seen[a] = i
+    return out
+
+
+def corner_faults(b: LambdaGraphBisystem) -> list:
+    """``(l, u, v, down, up)`` for each corner from u at level l to v at level
+    l+2 where axiom (v) fails (see ``_corners``), in (l, u, v) order.  The
+    corners are scanned once per distinct quadruple of list objects."""
     adj = b.adjacency
-    down: dict = {}
-    up: dict = {}
-    for w in range(b.level_sizes[l + 1]):
-        for (u, bm) in adj["minus", "upper"][l][w]:
-            for (v, ap) in adj["plus", "lower"][l + 1][w]:
-                down.setdefault((u, v), []).append((bm, ap))
-        for (u, ap) in adj["plus", "upper"][l][w]:
-            for (v, bm) in adj["minus", "lower"][l + 1][w]:
-                up.setdefault((u, v), []).append((bm, ap))
-    return [
-        (key, sorted(down.get(key, ())), sorted(up.get(key, ())))
-        for key in sorted(down.keys() | up.keys())
-    ]
+    faults = by_identity(_corners)
+    quadruples = zip(adj["minus", "upper"], adj["plus", "lower"][1:],
+                     adj["plus", "upper"], adj["minus", "lower"][1:])
+    return [(l, *fault) for l, lists in enumerate(quadruples) for fault in faults(*lists)]
+
+
+def _corners(minus_upper, plus_lower, plus_upper, minus_lower) -> list:
+    """The corners from u at level l to v at level l+2 through level l+1, read
+    off the upper lists of block l and the lower lists of block l+1, as
+    ``(u, v, down, up)`` sorted by (u, v) where ``down != up``: ``down`` lists
+    the corners that go minus then plus and ``up`` those that go plus then
+    minus, each a sorted list of (minus label, plus label) pairs."""
+    down = sorted([(u, v, bm, ap) for mu, pl in zip(minus_upper, plus_lower)
+                   for (u, bm) in mu for (v, ap) in pl])
+    up = sorted([(u, v, bm, ap) for pu, ml in zip(plus_upper, minus_lower)
+                 for (u, ap) in pu for (v, bm) in ml])
+    if down == up:  # axiom (v) holds at every corner
+        return []
+    cells = ({}, {})
+    for corners, cell in zip((down, up), cells):
+        for (u, v, bm, ap) in corners:
+            cell.setdefault((u, v), []).append((bm, ap))
+    return [(u, v, d, w) for u, v in sorted(cells[0].keys() | cells[1].keys())
+            if (d := cells[0].get((u, v), [])) != (w := cells[1].get((u, v), []))]
 
 
 def _word_sets(b: LambdaGraphBisystem, side: str):
@@ -288,18 +317,24 @@ def presented_words(b: LambdaGraphBisystem, side: str, n: int):
         raise BisystemError(f"length {n} exceeds depth {b.depth}")
     if side not in ("minus", "plus"):
         raise BisystemError("side must be 'minus' or 'plus'")
-    # walk upward from every start level; words join labels as in _word_sets
     prepend = side == "minus"
-    lower = b.adjacency[side, "lower"]
-    out = set()
-    for m in range(b.depth - n + 1):
-        frontier = {(i, ()) for i in range(b.level_sizes[m])}
-        for l in range(m, m + n):
+
+    def walk(*run):
+        """The words of the paths up through a run of lower lists, labels
+        joined as in _word_sets."""
+        frontier = {(i, ()) for i in range(len(run[0]))}
+        for lists in run:
             frontier = {
                 (j, a + w if prepend else w + a)
-                for (i, w) in frontier for (j, a) in lower[l][i]
+                for (i, w) in frontier for (j, a) in lists[i]
             }
-        out |= {w for (_, w) in frontier}
+        return {w for (_, w) in frontier}
+
+    walk = by_identity(walk)  # once per distinct run of list objects
+    lower = b.adjacency[side, "lower"]
+    out = set()
+    for m in range(b.depth - n + 1):  # every start level
+        out |= walk(*lower[m : m + n])
     return tuple(sorted(out))
 
 

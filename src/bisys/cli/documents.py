@@ -14,7 +14,7 @@ import json
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
-from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix, share, word_str
+from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix, by_identity, share, word_str
 from ..bisystem import LambdaGraphBisystem, LambdaGraphSystem
 from ..smb import SymbolicMatrixBisystem
 from ..subshift import LabeledGraph, SftMatrix, SubshiftPresentation
@@ -204,7 +204,8 @@ def _write(doc) -> str:
 
     A SymbolicMatrix in the tree is written where it stands, as its grid of
     term lists: each cell's words in sorted order, each repeated by its
-    multiplicity, and a product symbol as a list of strings.  A matrix
+    multiplicity, and a product symbol as a list of strings.  An edge block
+    made by ``_edges_out`` is written as its rows.  A matrix or edge block
     object that stands at one depth more than once is written once, and its
     text emitted again.
     """
@@ -212,7 +213,7 @@ def _write(doc) -> str:
     emit = out.append
     escaped = {}
     newline = _Newlines()
-    written = {}  # (id, depth) of a matrix -> (the matrix, where its text is in out)
+    written = {}  # (id, depth) of a block -> (the block, where its text is in out)
 
     def string(s):
         text = escaped.get(s)
@@ -229,14 +230,25 @@ def _write(doc) -> str:
         inner = newline[depth + 1]
         return "[" + inner + ("," + inner).join(map(string, w)) + newline[depth] + "]"
 
-    def matrix(m, depth):
-        got = written.get((id(m), depth))
+    def block(x, depth, write):
+        """A matrix or an edge block: written once per depth, then copied."""
+        got = written.get((id(x), depth))
         if got is not None:
             out.extend(out[got[1]:got[2]])
             return
         start = len(out)
-        grid(m, depth)
-        written[id(m), depth] = (m, start, len(out))
+        write(x, depth)
+        written[id(x), depth] = (x, start, len(out))
+
+    def edges(rows, depth):
+        row_nl, item_nl = newline[depth + 1], newline[depth + 2]
+        sep = first = "[" + row_nl + "[" + item_nl
+        next_sep, item_sep, close = "," + row_nl + "[" + item_nl, "," + item_nl, row_nl + "]"
+        for s, t, a in rows:
+            label = string(a) if type(a) is str else word(a, depth + 2)
+            emit(f"{sep}{s}{item_sep}{t}{item_sep}{label}{close}")
+            sep = next_sep
+        emit("[]" if sep is first else newline[depth] + "]")
 
     def grid(m, depth):
         texts = {}  # word -> its text at the depth of a term
@@ -281,7 +293,9 @@ def _write(doc) -> str:
         elif isinstance(x, int):
             emit(int.__repr__(x))
         elif isinstance(x, SymbolicMatrix):
-            matrix(x, depth)
+            block(x, depth, grid)
+        elif type(x) is _EdgeRows:
+            block(x, depth, edges)
         elif isinstance(x, dict):
             first = sep = "{" + newline[depth + 1]
             next_sep = "," + newline[depth + 1]
@@ -378,15 +392,21 @@ def _repeat_from(p, depth, sizes, *families):
     """Extend the level sizes and block families read from ``p`` in place to
     ``depth`` blocks, when ``p`` carries a ``repeat_from`` marker: the last
     block, which must be square, repeats, and so does the last level size.
-    The marker is null or an integer."""
+    The marker is null or the index of a stored block from which every
+    stored block of each family is ``==`` to its last."""
     marker = p.get("repeat_from")
-    if marker is not None and type(marker) is not int:
-        raise DocumentError("repeat_from must be null or an integer", "$.payload.repeat_from")
-    if depth is None or depth <= len(families[0]) or marker is None:
+    if marker is None:
         return
-    if sizes[-1] != sizes[-2]:
+    stored, where = len(families[0]), "$.payload.repeat_from"
+    if type(marker) is not int:
+        raise DocumentError("repeat_from must be null or an integer", where)
+    if not 0 <= marker < stored:
+        raise DocumentError(f"repeat_from {marker} is not one of the {stored} stored blocks", where)
+    count = 0 if depth is None else max(depth - stored, 0)
+    if count and sizes[-1] != sizes[-2]:
         raise DocumentError("repeating block must be square", "$.payload")
-    count = depth - len(families[0])
+    if any(blocks[k] != blocks[-1] for blocks in families for k in range(marker, stored)):
+        raise DocumentError(f"the blocks from repeat_from {marker} on are not all equal", where)
     sizes += [sizes[-1]] * count
     for blocks in families:
         blocks += [blocks[-1]] * count
@@ -416,8 +436,14 @@ def _edges(node, loc, label):
     return share(blocks)
 
 
+class _EdgeRows(list):
+    """An edge block as its sorted 1-based [src, tgt, label] rows."""
+
+
 def _edges_out(blocks, label):
-    return [sorted([s + 1, t + 1, label(a)] for (s, t, a) in block) for block in blocks]
+    """Each edge block as ``_EdgeRows``, made once per block object."""
+    rows = by_identity(lambda b: _EdgeRows(sorted([s + 1, t + 1, label(a)] for (s, t, a) in b)))
+    return list(map(rows, blocks))
 
 
 def _label(x, loc, *index):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import os
 import sys
@@ -301,7 +302,9 @@ def cmd_from_lgs(args):
     return PASS
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, made once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="bisys",
         description="subshift presentations, their two-sided leveled systems, "
@@ -313,20 +316,17 @@ def build_parser():
     p = sub.add_parser("validate", help="check a document's structural axioms")
     p.add_argument("file")
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("canonical", help="canonical construction of a subshift")
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--emit", choices=("dot", "json", "smb"), default="json")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_canonical)
 
     p = sub.add_parser("invariants", help="level towers of the two K-groups")
     p.add_argument("file")
     p.add_argument("--side", choices=("minus", "plus"), default="minus")
     p.add_argument("--depth", type=int, default=6)
-    p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("check-equivalence", help="verify an equivalence witness")
     p.add_argument("system_m")
@@ -335,35 +335,31 @@ def build_parser():
     p.add_argument("--mode", choices=("psse", "sse"), default="psse")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--convert", default=None, help="write the one-step conversion here")
-    p.set_defaults(fn=cmd_check_equivalence)
 
     p = sub.add_parser("bipartite", help="detect and split a bipartite system")
     p.add_argument("file")
     p.add_argument("--out-prefix", default=None)
-    p.set_defaults(fn=cmd_bipartite)
 
     p = sub.add_parser("transpose", help="reverse all edges and swap the sides")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_transpose)
 
     p = sub.add_parser("words", help="admissible or presented words")
     p.add_argument("file")
     p.add_argument("--side", choices=("minus", "plus"), default="plus")
     p.add_argument("-n", "--length", type=int, default=3)
-    p.set_defaults(fn=cmd_words)
 
     p = sub.add_parser("from-lgs", help="import a one-sided leveled system")
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_from_lgs)
     return parser
 
 
 def _run(args):
     try:
-        return args.fn(args)
+        # looked up by the command's name as it runs: the parser outlives a call
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else INPUT_ERROR
     except (DocumentError, OSError) as e:  # OSError: an output file that cannot be written

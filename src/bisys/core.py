@@ -40,6 +40,25 @@ def share(keys, make=None) -> list:
     return out
 
 
+def by_identity(fn):
+    """``fn`` memoized by the identity of its arguments.
+
+    Each entry holds its arguments, so no id is reused while the memo lives.
+    It lives for the one call that makes it: a memo kept longer would hit on
+    every repeat of a whole input.
+    """
+    memo = {}
+
+    def call(*args):
+        key = tuple(map(id, args))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (args, fn(*args))
+        return got[1]
+
+    return call
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of symbols, each a word of one fixed length.

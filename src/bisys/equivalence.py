@@ -23,6 +23,7 @@ from .core import (
     FormalSum,
     Specification,
     SymbolicMatrix,
+    by_identity,
     kappa_matrix,
     share,
     specified_equivalence_failure,
@@ -143,25 +144,6 @@ def _too_short(depth: int, have: int, need: int, unit: str) -> VerifyReport:
     ))
 
 
-def _by_identity(fn):
-    """``fn`` memoized by the identity of its arguments.
-
-    Each entry holds its arguments, so no id is reused while the memo lives.
-    It lives for the one call that makes it: a memo kept longer would hit on
-    every repeat of a whole input.
-    """
-    memo = {}
-
-    def call(*args):
-        key = tuple(map(id, args))
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = (args, fn(*args))
-        return got[1]
-
-    return call
-
-
 def _psse_equation_failure(lhs, rhs, spec):
     """None when lhs maps onto rhs under spec, or when spec is None and the
     kappa-exchange of lhs is rhs; else the reason."""
@@ -192,8 +174,8 @@ def _verify_psse(s_m, s_n, w, depth) -> VerifyReport:
     if failures:
         return VerifyReport(False, depth, tuple(failures))
 
-    mul = _by_identity(symbolic_matrix_multiply)
-    check = _by_identity(_psse_equation_failure)
+    mul = by_identity(symbolic_matrix_multiply)
+    check = by_identity(_psse_equation_failure)
 
     def eq(family, level, lhs_fn, rhs_fn, spec=None):
         try:
@@ -383,8 +365,8 @@ def bipartite_split(s: SymbolicMatrixBisystem, bip: BipartiteStructure):
     systems = []
     for v in (w, w.swapped()):
         cd = Alphabet.product(v.alphabet_c, v.alphabet_d)
-        plus_of = _by_identity(lambda p, q: _cast(symbolic_matrix_multiply(p, q), cd))
-        minus_of = _by_identity(
+        plus_of = by_identity(lambda p, q: _cast(symbolic_matrix_multiply(p, q), cd))
+        minus_of = by_identity(
             lambda x, y: _cast(kappa_matrix(symbolic_matrix_multiply(x, y)), cd)
         )
         plus = tuple(plus_of(v.p_mats[2 * l], v.q_mats[2 * l + 1]) for l in range(half))
@@ -436,8 +418,8 @@ def verify_sse_1step(
     if failures:
         return VerifyReport(False, depth, tuple(failures))
 
-    mul = _by_identity(symbolic_matrix_multiply)
-    check = _by_identity(specified_equivalence_failure)
+    mul = by_identity(symbolic_matrix_multiply)
+    check = by_identity(specified_equivalence_failure)
 
     def eq(family, level, lhs, rhs, spec):
         msg = check(lhs, rhs, spec)
@@ -487,7 +469,7 @@ def _sse_half(w: PsseWitness):
     inv_kphi_n = {v[kd:] + v[:kd]: s for s, v in phi_n.items()}
 
     c_sse = Alphabet.product(w.alphabet_d, w.alphabet_c)
-    h = _by_identity(lambda x, p: _cast(symbolic_matrix_multiply(x, p), c_sse))
+    h = by_identity(lambda x, p: _cast(symbolic_matrix_multiply(x, p), c_sse))
     h_mats = tuple(h(w.x_mats[2 * l], w.p_mats[2 * l + 1]) for l in range(w.levels // 2))
     phi1 = {
         b + a: bw[kc:] + aw[:kc] + bw[:kc] + aw[kc:]

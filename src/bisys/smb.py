@@ -17,11 +17,12 @@ from .core import (
     FormalSum,
     Specification,
     SymbolicMatrix,
+    by_identity,
     find_specification_multi,
     share,
     word_str,
 )
-from .bisystem import LambdaGraphBisystem, Verdict, corners
+from .bisystem import LambdaGraphBisystem, Verdict, _repeats, corner_faults
 
 
 class SmbError(ValueError):
@@ -131,35 +132,37 @@ def _matrix_report(b: LambdaGraphBisystem) -> SmbValidationReport:
     In block l of either side, row i is the lower list of vertex i at level l
     and column j the upper list of vertex j at level l+1.  Axiom (iv) reports
     in the order of the upper lists, which ``_expand`` sorts by row and then
-    by symbol.
+    by symbol.  Each pair of row and column list objects is scanned once,
+    and its faults are named at every block that holds it.
     """
+
+    def scan(rows, cols):
+        """Zero rows, zero columns, cells with a repeated symbol, and a symbol
+        in two rows of a column."""
+        twice = [(i, j) for i, edges in enumerate(rows)
+                 for j in sorted({j for (j, _), c in Counter(edges).items() if c > 1})]
+        return ([i for i, e in enumerate(rows) if not e], [j for j, e in enumerate(cols) if not e],
+                twice, [r for r in _repeats(cols) if r[2] != r[3]])
+
+    scan = by_identity(scan)
     bad2, bad3, bad4 = [], [], []
     for l in range(b.depth):
         for side in ("minus", "plus"):
-            rows, cols = b.adjacency[side, "lower"][l], b.adjacency[side, "upper"][l]
-            bad2 += [f"block {l} {side}: zero row {i + 1}" for i, e in enumerate(rows) if not e]
-            bad2 += [f"block {l} {side}: zero column {j + 1}" for j, e in enumerate(cols) if not e]
-            for i, edges in enumerate(rows):
-                twice = sorted({j for (j, _), c in Counter(edges).items() if c > 1})
-                bad3 += [f"block {l} {side} cell ({i+1},{j+1}): repeated symbol" for j in twice]
-            for j, edges in enumerate(cols):
-                seen: dict = {}
-                for (i, w) in edges:
-                    if w in seen and seen[w] != i:
-                        bad4.append(
-                            f"block {l} {side} column {j+1}: symbol "
-                            f"{word_str(w)} in rows {seen[w]+1} and {i+1}"
-                        )
-                    seen[w] = i
+            zero_rows, zero_cols, twice, clashes = scan(
+                b.adjacency[side, "lower"][l], b.adjacency[side, "upper"][l]
+            )
+            bad2 += [f"block {l} {side}: zero row {i + 1}" for i in zero_rows]
+            bad2 += [f"block {l} {side}: zero column {j + 1}" for j in zero_cols]
+            bad3 += [f"block {l} {side} cell ({i+1},{j+1}): repeated symbol" for i, j in twice]
+            bad4 += [f"block {l} {side} column {j+1}: symbol {word_str(w)} in rows {i0+1} and {i+1}"
+                     for j, w, i0, i in clashes]
 
     # cell (u, v) of M-_l M+_{l+1} sums the minus-then-plus corners, and of
     # kappa(M+_l M-_{l+1}) the plus-then-minus ones, each read minus label first
     bad5 = [
         f"commutation fails at blocks {l},{l+1} cell ({u+1},{v+1}): "
         f"{FormalSum(x + y for x, y in d)!r} vs {FormalSum(x + y for x, y in w)!r}"
-        for l in range(b.depth - 1)
-        for (u, v), d, w in corners(b, l)
-        if d != w
+        for l, u, v, d, w in corner_faults(b)
     ]
 
     verdicts = [Verdict(not bad, tuple(bad)) for bad in ([], bad2, bad3, bad4, bad5)]
@@ -272,7 +275,7 @@ def sft_smb(a: SymbolicMatrix, identify: bool = False, depth: int = 3) -> Symbol
     minus = [m01, m12] + [mtail] * (depth - 2)
     plus = [p01, p12] + [ptail] * (depth - 2)
     return SymbolicMatrixBisystem(
-        tuple(minus), tuple(plus), sigma_minus, sigma_plus, repeat_from=2
+        tuple(minus), tuple(plus), sigma_minus, sigma_plus, repeat_from=2 if depth > 2 else None
     )
 
 

@@ -1,6 +1,7 @@
+import os
 import random
 import time
-from itertools import product as cartesian
+from itertools import cycle, product as cartesian
 
 import pytest
 
@@ -20,6 +21,7 @@ from bisys.bisystem import (
     validate_lambda_graph_system,
 )
 from bisys.canonical import canonical_bisystem
+from bisys.cli.documents import load_document
 from bisys.ktheory import build_ladder
 from bisys.smb import to_smb, validate_smb
 from fixtures import (
@@ -36,6 +38,7 @@ from fixtures import (
     random_sofic_pres,
     two_power_split_bisystem,
 )
+import oracles
 from oracles import fpcc_verdict as oracle_fpcc
 from oracles import sigma_condition_I_witness as oracle_sigma
 
@@ -525,3 +528,121 @@ def test_lgs_local_property_messages_are_pinned():
         "one-sided local property fails at (v2^1, v2^3): ['a12'] vs []",
         "one-sided local property fails at (v1^2, v1^4): ['a11'] vs ['a21']",
     ]
+
+
+FIELDS = ("level_sizes", "minus_edges", "plus_edges", "sigma_minus", "sigma_plus")
+FULL3_LGS = os.path.join(os.path.dirname(__file__), "..", "docs", "examples", "full3.lgs.json")
+
+
+def with_blocks(b, side, blocks):
+    """The fields of b, with the given blocks on one side."""
+    fields = {name: getattr(b, name) for name in FIELDS}
+    fields[side + "_edges"] = tuple(blocks)
+    return fields
+
+
+def shared_block_mutants(b, rng):
+    """Fields that change one edge of each block object b holds at several
+    levels: at every level that holds it, and at one of them only; and
+    fields that give such an object an end off its level or a label off the
+    alphabet, at every level that holds it."""
+    out = []
+    kinds = cycle(range(5))
+    for side in ("minus", "plus"):
+        blocks = getattr(b, side + "_edges")
+        symbols = getattr(b, "sigma_" + side).symbols
+        held = {}
+        for l, block in enumerate(blocks):
+            held.setdefault(id(block), []).append(l)
+        for levels in held.values():
+            if len(levels) < 2 or not blocks[levels[0]]:
+                continue
+            l = levels[0]
+            ends = (b.level_sizes[l + 1], b.level_sizes[l])  # sizes of a minus edge's ends
+            src, tgt = ends if side == "minus" else ends[::-1]
+            edges = list(blocks[l])
+            k = rng.randrange(len(edges))
+            s, t, a = edges[k]
+            kind = next(kinds)
+            if kind == 0:
+                edges[k] = (rng.randrange(src), t, a)
+            elif kind == 1:
+                edges[k] = (s, rng.randrange(tgt), a)
+            elif kind == 2:
+                edges[k] = (s, t, rng.choice([x for x in symbols if x != a] or [a]))
+            elif kind == 3:
+                edges.append(edges[k])
+            else:
+                del edges[k]
+            changed = tuple(sorted(edges))
+            off_level = blocks[l][:k] + ((src, t, a),) + blocks[l][k + 1:]
+            off_alphabet = blocks[l][:k] + ((s, t, ("zz",)),) + blocks[l][k + 1:]
+            one = rng.choice(levels)
+            for bad, where in ((changed, levels), (changed, [one]), (off_level, levels),
+                               (off_alphabet, levels)):
+                out.append(with_blocks(b, side, [
+                    bad if i in where else block for i, block in enumerate(blocks)
+                ]))
+    return out
+
+
+def error_text(make, fields):
+    try:
+        make(*(fields[name] for name in FIELDS))
+    except BisystemError as e:
+        return str(e)
+    return None
+
+
+def test_per_object_checks_match_the_per_level_oracles():
+    """The checks that run once per block object give the per-level oracles'
+    verdicts, texts and words, a fault in a shared block named at every
+    level that holds it."""
+    rng = random.Random(24)
+    builds = [canonical_bisystem(p, 8).bisystem
+              for p in (golden_mean_pres(), even_shift_pres(), full_shift_pres(2),
+                        alternating_pres())]
+    bases = builds + [transpose(b) for b in builds]
+    bases.append(from_lambda_graph_system(load_document(FULL3_LGS, 8)[2]))
+    cases = [{name: getattr(b, name) for name in FIELDS} for b in bases]
+    for b in bases:
+        cases += shared_block_mutants(b, rng)
+    failed, rejected = set(), set()
+    for fields in cases:
+        error = error_text(LambdaGraphBisystem, fields)
+        assert error == error_text(oracles.range_fault, fields)
+        if error is not None:
+            rejected.add(error.split()[1])
+            continue
+        b = LambdaGraphBisystem(**fields)
+        axioms = validate(b).axioms
+        assert axioms == oracles.axiom_verdicts(b)
+        s = to_smb(b, unchecked=True)
+        report = validate_smb(s)
+        assert report == oracles.matrix_report(s._expansion)
+        for side, n in cartesian(("minus", "plus"), (1, 3)):
+            assert presented_words(b, side, n) == oracles.presented_words(b, side, n)
+        failed |= {("axiom", name) for name, v in axioms if not v.ok}
+        failed |= {("matrix", name) for name, v in report.axioms if not v.ok}
+        levels = {c.split("^")[1].split(",")[0] for c in dict(axioms)["v"].counterexamples}
+        failed |= {"one fault at several levels"} if len(levels) > 1 else set()
+    assert len(cases) > 80
+    assert rejected == {"edge", "label"}
+    assert failed >= {("axiom", "iii"), ("axiom", "iv"), ("axiom", "v"), ("matrix", "ii"),
+                      ("matrix", "iii"), ("matrix", "iv"), ("matrix", "v"),
+                      "one fault at several levels"}
+
+
+def test_corners_are_scanned_once_per_distinct_quadruple(monkeypatch):
+    """The even shift at depth 13 has 12 corner levels but 4 distinct
+    quadruples of adjacency lists; axiom (v) scans each once."""
+    import bisys.bisystem
+
+    scans = []
+    scan = bisys.bisystem._corners
+    monkeypatch.setattr(bisys.bisystem, "_corners", lambda *lists: (
+        scans.append(tuple(map(id, lists))) or scan(*lists)
+    ))
+    b = canonical_bisystem(even_shift_pres(), 13).bisystem
+    assert b.depth - 1 == 12
+    assert len(scans) == len(set(scans)) == 4

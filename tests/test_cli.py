@@ -194,21 +194,35 @@ def test_matrix_cell_errors_are_pinned(tmp_path, capsys):
 
 
 def test_list_fields_and_repeat_from_are_type_checked(tmp_path, capsys):
-    """A string or a number where a list belongs, and a repeat_from marker
-    that is neither null nor an integer, exit 2 with the field's location."""
+    """A string or a number where a list belongs, a repeat_from marker that
+    is neither null nor an integer, and an integer marker that names no
+    stored block or one from which the blocks differ, exit 2 with the
+    field's location."""
     bisystem = json.loads(dump_document(
         "bisystem", "gm", canonical_bisystem(golden_mean_pres(), 2).bisystem))["payload"]
     smb = json.loads(dump_document("smb", "gm", canonical_smb(golden_mean_pres(), 2)))
+    lgs = json.loads(FULL3_LGS)["payload"]
     sft = json.loads(GM_SUBSHIFT)["payload"]
     forbidden = {"variant": "forbidden", "symbols": ["1", "2"], "words": [["2", "2"]]}
     cases = []
-    for kind, payload in (("bisystem", bisystem), ("smb", smb["payload"]),
-                          ("lambda_graph_system", json.loads(FULL3_LGS)["payload"])):
+    leveled = (("bisystem", bisystem, "minus_edges"), ("smb", smb["payload"], "minus"),
+               ("lambda_graph_system", lgs, "edges"))
+    for kind, payload, family in leveled:
         for value in (True, False, 1.5, "1", [1], {}):
             cases.append((kind, dict(payload, repeat_from=value), "$.payload.repeat_from",
                           "repeat_from must be null or an integer"))
-        for value in (None, 0, 2):
+        stored = len(payload[family])
+        assert stored == 2
+        for value in (None, stored - 1):
             cases.append((kind, dict(payload, repeat_from=value), None, None))
+        for value in (2, -3):
+            cases.append((kind, dict(payload, repeat_from=value), "$.payload.repeat_from",
+                          f"repeat_from {value} is not one of the 2 stored blocks"))
+    # marker 0: the full 3-shift's two blocks are equal, the golden mean's are not
+    cases.append(("lambda_graph_system", dict(lgs, repeat_from=0), None, None))
+    for kind, payload, _ in leveled[:2]:
+        cases.append((kind, dict(payload, repeat_from=0), "$.payload.repeat_from",
+                      "the blocks from repeat_from 0 on are not all equal"))
     for key in ("sigma_minus", "sigma_plus"):
         for value in ("12", 12):
             cases.append(("bisystem", dict(bisystem, **{key: {"symbols": value}}),

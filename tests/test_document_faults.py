@@ -721,7 +721,6 @@ CHANGED = {
         'error $.payload.level_sizes: expected 3 entries (one more than the plus blocks), got 4',
     'smb: plus one long':
         'error $.payload.level_sizes: expected 5 entries (one more than the plus blocks), got 4',
-    'smb: repeat_from with no blocks': 'error $.payload: list index out of range',
     'psse_witness: phi_m source 7':
         'error $.payload.phi_m: symbol must be a string or list of strings',
     'psse_witness: phi_n source 7':
@@ -858,6 +857,20 @@ CHANGED = {
     "smb: level_sizes entry 'x'": 'error $.payload.level_sizes[1]: level size must be an integer',
     'smb: level_sizes entry 2.9': 'error $.payload.level_sizes[1]: level size must be an integer',
     "smb: level_sizes entry '2'": 'error $.payload.level_sizes[1]: level size must be an integer',
+    # an integer repeat_from must name a stored block from which every stored
+    # block equals the last; the readers used only whether it was null
+    'bisystem: repeat_from as a number':
+        'error $.payload.repeat_from: repeat_from 7 is not one of the 3 stored blocks',
+    'bisystem: repeat_from with no blocks':
+        'error $.payload.repeat_from: repeat_from 0 is not one of the 0 stored blocks',
+    'lambda_graph_system: repeat_from as a number':
+        'error $.payload.repeat_from: repeat_from 7 is not one of the 3 stored blocks',
+    'lambda_graph_system: repeat_from with no blocks':
+        'error $.payload.repeat_from: repeat_from 0 is not one of the 0 stored blocks',
+    'smb: repeat_from as a number':
+        'error $.payload.repeat_from: repeat_from 7 is not one of the 3 stored blocks',
+    'smb: repeat_from with no blocks':
+        'error $.payload.repeat_from: repeat_from 0 is not one of the 0 stored blocks',
 }
 
 

@@ -3,6 +3,8 @@
 ``_write`` walks each SymbolicMatrix in place; ``expanded`` below is the
 tree json.dumps needs instead, each matrix spelled out as a list of rows of
 term lists, as documents were written before the writer existed.
+``plain_bisystem`` is a bisystem payload with each edge block spelled out at
+each level, which the writer writes once per block object.
 """
 
 import collections
@@ -10,12 +12,19 @@ import json
 import os
 import random
 
+from bisys.bisystem import LambdaGraphBisystem
 from bisys.canonical import canonical_bisystem, canonical_smb
 from bisys.cli.documents import _write, dump_document, load_document, parse_document
 from bisys.core import Alphabet, FormalSum, SymbolicMatrix
 from bisys.equivalence import psse_to_sse, trivial_psse_witness
-from bisys.smb import to_smb
-from fixtures import golden_mean_pres
+from bisys.smb import sft_smb, to_smb
+from fixtures import (
+    alternating_pres,
+    full_shift_pres,
+    golden_mean_lgs,
+    golden_mean_pres,
+    symbolic_2x2,
+)
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
 
@@ -127,11 +136,51 @@ def test_writer_matches_json_dumps_on_random_documents():
         assert _write(leaf) == oracle(leaf)
 
 
+def plain_bisystem(b):
+    """A bisystem payload as plain JSON values: each edge block at each level
+    its own sorted list of 1-based [src, tgt, label] rows."""
+
+    def word(w):
+        return w[0] if len(w) == 1 else list(w)
+
+    def alphabet(a):
+        if a.factors is not None:
+            return {"product": [alphabet(f) for f in a.factors]}
+        return {"symbols": [word(s) for s in a.symbols]}
+
+    def edges(blocks):
+        return [sorted([s + 1, t + 1, word(a)] for (s, t, a) in block) for block in blocks]
+
+    return {
+        "depth": b.depth, "level_sizes": list(b.level_sizes),
+        "sigma_minus": alphabet(b.sigma_minus), "sigma_plus": alphabet(b.sigma_plus),
+        "minus_edges": edges(b.minus_edges), "plus_edges": edges(b.plus_edges),
+        "repeat_from": None,
+    }
+
+
+def hand_built_bisystem():
+    """Unsorted blocks over product labels, one block object at two levels
+    of each side, and an empty block on each side."""
+    sigma = Alphabet.product(Alphabet.of("a", "b"), Alphabet.of("1", "é"))
+    loop = ((1, 0, ("b", "é")), (0, 1, ("a", "1")), (0, 0, ("b", "1")))
+    return LambdaGraphBisystem(
+        (1, 2, 2, 2, 2),
+        (((1, 0, ("a", "1")), (0, 0, ("b", "é"))), loop, loop, ()),
+        (((0, 1, ("a", "é")), (0, 0, ("a", "1"))), (), loop, loop),
+        sigma, sigma,
+    )
+
+
 def test_emitted_documents_are_json_dumps_fixed_points():
     s = canonical_smb(golden_mean_pres(), 4)
     w = trivial_psse_witness(s)
     cases = [
         ("bisystem", canonical_bisystem(golden_mean_pres(), 4).bisystem),
+        ("bisystem", canonical_bisystem(full_shift_pres(2), 8).bisystem),  # period 1
+        ("bisystem", canonical_bisystem(alternating_pres(), 8).bisystem),  # period 2
+        ("bisystem", hand_built_bisystem()),
+        ("lambda_graph_system", golden_mean_lgs(4)),
         ("smb", s),
         ("smb", to_smb(canonical_bisystem(golden_mean_pres(), 3).bisystem)),
         ("psse_witness", w),
@@ -143,6 +192,19 @@ def test_emitted_documents_are_json_dumps_fixed_points():
         for name in ("gm", float("nan"), -(2**70), random_value(rng, seen), random_string(rng)):
             text = dump_document(kind, name, obj)
             assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+            if kind == "bisystem":
+                plain = {"schema_version": 1, "kind": kind, "name": name,
+                         "payload": plain_bisystem(obj)}
+                assert text == oracle(plain)
+
+
+def test_sft_smb_documents_re_parse():
+    """``sft_smb`` marks its repeating block only where it stores one."""
+    for depth in (2, 3, 5):
+        s = sft_smb(symbolic_2x2(), depth=depth)
+        text = dump_document("smb", "s", s)
+        assert dump_document(*parse_document(text)) == text
+        assert json.loads(text)["payload"]["repeat_from"] == (2 if depth > 2 else None)
 
 
 def test_every_example_is_a_dump_parse_dump_fixed_point():
