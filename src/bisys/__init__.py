@@ -1,5 +1,7 @@
 """Computational symbolic dynamics over two-sided leveled labeled graphs."""
 
+from types import ModuleType as _Module
+
 from .core import (
     Alphabet,
     CoreError,
@@ -27,9 +29,7 @@ from .bisystem import (
     fpcc_check,
     from_lambda_graph_system,
     presented_words,
-    sigma1_minus,
     sigma_condition_I_witness,
-    transition_matrices,
     transpose,
     validate,
 )
@@ -71,5 +71,7 @@ from .ktheory import (
     smith_normal_form,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them bound
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _Module)]
 __version__ = "0.1.0"

@@ -351,35 +351,6 @@ def transpose(b: LambdaGraphBisystem) -> LambdaGraphBisystem:
 
 
 # ---------------------------------------------------------------------------
-# transition matrices and generator index sets
-
-
-@dataclass(frozen=True)
-class TransitionMatrixBisystem:
-    """0/1 tensors per level block, stored as sets of (i, label, j) triples."""
-
-    minus: tuple  # per block l: frozenset[(i at l, label, j at l+1)]
-    plus: tuple
-
-
-def transition_matrices(b: LambdaGraphBisystem) -> TransitionMatrixBisystem:
-    minus = tuple(
-        frozenset((t, tuple(a), s) for (s, t, a) in block) for block in b.minus_edges
-    )
-    plus = tuple(
-        frozenset((s, tuple(a), t) for (s, t, a) in block) for block in b.plus_edges
-    )
-    return TransitionMatrixBisystem(minus, plus)
-
-
-def sigma1_minus(b: LambdaGraphBisystem, level: int, i: int) -> frozenset:
-    """Labels of minus edges leaving the vertex downward (level >= 1)."""
-    if level < 1:
-        raise BisystemError("defined for levels >= 1")
-    return frozenset(a for (_, a) in b.adjacency["minus", "upper"][level - 1][i])
-
-
-# ---------------------------------------------------------------------------
 # import from one-sided leveled systems
 
 

@@ -14,7 +14,9 @@ import json
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
-from ..core import Alphabet, FormalSum, Specification, SymbolicMatrix, by_identity, share, word_str
+from ..core import (
+    Alphabet, FormalSum, Specification, SymbolicMatrix, by_identity, repeat_fault, share, word_str,
+)
 from ..bisystem import LambdaGraphBisystem, LambdaGraphSystem
 from ..smb import SymbolicMatrixBisystem
 from ..subshift import LabeledGraph, SftMatrix, SubshiftPresentation
@@ -392,21 +394,18 @@ def _repeat_from(p, depth, sizes, *families):
     """Extend the level sizes and block families read from ``p`` in place to
     ``depth`` blocks, when ``p`` carries a ``repeat_from`` marker: the last
     block, which must be square, repeats, and so does the last level size.
-    The marker is null or the index of a stored block from which every
-    stored block of each family is ``==`` to its last."""
+    The marker must pass ``core.repeat_fault``; a last block that cannot
+    repeat is reported first."""
     marker = p.get("repeat_from")
     if marker is None:
         return
-    stored, where = len(families[0]), "$.payload.repeat_from"
-    if type(marker) is not int:
-        raise DocumentError("repeat_from must be null or an integer", where)
-    if not 0 <= marker < stored:
-        raise DocumentError(f"repeat_from {marker} is not one of the {stored} stored blocks", where)
+    stored = len(families[0])
     count = 0 if depth is None else max(depth - stored, 0)
-    if count and sizes[-1] != sizes[-2]:
+    if count and stored and sizes[-1] != sizes[-2]:
         raise DocumentError("repeating block must be square", "$.payload")
-    if any(blocks[k] != blocks[-1] for blocks in families for k in range(marker, stored)):
-        raise DocumentError(f"the blocks from repeat_from {marker} on are not all equal", where)
+    fault = repeat_fault(marker, *families)
+    if fault:
+        raise DocumentError(fault, "$.payload.repeat_from")
     sizes += [sizes[-1]] * count
     for blocks in families:
         blocks += [blocks[-1]] * count

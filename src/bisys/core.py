@@ -40,6 +40,23 @@ def share(keys, make=None) -> list:
     return out
 
 
+def repeat_fault(marker, *families) -> str | None:
+    """Why ``marker`` cannot say where the block ``families`` repeat, or None.
+
+    A marker is null, or the index of a stored block from which every stored
+    block of each family is ``==`` to the family's last."""
+    if marker is None:
+        return None
+    stored = len(families[0])
+    if type(marker) is not int:
+        return "repeat_from must be null or an integer"
+    if not 0 <= marker < stored:
+        return f"repeat_from {marker} is not one of the {stored} stored blocks"
+    if any(blocks[k] != blocks[-1] for blocks in families for k in range(marker, stored)):
+        return f"the blocks from repeat_from {marker} on are not all equal"
+    return None
+
+
 def by_identity(fn):
     """``fn`` memoized by the identity of its arguments.
 
@@ -192,13 +209,6 @@ class FormalSum:
                 raise CoreError(f"term {word_str(w)} does not factor at position {split}")
             sw = w[split:] + w[:split]
             acc[sw] = acc.get(sw, 0) + c
-        return FormalSum._trusted(acc)
-
-    def map_terms(self, fn) -> "FormalSum":
-        acc: dict = {}
-        for w, c in self._terms.items():
-            v = tuple(fn(w))
-            acc[v] = acc.get(v, 0) + c
         return FormalSum._trusted(acc)
 
     def __eq__(self, other):

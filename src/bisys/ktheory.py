@@ -30,32 +30,6 @@ def _identity(n):
     return m
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def determinant(a):
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
-
-
 def smith_normal_form(a):
     """(U, D, V) with U a V = D, U and V unimodular, D a divisibility chain.
 
@@ -145,11 +119,6 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def smith_diagonal(a):
-    _, d, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-
-
 @dataclass(frozen=True)
 class FgAbelianGroup:
     """Canonical form: free rank plus invariant factors d1 | d2 | ... (> 1)."""
@@ -183,8 +152,9 @@ def cokernel(theta, ambient_rank: int | None = None) -> FgAbelianGroup:
     rows = len(theta) if theta else (ambient_rank or 0)
     if not theta or not theta[0]:
         return FgAbelianGroup(rows)
-    diag = smith_diagonal(theta)
-    return FgAbelianGroup(rows - len(diag), tuple(d for d in diag if d > 1))
+    _, d, _ = smith_normal_form(theta)
+    diag = [d[i][i] for i in range(min(rows, len(theta[0]))) if d[i][i]]
+    return FgAbelianGroup(rows - len(diag), tuple(x for x in diag if x > 1))
 
 
 def kernel_basis(theta):
@@ -198,34 +168,6 @@ def kernel_basis(theta):
     _, d, v = smith_normal_form(theta)
     r = len([1 for i in range(min(rows, cols)) if d[i][i]])
     return [[v[i][j] for i in range(cols)] for j in range(r, cols)]
-
-
-def solve(theta, b):
-    """Some integer x with theta x = b, or None."""
-    return _solve_factored(smith_normal_form(theta), b)
-
-
-def _solve_factored(snf, b):
-    """solve() against a factorization (U, D, V) of theta made once."""
-    u, d, v = snf
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-    ub = mat_vec(u, b)
-    y = [0] * cols
-    r = min(rows, cols)
-    for i in range(rows):
-        di = d[i][i] if i < r else 0
-        if di:
-            if ub[i] % di:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return mat_vec(v, y)
-
-
-def is_unimodular(m) -> bool:
-    return len(m) == len(m[0]) and abs(determinant(m)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +245,8 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
         up = pos[l + 1]
         iota_l = [{} for _ in bases[l + 1]]
         rho_l = [{} for _ in bases[l + 1]]
-        # a repeated edge counts once, as in transition_matrices; within one
-        # column every (vertex, word) key below is distinct, so each cell is
-        # written once
+        # a repeated edge counts once; within one column every (vertex, word)
+        # key below is distinct, so each cell is written once
         for col, (i, w) in enumerate(bases[l]):
             for (j, a) in set(own[l][i]):
                 iota_l[up[(j, a + w if minus else w + a)]][col] = 1
@@ -512,52 +453,27 @@ def _cokernel_map_is_iso(a: _Factored, b: _Factored, iota, width) -> bool:
     return cokernel(image, n).is_trivial
 
 
-def _independent_rows(vectors):
-    """Indices of len(vectors) linearly independent rows of the matrix whose
-    columns are ``vectors``, which must have full column rank; the first such
-    rows, found by fraction-free elimination."""
-    picked = []
-    echelon = []  # (pivot column, row reduced against the earlier ones)
-    for i, row in enumerate(zip(*vectors)):
-        v = list(row)
-        for c, e in echelon:
-            if v[c]:
-                f, g = e[c], v[c]
-                v = [f * x - g * y for x, y in zip(v, e)]
-        if any(v):
-            echelon.append((next(j for j, x in enumerate(v) if x), v))
-            picked.append(i)
-            if len(picked) == len(vectors):
-                break
-    return picked
-
-
-def _kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
+def _kernel_map_is_iso(a: _Factored, b: _Factored, t, theta_b) -> bool:
     """Does t restrict to an isomorphism ker(theta_a) -> ker(theta_b)?
 
-    t is given by its rows.  The kb basis has full column rank, so the
-    coordinates of an image in it are unique when they exist: they are
-    solved on k independent rows of the basis and checked on all the others.
+    t and theta_b are given by their rows, t with n of them.  ker(theta_b)
+    is saturated: a vector of Z^n lies in it when a nonzero multiple does.
+    So t maps ker(theta_a) isomorphically onto it exactly when the two
+    kernels have one rank k, theta_b t kills every basis vector of
+    ker(theta_a), and their k images span a saturated lattice of rank k,
+    which is when the n x k matrix of the images has cokernel Z^(n-k).
     """
-    ka, kb = a.kernel, b.kernel
-    if len(ka) != len(kb):
+    k = len(a.kernel)
+    if k != len(b.kernel):
         return False
-    if not ka:
+    if not k:
         return True
-    basis_rows = list(zip(*kb))
-    picked = _independent_rows(kb)
-    block_snf = smith_normal_form([list(basis_rows[i]) for i in picked])
-    coords = []
-    for vec in ka:
-        image = [sum(x * vec[j] for j, x in row.items()) for row in t]
-        c = _solve_factored(block_snf, [image[i] for i in picked])
-        if c is None or any(
-            sum(x * y for x, y in zip(row, c)) != value for row, value in zip(basis_rows, image)
-        ):
-            return False
-        coords.append(c)
-    m = [[coords[j][i] for j in range(len(coords))] for i in range(len(coords[0]))]
-    return is_unimodular(m)
+    images = [[sum(x * v[j] for j, x in row.items()) for row in t] for v in a.kernel]
+    if any(sum(x * image[j] for j, x in row.items()) for image in images for row in theta_b):
+        return False
+    n = len(t)
+    image_rows = [{m: image[i] for m, image in enumerate(images) if image[i]} for i in range(n)]
+    return _factor(image_rows, k).coker == FgAbelianGroup(n - k)
 
 
 def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = None) -> KResult:
@@ -586,12 +502,13 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
     prev = None  # only two levels' factorizations are alive at a time
     for l in range(depth):
         width = len(ladder.bases[l])
-        cur = _factor(ladder.theta(l), width)
+        theta = ladder.theta(l)
+        cur = _factor(theta, width)
         levels.append((cur.coker, FgAbelianGroup(len(cur.kernel))))
         if prev is not None:
             connecting.append((
                 _cokernel_map_is_iso(prev, cur, iota[l], width),
-                _kernel_map_is_iso(prev, cur, iota[l - 1]),
+                _kernel_map_is_iso(prev, cur, iota[l - 1], theta),
             ))
         prev = cur
 

@@ -19,6 +19,7 @@ from .core import (
     SymbolicMatrix,
     by_identity,
     find_specification_multi,
+    repeat_fault,
     share,
     word_str,
 )
@@ -47,6 +48,9 @@ class SymbolicMatrixBisystem:
                 raise SmbError(f"block {l}: shape chain broken")
             if mm.alphabet != self.sigma_minus or mp.alphabet != self.sigma_plus:
                 raise SmbError(f"block {l}: matrix alphabet differs from its side's")
+        fault = repeat_fault(self.repeat_from, self.minus, self.plus)
+        if fault:
+            raise SmbError(fault)
 
     @property
     def depth(self) -> int:
@@ -69,14 +73,6 @@ class SymbolicMatrixBisystem:
     def _report(self) -> "SmbValidationReport":
         """``_matrix_report`` of the expansion, made on first use."""
         return _matrix_report(self._expansion)
-
-    def shift(self, k: int) -> "SymbolicMatrixBisystem":
-        """Drop the first k blocks (compare eventually-constant ranges)."""
-        if not (0 <= k < self.depth):
-            raise SmbError("bad shift")
-        return SymbolicMatrixBisystem(
-            self.minus[k:], self.plus[k:], self.sigma_minus, self.sigma_plus
-        )
 
 
 @dataclass(frozen=True)

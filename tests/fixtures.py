@@ -288,6 +288,14 @@ def golden_window_ok(w) -> bool:
     return "22" not in "".join(w)
 
 
+def transition_tensors(b: LambdaGraphBisystem):
+    """(minus, plus): per level block, the 0/1 tensor of b's edges on that
+    side as a frozenset of (i at level l, label, j at level l+1) triples."""
+    minus = tuple(frozenset((t, tuple(a), s) for (s, t, a) in block) for block in b.minus_edges)
+    plus = tuple(frozenset((s, tuple(a), t) for (s, t, a) in block) for block in b.plus_edges)
+    return minus, plus
+
+
 # -- dense integer matrices, for the references the sparse paths are checked against
 
 

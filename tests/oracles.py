@@ -15,6 +15,11 @@ makes each once per distinct operand object.  ``range_fault``,
 ``axiom_verdicts``, ``corners``, ``matrix_report`` and ``presented_words``
 check and walk every level, where the library does each step once per
 distinct block object and renders the result per level.
+``kernel_map_is_iso`` is the kernel-map verdict that solves for the
+coordinates of each image in a kernel basis, through one dense Smith form,
+and takes their determinant, where the library checks that the images span
+a saturated lattice; ``solve``, ``determinant`` and the other dense helpers
+after it went with it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from bisys.core import (
     word_str,
 )
 from bisys.equivalence import VerifyReport
+from bisys.ktheory import _Factored, smith_normal_form
 from bisys.smb import SmbValidationReport
 from bisys.subshift import (
     LabeledGraph,
@@ -676,3 +682,110 @@ def presented_words(b: LambdaGraphBisystem, side: str, n: int):
             }
         out |= {w for (_, w) in frontier}
     return tuple(sorted(out))
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def determinant(a):
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def smith_diagonal(a):
+    _, d, _ = smith_normal_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+
+
+def solve(theta, b):
+    """Some integer x with theta x = b, or None."""
+    return _solve_factored(smith_normal_form(theta), b)
+
+
+def _solve_factored(snf, b):
+    """solve() against a factorization (U, D, V) of theta made once."""
+    u, d, v = snf
+    rows = len(d)
+    cols = len(d[0]) if rows else 0
+    ub = mat_vec(u, b)
+    y = [0] * cols
+    r = min(rows, cols)
+    for i in range(rows):
+        di = d[i][i] if i < r else 0
+        if di:
+            if ub[i] % di:
+                return None
+            y[i] = ub[i] // di
+        elif ub[i]:
+            return None
+    return mat_vec(v, y)
+
+
+def is_unimodular(m) -> bool:
+    return len(m) == len(m[0]) and abs(determinant(m)) == 1
+
+
+def _independent_rows(vectors):
+    """Indices of len(vectors) linearly independent rows of the matrix whose
+    columns are ``vectors``, which must have full column rank; the first such
+    rows, found by fraction-free elimination."""
+    picked = []
+    echelon = []  # (pivot column, row reduced against the earlier ones)
+    for i, row in enumerate(zip(*vectors)):
+        v = list(row)
+        for c, e in echelon:
+            if v[c]:
+                f, g = e[c], v[c]
+                v = [f * x - g * y for x, y in zip(v, e)]
+        if any(v):
+            echelon.append((next(j for j, x in enumerate(v) if x), v))
+            picked.append(i)
+            if len(picked) == len(vectors):
+                break
+    return picked
+
+
+def kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
+    """Does t restrict to an isomorphism ker(theta_a) -> ker(theta_b)?
+
+    t is given by its rows.  The kb basis has full column rank, so the
+    coordinates of an image in it are unique when they exist: they are
+    solved on k independent rows of the basis and checked on all the others.
+    """
+    ka, kb = a.kernel, b.kernel
+    if len(ka) != len(kb):
+        return False
+    if not ka:
+        return True
+    basis_rows = list(zip(*kb))
+    picked = _independent_rows(kb)
+    block_snf = smith_normal_form([list(basis_rows[i]) for i in picked])
+    coords = []
+    for vec in ka:
+        image = [sum(x * vec[j] for j, x in row.items()) for row in t]
+        c = _solve_factored(block_snf, [image[i] for i in picked])
+        if c is None or any(
+            sum(x * y for x, y in zip(row, c)) != value for row, value in zip(basis_rows, image)
+        ):
+            return False
+        coords.append(c)
+    m = [[coords[j][i] for j in range(len(coords))] for i in range(len(coords[0]))]
+    return is_unimodular(m)

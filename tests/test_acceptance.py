@@ -27,7 +27,6 @@ from bisys.equivalence import (
 from bisys.ktheory import (
     FgAbelianGroup,
     ck_oracle,
-    determinant,
     k_groups,
     kernel_contains_constant,
     smith_normal_form,
@@ -46,6 +45,7 @@ from fixtures import (
     random_irreducible_01,
     symbolic_2x2,
 )
+from oracles import determinant
 from test_ktheory import minor_gcd_invariants
 from test_core import random_matrix
 

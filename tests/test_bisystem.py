@@ -13,9 +13,7 @@ from bisys.bisystem import (
     from_lambda_graph_system,
     predecessor_sets,
     presented_words,
-    sigma1_minus,
     sigma_condition_I_witness,
-    transition_matrices,
     transpose,
     validate,
     validate_lambda_graph_system,
@@ -36,6 +34,7 @@ from fixtures import (
     paper_even_shift_bisystem,
     paper_golden_mean_bisystem,
     random_sofic_pres,
+    transition_tensors,
     two_power_split_bisystem,
 )
 import oracles
@@ -293,14 +292,16 @@ def test_lgs_import():
     rep = validate(b)
     assert rep.ok
     # one iota edge per upper vertex
-    tm = transition_matrices(b)
-    for block in tm.minus:
+    minus, plus = transition_tensors(b)
+    for block in minus:
         sources = [j for (_, _, j) in block]
         assert sorted(sources) == list(range(len(sources)))
     for l in range(1, b.depth + 1):
         for i in range(b.level_sizes[l]):
-            assert sigma1_minus(b, l, i) == frozenset({("iota",)})
-    a_plus = tm.plus[1]
+            # the labels of the minus edges leaving the vertex downward
+            labels = frozenset(a for (_, a) in b.adjacency["minus", "upper"][l - 1][i])
+            assert labels == frozenset({("iota",)})
+    a_plus = plus[1]
     assert (0, ("a11",), 0) in a_plus and (0, ("a12",), 1) in a_plus
     assert (1, ("a21",), 0) in a_plus
 
@@ -360,12 +361,12 @@ def test_malformed_iota_and_edge_blocks_are_reported_not_raised():
 
 def test_tensor_round_trip():
     b = canonical_bisystem(golden_mean_pres(), 4).bisystem
-    tm = transition_matrices(b)
+    minus, plus = transition_tensors(b)
     # resolving properties make the (i, label, j) triples a round trip
     back = LambdaGraphBisystem(
         b.level_sizes,
-        tuple(tuple(sorted((j, i, a) for (i, a, j) in block)) for block in tm.minus),
-        tuple(tuple(sorted((i, j, a) for (i, a, j) in block)) for block in tm.plus),
+        tuple(tuple(sorted((j, i, a) for (i, a, j) in block)) for block in minus),
+        tuple(tuple(sorted((i, j, a) for (i, a, j) in block)) for block in plus),
         b.sigma_minus,
         b.sigma_plus,
     )
@@ -493,16 +494,16 @@ def test_validate_agrees_with_matrix_validation():
 
 def test_transition_tensor_entries_match_fixture_edges():
     b = paper_golden_mean_bisystem(5)
-    tm = transition_matrices(b)
+    minus, _ = transition_tensors(b)
     # level 2 -> 3 block of the printed example
     want = {
         (0, ("am",), 0), (0, ("am",), 2),
         (1, ("am",), 1), (1, ("am",), 3),
         (2, ("bm",), 0), (3, ("bm",), 1),
     }
-    assert tm.minus[2] == frozenset(want)
-    assert (0, ("am",), 0) in tm.minus[2] and (2, ("bm",), 0) in tm.minus[2]
-    assert (0, ("bm",), 0) not in tm.minus[2]
+    assert minus[2] == frozenset(want)
+    assert (0, ("am",), 0) in minus[2] and (2, ("bm",), 0) in minus[2]
+    assert (0, ("bm",), 0) not in minus[2]
 
 
 def test_lgs_local_property_messages_are_pinned():

@@ -207,6 +207,11 @@ def test_specified_equivalent_unmapped_symbol_reported():
     assert msg is not None and "b" in msg and "not equivalent" in msg
 
 
+def mapped(x, images):
+    """The formal sum x with each word w replaced by images[w]."""
+    return FormalSum([images[w] for w, c in x.items() for _ in range(c)])
+
+
 def test_specified_equivalent_reflexive_and_inverse():
     rng = random.Random(4)
     alph = Alphabet.of("a", "b", "c")
@@ -218,9 +223,7 @@ def test_specified_equivalent_reflexive_and_inverse():
         phi = Specification.from_dict(
             {("a",): ("x",), ("b",): ("y",), ("c",): ("z",)}
         )
-        b = a.map_entries(
-            lambda x: x.map_terms(phi.as_dict().__getitem__), Alphabet.of("x", "y", "z")
-        )
+        b = a.map_entries(lambda x: mapped(x, phi.as_dict()), Alphabet.of("x", "y", "z"))
         assert specified_equivalence_failure(a, b, phi) is None
         assert specified_equivalence_failure(b, a, phi.inverse()) is None
 
@@ -257,7 +260,7 @@ def test_cell_check_matches_the_formal_sum_oracle():
         a = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), src, max_terms=3)
         images = dict(zip(src.symbols, rng.sample(dst.symbols, len(dst))))
         spec = Specification.from_dict({s: v for s, v in images.items() if rng.random() < 0.8})
-        b = perturbed(a.map_entries(lambda x: x.map_terms(images.__getitem__), dst), rng)
+        b = perturbed(a.map_entries(lambda x: mapped(x, images), dst), rng)
         want = oracles.specified_equivalence_failure(a, b, spec)
         assert specified_equivalence_failure(a, b, spec) == want
         unmapped = [w for row in a.entries for c in row for w in c.support()
@@ -332,3 +335,24 @@ def test_alphabet_invariants():
         Alphabet((("a",), ("a",)), 1)
     prod = Alphabet.product(Alphabet.of("a", "b"), Alphabet.of("x"))
     assert prod.word_length == 2 and len(prod) == 2
+
+
+def test_public_api_is_pinned():
+    """``bisys.__all__`` is exactly this list, without the submodules, so a
+    change to the public API shows up as a change to this test."""
+    import bisys
+
+    assert sorted(bisys.__all__) == [
+        "Alphabet", "BisystemError", "BlockCode", "CanonicalBuild", "CanonicalError", "CentralClass",
+        "CoreError", "EquivalenceError", "FgAbelianGroup", "FormalSum", "KResult", "LabeledGraph",
+        "LambdaGraphBisystem", "LambdaGraphSystem", "PsseWitness", "SftMatrix", "SmbError",
+        "Specification", "SseWitness", "SubshiftError", "SubshiftPresentation", "SymbolicMatrix",
+        "SymbolicMatrixBisystem", "ValidationReport", "admissible_words", "apply_block_code",
+        "bipartite_split", "build_ladder", "canonical_bisystem", "canonical_smb", "ck_oracle",
+        "conjugacy_block_map", "detect_bipartite", "fpcc_check", "from_lambda_graph_system", "from_smb",
+        "higher_block_recode", "k_groups", "kappa_matrix", "kernel_contains_constant",
+        "presented_words", "psse_to_sse", "sft_smb", "sigma_condition_I_witness", "smb_isomorphic",
+        "smith_normal_form", "symbolic_matrix_multiply", "to_smb", "transpose", "trivial_psse_witness",
+        "validate", "validate_smb", "verify_psse_1step", "verify_sse_1step",
+    ]
+    assert all(hasattr(bisys, name) for name in bisys.__all__)

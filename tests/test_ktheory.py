@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from collections import Counter
 from itertools import combinations
@@ -12,6 +13,7 @@ from bisys.bisystem import (
     predecessor_sets,
 )
 from bisys.canonical import canonical_bisystem
+from bisys.cli.documents import load_document, parse_document
 from bisys.ktheory import (
     FgAbelianGroup,
     KResult,
@@ -23,14 +25,10 @@ from bisys.ktheory import (
     build_ladder,
     ck_oracle,
     cokernel,
-    determinant,
     k_groups,
     kernel_basis,
     kernel_contains_constant,
-    mat_vec,
-    smith_diagonal,
     smith_normal_form,
-    solve,
 )
 from fixtures import (
     dense,
@@ -43,6 +41,8 @@ from fixtures import (
     random_irreducible_01,
     two_power_split_bisystem,
 )
+import oracles
+from oracles import determinant, mat_vec, smith_diagonal, solve
 
 
 def minor_gcd_invariants(m):
@@ -448,8 +448,8 @@ def test_kernel_map_verdict_matches_reference(monkeypatch):
         theta_a = mat_mul(theta_b, t)
         a, b = factor(theta_a), factor(theta_b)
         factorized.clear()
-        verdict = _kernel_map_is_iso(a, b, rows_of(t))
-        # one factorization of the kernel basis, however many kernel vectors
+        verdict = _kernel_map_is_iso(a, b, rows_of(t), rows_of(theta_b))
+        # one factorization of the images, however many kernel vectors
         assert len(factorized) <= 1
         assert verdict == reference_kernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
         seen[verdict, len(b.kernel) > 1] += 1
@@ -489,10 +489,10 @@ def test_kernel_map_verdict_on_kernels_of_rank_two_and_three(monkeypatch):
         a, b = factor(theta_a), factor(theta_b)
         assert len(b.kernel) == rank
         factorized.clear()
-        verdict = _kernel_map_is_iso(a, b, rows_of(t))
+        verdict = _kernel_map_is_iso(a, b, rows_of(t), rows_of(theta_b))
         if len(a.kernel) == rank:
-            # one SNF, of a rank x rank block of the basis, not of cols x cols
-            assert [(len(m), len(m[0])) for m in factorized] == [(rank, rank)]
+            # no dense SNF wider than the rank: only the images' residual block
+            assert all(len(m[0]) <= rank for m in factorized), factorized
         assert verdict == reference_kernel_map_is_iso(theta_a, theta_b, t), (theta_a, theta_b, t)
         kb_mat = [list(row) for row in zip(*kernel_basis(theta_b))]
         images = [[sum(x * y for x, y in zip(row, v)) for row in t] for v in kernel_basis(theta_a)]
@@ -501,6 +501,75 @@ def test_kernel_map_verdict_on_kernels_of_rank_two_and_three(monkeypatch):
     for rank in (2, 3):
         # isomorphisms, images outside the lattice, and coordinates not unimodular
         assert seen[True, True, rank] and seen[False, False, rank] and seen[False, True, rank], seen
+
+
+HERE = os.path.dirname(__file__)
+
+
+def tower_kernel_verdicts(b, side):
+    """(saturation verdict, solver verdict) for every kernel map of b's tower."""
+    ladder = build_ladder(b, side)
+    thetas = [ladder.theta(l) for l in range(ladder.depth)]
+    factors = [_factor(theta, len(ladder.bases[l])) for l, theta in enumerate(thetas)]
+    return [
+        (_kernel_map_is_iso(factors[l - 1], factors[l], ladder.iota[l - 1], thetas[l]),
+         oracles.kernel_map_is_iso(factors[l - 1], factors[l], ladder.iota[l - 1]))
+        for l in range(1, ladder.depth)
+    ]
+
+
+def test_kernel_verdict_matches_the_solver_route(monkeypatch):
+    """Seeded: the saturation check gives the verdict of the route that
+    solved for coordinates in a kernel basis and took their determinant, on
+    random triples, on maps that leave ker(theta_b), on images that span a
+    proper sublattice of it (t = 2I among them), on every connecting map of
+    the bench's K-tower jobs and on the full 3-shift's plus ladder."""
+    rng = random.Random(73)
+    seen = Counter()
+    for n in range(480):
+        cols = rng.randint(2, 6)
+        theta_b = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(1, cols - 1))]
+        kind = n % 3
+        t = [[2 * int(i == j) for j in range(cols)] for i in range(cols)]
+        if kind == 0:  # row operations: unimodular
+            t = [[int(i == j) for j in range(cols)] for i in range(cols)]
+            for _ in range(cols):
+                i, j = rng.sample(range(cols), 2)
+                t[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(t[i], t[j])]
+        elif kind == 1:
+            t = [[rng.randint(-1, 2) for _ in range(cols)] for _ in range(cols)]
+        # theta_b t carries ker(theta_a) into ker(theta_b); an unrelated
+        # theta_a of the same shape mostly does not
+        if n % 4:
+            theta_a = mat_mul(theta_b, t)
+        else:
+            theta_a = [[rng.randint(-2, 2) for _ in range(cols)] for _ in theta_b]
+        a, b = factor(theta_a), factor(theta_b)
+        verdict = _kernel_map_is_iso(a, b, rows_of(t), rows_of(theta_b))
+        assert verdict == oracles.kernel_map_is_iso(a, b, rows_of(t)), (theta_a, theta_b, t)
+        images = [mat_vec(t, v) for v in a.kernel]
+        into = all(not any(mat_vec(theta_b, x)) for x in images)
+        seen[verdict, into, len(a.kernel) == len(b.kernel) > 0] += 1
+    # isomorphisms, maps that leave the kernel, and proper sublattices
+    assert seen[True, True, True] and seen[False, False, True] and seen[False, True, True], seen
+
+    monkeypatch.syspath_prepend(os.path.join(HERE, "..", "bench"))
+    import workloads
+
+    towers = []
+    for job in workloads.make_jobs("ktower", 1):
+        obj = parse_document(job.doc)[2]
+        if job.matrix is None:
+            b = canonical_bisystem(obj, job.depth).bisystem
+        else:
+            b = from_lambda_graph_system(obj)
+        towers.append(tower_kernel_verdicts(b, job.side))
+    full3 = from_lambda_graph_system(
+        load_document(os.path.join(HERE, "..", "docs", "examples", "full3.lgs.json"), 6)[2])
+    towers.append(tower_kernel_verdicts(full3, "plus"))
+    pairs = [pair for tower in towers for pair in tower]
+    assert all(new == old for new, old in pairs), towers
+    assert len(pairs) == 129 and {new for new, _ in pairs} == {True, False}, Counter(pairs)
 
 
 # -- the sparse factorization against the dense one it replaced

@@ -248,7 +248,10 @@ def test_isomorphic_rejects_different_sizes():
 def test_canonical_vs_sft_construction_above_level_one():
     ce = canonical_smb(edge_shift_pres(), 5)
     gs = sft_smb(golden_mean_symbolic(), depth=5)
-    assert smb_isomorphic(ce.shift(1), gs.shift(1)) is not None
+    # both with their first block dropped
+    ce1, gs1 = (SymbolicMatrixBisystem(s.minus[1:], s.plus[1:], s.sigma_minus, s.sigma_plus)
+                for s in (ce, gs))
+    assert smb_isomorphic(ce1, gs1) is not None
 
 
 def test_validate_matches_bisystem_validation():
@@ -265,6 +268,27 @@ def test_block_alphabet_must_be_its_sides():
         SymbolicMatrixBisystem(s.minus, plus, s.sigma_minus, s.sigma_plus)
     with pytest.raises(SmbError, match="block 0: matrix alphabet differs"):
         SymbolicMatrixBisystem(s.minus, s.minus, s.sigma_minus, s.sigma_plus)
+
+
+def test_repeat_from_follows_the_readers_rule():
+    """A marker from which the blocks differ is refused where the system is
+    made, not only when its document is read back; a null marker and one on
+    the last block are taken, and sft_smb's markers re-parse."""
+    s = canonical_smb(golden_mean_pres(), 3)
+
+    def marked(marker):
+        return SymbolicMatrixBisystem(s.minus, s.plus, s.sigma_minus, s.sigma_plus, marker)
+
+    with pytest.raises(SmbError, match="the blocks from repeat_from 0 on are not all equal"):
+        marked(0)
+    for marker in (None, s.depth - 1):
+        text = dump_document("smb", "gm", marked(marker))
+        assert dump_document(*parse_document(text)) == text
+    for depth in (2, 3, 5):
+        t = sft_smb(golden_mean_symbolic(), depth=depth)
+        text = dump_document("smb", "gm", t)
+        assert parse_document(text)[2].repeat_from == t.repeat_from
+        assert dump_document(*parse_document(text)) == text
 
 
 # -- reference: the matrix-side validator as dense scans and symbolic products
