@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .bisystem import LambdaGraphBisystem, follower_sets, predecessor_sets
 
@@ -184,13 +186,18 @@ def _subtract(row, other, c=1):
             del row[j]
 
 
-def _row_times(row, mat):
-    """The row vector row * mat, rows as {column: value} dicts without zeros."""
-    out = {}
-    for t, x in row.items():
-        for j, y in mat[t].items():
-            out[j] = out.get(j, 0) + x * y
-    return {j: x for j, x in out.items() if x}
+def _product(a, b):
+    """The matrix product a b, both given by their rows as {column: value}
+    dicts; for the ladder's matrices, whose entries are positive, so no sum
+    cancels to a stored zero."""
+    out = []
+    for row in a:
+        acc = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,17 +234,15 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
     if side not in ("minus", "plus"):
         raise KtheoryError("side must be 'minus' or 'plus'")
     minus = side == "minus"
-    words = follower_sets(b) if minus else predecessor_sets(b)
+    words = [
+        [sorted(ws) for ws in level]
+        for level in (follower_sets(b) if minus else predecessor_sets(b))
+    ]
     own = b.adjacency[side, "lower"]
     across = b.adjacency["plus" if minus else "minus", "lower"]
     symbols = (b.sigma_minus if minus else b.sigma_plus).symbols
-    bases = tuple(
-        tuple((i, w) for i in range(b.level_sizes[l]) for w in sorted(words[l][i]))
-        for l in range(b.depth + 1)
-    )
-    pos = [
-        {key: idx for idx, key in enumerate(level)} for level in bases
-    ]
+    bases = tuple(tuple((i, w) for i, ws in enumerate(level) for w in ws) for level in words)
+    pos = [{key: idx for idx, key in enumerate(level)} for level in bases]
 
     iota_mats = []
     rho_mats = []
@@ -245,17 +250,22 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
         up = pos[l + 1]
         iota_l = [{} for _ in bases[l + 1]]
         rho_l = [{} for _ in bases[l + 1]]
-        # a repeated edge counts once; within one column every (vertex, word)
-        # key below is distinct, so each cell is written once
-        for col, (i, w) in enumerate(bases[l]):
-            for (j, a) in set(own[l][i]):
-                iota_l[up[(j, a + w if minus else w + a)]][col] = 1
-            counts = Counter(j for (j, _) in set(across[l][i]))
-            for j, count in counts.items():
-                for a in symbols:
-                    row = up.get((j, w + a if minus else a + w))
-                    if row is not None:
-                        rho_l[row][col] = count
+        # a vertex's edges are read once for all its words, a repeated edge
+        # counted once; within one column every (vertex, word) key below is
+        # distinct, so each cell is written once
+        col = 0
+        for i, ws in enumerate(words[l]):
+            edges = set(own[l][i])
+            counts = Counter(j for (j, _) in set(across[l][i])).items()
+            for w in ws:
+                for (j, a) in edges:
+                    iota_l[up[(j, a + w if minus else w + a)]][col] = 1
+                for j, count in counts:
+                    for a in symbols:
+                        row = up.get((j, w + a if minus else a + w))
+                        if row is not None:
+                            rho_l[row][col] = count
+                col += 1
         iota_mats.append(iota_l)
         rho_mats.append(rho_l)
     return LevelLadder(side, bases, tuple(iota_mats), tuple(rho_mats))
@@ -293,11 +303,10 @@ class KResult:
         return out
 
 
-@dataclass(frozen=True)
 class _Factored:
     """What the tower reads from one factorization U theta V = D of a level.
 
-    ``coker`` is coker(theta) in canonical form and ``kernel`` a basis of
+    ``coker`` is coker(theta) in canonical form and ``nullity`` the rank of
     ker(theta).  U is not kept.  ``ops`` lists, per unit pivot row p in the
     order of elimination, the pairs (r, c) of the steps row r -= c * row p
     made on rows r that were not yet pivots; the steps on earlier pivot rows
@@ -305,14 +314,52 @@ class _Factored:
     at the end if it never does.
     ``residual`` pairs every invariant factor f of theta that is not 1 (0
     past the rank) with its row of U, as (row, coefficient) pairs over the
-    rows left after elimination.  ``coker_rows`` replays both on a map into
-    the level.
+    rows left after elimination, and ``kernel`` is a basis of ker(theta).
+    Both are built on first read, from the eliminated rows and the Smith
+    normal form (U, diagonal, V) of the residual block (None for a zero
+    block), since most callers read only ``coker`` and ``nullity``.
+    ``coker_rows`` replays ``ops`` and ``residual`` on a map into the level.
     """
 
-    coker: FgAbelianGroup
-    kernel: list
-    ops: list
-    residual: list
+    def __init__(self, coker, nullity, ops, rows, pivots, free, rest, block_snf):
+        self.coker = coker
+        self.nullity = nullity
+        self.ops = ops
+        self._rows = rows
+        self._pivots = pivots
+        self._free = free
+        self._rest = rest
+        self._block_snf = block_snf
+
+    @cached_property
+    def residual(self):
+        free = self._free
+        if self._block_snf is None:  # D = 0, and U is the identity
+            return [(0, [(i, 1)]) for i in free]
+        u, diag, _ = self._block_snf
+        return [
+            (f, [(free[m], x) for m, x in enumerate(row) if x])
+            for f, row in zip(diag, u) if f != 1
+        ]
+
+    @cached_property
+    def kernel(self):
+        rest, pivots, rows = self._rest, self._pivots, self._rows
+        if self._block_snf is None:  # V is the identity
+            residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
+        else:
+            _, diag, v = self._block_snf
+            block_rank = sum(1 for f in diag if f)
+            residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
+        out = []
+        for z in residual_kernel:
+            x = [0] * (len(rest) + len(pivots))
+            for j, value in zip(rest, z):
+                x[j] = value
+            for p, q, s in pivots:
+                x[q] = -s * sum(a * x[j] for j, a in rows[p].items() if j != q)
+            out.append(x)
+        return out
 
     def coker_rows(self, iota, width):
         """(f, row of U iota) for each invariant factor f in ``residual``.
@@ -348,11 +395,19 @@ def _factor(theta, cols) -> _Factored:
     unpivoted row and an unpivoted column meet in a +-1, the one of least
     Markowitz cost (row nnz - 1) * (column nnz - 1), ties to the least (row,
     column), is the next pivot, and its column is cleared from every other
-    row, earlier pivot rows included (Gauss-Jordan).  A pivot (p, q) with
-    sign s leaves row p reading s x_q + sum_f a_pf x_f over the unpivoted
-    columns f; the unpivoted rows are zero outside those columns and form the
-    residual block, the only part that goes to the dense
-    ``smith_normal_form``, and only when it is not zero.
+    row, earlier pivot rows included (Gauss-Jordan).
+
+    The pivots come from a heap that holds, for each unpivoted row with a
+    +-1, a key no greater than its least (cost, row, column).  A pivot
+    recomputes the keys of the rows it changed and lowers the keys of the
+    rows with a +-1 in a column that lost an entry; a column that gained one
+    only raises costs, so those keys are left low and recomputed when they
+    come up.  The key on top is the pivot when it is still exact: every other
+    row's key is a lower bound at least as large, and keys are unique by
+    row.  A pivot (p, q) with sign s leaves row p reading
+    s x_q + sum_f a_pf x_f over the unpivoted columns f; the unpivoted rows
+    are zero outside those columns and form the residual block, the only part
+    that goes to the dense ``smith_normal_form``, and only when it is not zero.
     """
     rows = len(theta)
     mat = [dict(row) for row in theta]
@@ -361,28 +416,39 @@ def _factor(theta, cols) -> _Factored:
         for j in row:
             holders[j].add(i)
 
+    def least_unit(i):
+        """The least (cost, i, column) over the +-1 entries of row i, or None."""
+        row = mat[i]
+        row_cost = len(row) - 1
+        best = None
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                key = (row_cost * (len(holders[j]) - 1), i, j)
+                if best is None or key < best:
+                    best = key
+        return best
+
+    keys = [least_unit(i) for i in range(rows)]
+    queue = [key for key in keys if key is not None]
+    heapify(queue)
     pivots = []  # (row, column, sign)
     ops = []
     pivoted = [False] * rows
-    free = list(range(rows))  # unpivoted rows, ascending
-    while True:
-        best = None
-        for i in free:
-            row = mat[i]
-            row_cost = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    key = (row_cost * (len(holders[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
-            if best is not None and best[0] == 0:
-                break  # later rows cannot beat a pivot without fill-in
-        if best is None:
-            break
-        _, p, q = best
+    while queue:
+        key = heappop(queue)
+        _, p, q = key
+        if pivoted[p] or keys[p] != key:
+            continue  # stale: the row became a pivot or got another key
+        now = least_unit(p)
+        if now != key:  # raised by fill-in since; an unchanged row keeps its units
+            keys[p] = now
+            heappush(queue, now)
+            continue
+        pivoted[p] = True
         prow = mat[p]
         s = prow[q]
         steps = []
+        shrunk = set()  # columns that lost a row
         for r in [r for r in holders[q] if r != p]:
             row = mat[r]
             c = row[q] * s
@@ -395,42 +461,41 @@ def _factor(theta, cols) -> _Factored:
                 else:
                     del row[j]
                     holders[j].discard(r)
+                    shrunk.add(j)
             if not pivoted[r]:
                 steps.append((r, c))
         ops.append((p, steps))
         pivots.append((p, q, s))
-        pivoted[p] = True
-        free.remove(p)
+        for r, _ in steps:
+            key = least_unit(r)
+            if key != keys[r]:
+                keys[r] = key
+                if key is not None:
+                    heappush(queue, key)
+        for j in shrunk:
+            col_cost = len(holders[j]) - 1
+            for r in holders[j]:
+                x = mat[r][j]
+                if (x == 1 or x == -1) and not pivoted[r]:
+                    key = ((len(mat[r]) - 1) * col_cost, r, j)
+                    if key < keys[r]:
+                        keys[r] = key
+                        heappush(queue, key)
 
+    free = [i for i in range(rows) if not pivoted[i]]
     pivot_cols = {q for (_, q, _) in pivots}
     rest = [j for j in range(cols) if j not in pivot_cols]
-    block = [[mat[i].get(j, 0) for j in rest] for i in free]
-    if any(any(row) for row in block):
-        u, d, v = smith_normal_form(block)
+    block_snf = None
+    rank = len(pivots)
+    torsion = ()
+    if any(mat[i] for i in free):
+        u, d, v = smith_normal_form([[mat[i].get(j, 0) for j in rest] for i in free])
         diag = [d[k][k] if k < len(rest) else 0 for k in range(len(free))]
-        residual = [
-            (f, [(free[m], x) for m, x in enumerate(row) if x])
-            for f, row in zip(diag, u) if f != 1
-        ]
-        block_rank = sum(1 for f in diag if f)
-        residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
-    else:  # a zero block: D = 0, and U and V are identities
-        diag = [0] * len(free)
-        residual = [(0, [(i, 1)]) for i in free]
-        residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
-
-    kernel = []
-    for z in residual_kernel:
-        x = [0] * cols
-        for j, value in zip(rest, z):
-            x[j] = value
-        for p, q, s in pivots:
-            x[q] = -s * sum(a * x[j] for j, a in mat[p].items() if j != q)
-        kernel.append(x)
-
-    rank = len(pivots) + sum(1 for f in diag if f)
+        block_snf = (u, diag, v)
+        rank += sum(1 for f in diag if f)
+        torsion = tuple(f for f in diag if f > 1)
     return _Factored(
-        FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), kernel, ops, residual
+        FgAbelianGroup(rows - rank, torsion), cols - rank, ops, mat, pivots, free, rest, block_snf
     )
 
 
@@ -440,17 +505,20 @@ def _cokernel_map_is_iso(a: _Factored, b: _Factored, iota, width) -> bool:
     iota maps Z^width into the rows of theta_b and is given by its rows.
     Finitely generated abelian groups are Hopfian, so between isomorphic
     groups a surjection is an isomorphism.  iota is onto when its rows in
-    ``b.coker_rows``, beside their invariant factors, span everything.  This
-    needs iota to carry im(theta_a) into im(theta_b), as it does where the
-    ladder maps intertwine; elsewhere no map is induced and the verdict says
-    only "equal groups, iota onto".
+    ``b.coker_rows``, beside their invariant factors, span everything: when
+    the sparse factorization of that image matrix has a trivial cokernel.
+    This needs iota to carry im(theta_a) into im(theta_b), as it does where
+    the ladder maps intertwine; elsewhere no map is induced and the verdict
+    says only "equal groups, iota onto".
     """
     if a.coker != b.coker:
         return False
-    rows = b.coker_rows(iota, width)
-    n = len(rows)
-    image = [row + [f if m == k else 0 for m in range(n)] for k, (f, row) in enumerate(rows)]
-    return cokernel(image, n).is_trivial
+    image = []
+    for k, (f, row) in enumerate(b.coker_rows(iota, width)):
+        image.append({j: x for j, x in enumerate(row) if x})
+        if f:
+            image[-1][width + k] = f
+    return _factor(image, width + len(image)).coker.is_trivial
 
 
 def _kernel_map_is_iso(a: _Factored, b: _Factored, t, theta_b) -> bool:
@@ -463,8 +531,8 @@ def _kernel_map_is_iso(a: _Factored, b: _Factored, t, theta_b) -> bool:
     ker(theta_a), and their k images span a saturated lattice of rank k,
     which is when the n x k matrix of the images has cokernel Z^(n-k).
     """
-    k = len(a.kernel)
-    if k != len(b.kernel):
+    k = a.nullity
+    if k != b.nullity:
         return False
     if not k:
         return True
@@ -492,9 +560,7 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
 
     iota, rho = ladder.iota, ladder.rho
     inter_ok = all(
-        _row_times(up_iota, rho[l]) == _row_times(up_rho, iota[l])
-        for l in range(depth - 1)
-        for up_iota, up_rho in zip(iota[l + 1], rho[l + 1])
+        _product(iota[l + 1], rho[l]) == _product(rho[l + 1], iota[l]) for l in range(depth - 1)
     )
 
     levels = []
@@ -504,7 +570,7 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
         width = len(ladder.bases[l])
         theta = ladder.theta(l)
         cur = _factor(theta, width)
-        levels.append((cur.coker, FgAbelianGroup(len(cur.kernel))))
+        levels.append((cur.coker, FgAbelianGroup(cur.nullity)))
         if prev is not None:
             connecting.append((
                 _cokernel_map_is_iso(prev, cur, iota[l], width),

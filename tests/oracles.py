@@ -19,12 +19,15 @@ distinct block object and renders the result per level.
 coordinates of each image in a kernel basis, through one dense Smith form,
 and takes their determinant, where the library checks that the images span
 a saturated lattice; ``solve``, ``determinant`` and the other dense helpers
-after it went with it.
+after it went with it.  ``scan_factor`` is the ladder factorization that
+scanned every unpivoted row for the least-cost unit pivot before each pivot
+and built every field at once, where the library keeps one key per row in a
+heap and builds the kernel and the residual rows only when they are read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain
 
 from bisys.bisystem import (
@@ -46,7 +49,7 @@ from bisys.core import (
     word_str,
 )
 from bisys.equivalence import VerifyReport
-from bisys.ktheory import _Factored, smith_normal_form
+from bisys.ktheory import FgAbelianGroup, _Factored, smith_normal_form
 from bisys.smb import SmbValidationReport
 from bisys.subshift import (
     LabeledGraph,
@@ -789,3 +792,104 @@ def kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
         coords.append(c)
     m = [[coords[j][i] for j in range(len(coords))] for i in range(len(coords[0]))]
     return is_unimodular(m)
+
+
+# ---------------------------------------------------------------------------
+# the factorization that rescanned every unpivoted row before each pivot
+
+ScanFactored = namedtuple("ScanFactored", "coker kernel ops residual")
+
+
+def scan_factor(theta, cols) -> ScanFactored:
+    """Sparse unit-pivot elimination of theta, then a Smith normal form of the rest;
+    every field of the library's ``_factor`` is built at once.
+
+    theta is given by its rows, {column: value} dicts over ``cols`` columns,
+    and is not changed.  The rows are copied and indexed by column.  While an
+    unpivoted row and an unpivoted column meet in a +-1, the one of least
+    Markowitz cost (row nnz - 1) * (column nnz - 1), ties to the least (row,
+    column), is the next pivot, and its column is cleared from every other
+    row, earlier pivot rows included (Gauss-Jordan).  A pivot (p, q) with
+    sign s leaves row p reading s x_q + sum_f a_pf x_f over the unpivoted
+    columns f; the unpivoted rows are zero outside those columns and form the
+    residual block, the only part that goes to the dense
+    ``smith_normal_form``, and only when it is not zero.
+    """
+    rows = len(theta)
+    mat = [dict(row) for row in theta]
+    holders = [set() for _ in range(cols)]  # column -> rows with an entry there
+    for i, row in enumerate(mat):
+        for j in row:
+            holders[j].add(i)
+
+    pivots = []  # (row, column, sign)
+    ops = []
+    pivoted = [False] * rows
+    free = list(range(rows))  # unpivoted rows, ascending
+    while True:
+        best = None
+        for i in free:
+            row = mat[i]
+            row_cost = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    key = (row_cost * (len(holders[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[0] == 0:
+                break  # later rows cannot beat a pivot without fill-in
+        if best is None:
+            break
+        _, p, q = best
+        prow = mat[p]
+        s = prow[q]
+        steps = []
+        for r in [r for r in holders[q] if r != p]:
+            row = mat[r]
+            c = row[q] * s
+            for j, x in prow.items():
+                y = row.get(j, 0) - c * x
+                if y:
+                    if j not in row:
+                        holders[j].add(r)
+                    row[j] = y
+                else:
+                    del row[j]
+                    holders[j].discard(r)
+            if not pivoted[r]:
+                steps.append((r, c))
+        ops.append((p, steps))
+        pivots.append((p, q, s))
+        pivoted[p] = True
+        free.remove(p)
+
+    pivot_cols = {q for (_, q, _) in pivots}
+    rest = [j for j in range(cols) if j not in pivot_cols]
+    block = [[mat[i].get(j, 0) for j in rest] for i in free]
+    if any(any(row) for row in block):
+        u, d, v = smith_normal_form(block)
+        diag = [d[k][k] if k < len(rest) else 0 for k in range(len(free))]
+        residual = [
+            (f, [(free[m], x) for m, x in enumerate(row) if x])
+            for f, row in zip(diag, u) if f != 1
+        ]
+        block_rank = sum(1 for f in diag if f)
+        residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
+    else:  # a zero block: D = 0, and U and V are identities
+        diag = [0] * len(free)
+        residual = [(0, [(i, 1)]) for i in free]
+        residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
+
+    kernel = []
+    for z in residual_kernel:
+        x = [0] * cols
+        for j, value in zip(rest, z):
+            x[j] = value
+        for p, q, s in pivots:
+            x[q] = -s * sum(a * x[j] for j, a in mat[p].items() if j != q)
+        kernel.append(x)
+
+    rank = len(pivots) + sum(1 for f in diag if f)
+    return ScanFactored(
+        FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), kernel, ops, residual
+    )

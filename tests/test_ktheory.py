@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -261,8 +262,10 @@ def reference_kernel_map_is_iso(theta_a, theta_b, t):
     return abs(determinant([list(col) for col in zip(*coords)])) == 1
 
 
+@functools.cache
 def dense_ladder(b, side):
-    """The ladder as dense lists of lists: (bases, iota blocks, rho blocks)."""
+    """The ladder as dense lists of lists: (bases, iota blocks, rho blocks),
+    made once per (bisystem, side) and shared by the tests, which only read it."""
     minus = side == "minus"
     words = follower_sets(b) if minus else predecessor_sets(b)
     own = b.adjacency[side, "lower"]
@@ -343,7 +346,9 @@ def test_smith_early_exit_matches_full_scan():
         assert smith_normal_form(m) == full_scan_smith_normal_form(m)
 
 
+@functools.cache
 def tower_cases():
+    """The 25 bisystems of the tower tests, built once for the module."""
     rng = random.Random(43)
     cases = [
         ("golden", canonical_bisystem(golden_mean_pres(), 5).bisystem),
@@ -355,7 +360,7 @@ def tower_cases():
     for i in range(20):
         a = random_irreducible_01(rng, rng.choice((3, 4)))
         cases.append((f"random_{i}", from_lambda_graph_system(lgs_from_matrix(a, depth=5))))
-    return cases
+    return tuple(cases)
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
@@ -506,6 +511,22 @@ def test_kernel_map_verdict_on_kernels_of_rank_two_and_three(monkeypatch):
 HERE = os.path.dirname(__file__)
 
 
+@functools.cache
+def ktower_bisystems():
+    """(bisystem, side) for every job of the bench's K-tower workload, seed 1;
+    the caller puts ``bench/`` on the path."""
+    import workloads
+
+    out = []
+    for job in workloads.make_jobs("ktower", 1):
+        obj = parse_document(job.doc)[2]
+        if job.matrix is None:
+            out.append((canonical_bisystem(obj, job.depth).bisystem, job.side))
+        else:
+            out.append((from_lambda_graph_system(obj), job.side))
+    return tuple(out)
+
+
 def tower_kernel_verdicts(b, side):
     """(saturation verdict, solver verdict) for every kernel map of b's tower."""
     ladder = build_ladder(b, side)
@@ -554,16 +575,7 @@ def test_kernel_verdict_matches_the_solver_route(monkeypatch):
     assert seen[True, True, True] and seen[False, False, True] and seen[False, True, True], seen
 
     monkeypatch.syspath_prepend(os.path.join(HERE, "..", "bench"))
-    import workloads
-
-    towers = []
-    for job in workloads.make_jobs("ktower", 1):
-        obj = parse_document(job.doc)[2]
-        if job.matrix is None:
-            b = canonical_bisystem(obj, job.depth).bisystem
-        else:
-            b = from_lambda_graph_system(obj)
-        towers.append(tower_kernel_verdicts(b, job.side))
+    towers = [tower_kernel_verdicts(b, side) for b, side in ktower_bisystems()]
     full3 = from_lambda_graph_system(
         load_document(os.path.join(HERE, "..", "docs", "examples", "full3.lgs.json"), 6)[2])
     towers.append(tower_kernel_verdicts(full3, "plus"))
@@ -760,3 +772,96 @@ def test_sparse_factor_matches_dense_factor(monkeypatch):
         seen[verdict] += 1
     # both elimination paths and both verdicts occur
     assert seen["residual"] and seen["units only"] and seen[True] and seen[False], seen
+
+
+# -- the pivot queue against the scan it replaced
+
+
+def assert_factor_matches_scan(theta, cols):
+    new, old = _factor(theta, cols), oracles.scan_factor(theta, cols)
+    assert new.coker == old.coker, theta
+    assert new.nullity == len(old.kernel), theta
+    assert new.ops == old.ops, theta
+    assert new.residual == old.residual, theta
+    assert new.kernel == old.kernel, theta
+    return len(new.ops)
+
+
+def random_sparse_rows(rng, rows, cols):
+    """Rows of a sparse matrix with many units, so pivots fill in and cancel."""
+    return [
+        {j: rng.choice((1, -1, 1, -1, 2, -3)) for j in range(cols) if rng.random() < 0.15}
+        for _ in range(rows)
+    ]
+
+
+def test_pivot_queue_matches_the_scan(monkeypatch):
+    """Seeded: every field of the factorization equals the one made by the
+    scan for the least-cost unit pivot, on random matrices (blocks with no
+    unit, zero rows and columns, larger sparse ones), on every factorization
+    the bench's K-tower jobs make, on the full 3-shift's plus ladder and on
+    the 3x3 all-ones import's plus ladder.  A K-tower pass builds a kernel
+    only for the kernel verdicts that read one, never for an image matrix,
+    and makes at most 15 dense Smith normal forms."""
+    import bisys.ktheory as kt
+
+    rng = random.Random(83)
+    pivots = 0
+    for m in random_factor_cases(rng, 240):
+        pivots += assert_factor_matches_scan(rows_of(m), len(m[0]))
+    for _ in range(60):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 40)
+        pivots += assert_factor_matches_scan(random_sparse_rows(rng, rows, cols), cols)
+    assert pivots > 1000, pivots
+
+    made = []  # (theta, cols, factorization, made inside a verdict) for every call
+    inside = []
+
+    def recorded(theta, cols):
+        made.append((theta, cols, real_factor(theta, cols), bool(inside)))
+        return made[-1][2]
+
+    def verdict(fn):
+        def call(*args):
+            inside.append(True)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
+
+    real_factor = kt._factor
+    monkeypatch.setattr(kt, "_factor", recorded)
+    for name in ("_cokernel_map_is_iso", "_kernel_map_is_iso"):
+        monkeypatch.setattr(kt, name, verdict(getattr(kt, name)))
+    dense_snfs = []
+    real_snf = kt.smith_normal_form
+    monkeypatch.setattr(kt, "smith_normal_form", lambda m: dense_snfs.append(m) or real_snf(m))
+    monkeypatch.syspath_prepend(os.path.join(HERE, "..", "bench"))
+    gaps = verdicts = 0
+    calls = []
+    for b, side in ktower_bisystems():
+        made.clear()
+        res = k_groups(b, side)
+        ladder = [f for _, _, f, in_verdict in made if not in_verdict]
+        assert [f.nullity for f in ladder] == [g1.free_rank for _, g1 in res.levels]
+        # a kernel is built for a kernel verdict whose two ranks are equal
+        # and positive, and for nothing else
+        read = [lo.nullity == hi.nullity > 0 for lo, hi in zip(ladder, ladder[1:])]
+        assert ["kernel" in vars(f) for f in ladder] == read + [False], side
+        assert not any("kernel" in vars(f) for _, _, f, in_verdict in made if in_verdict)
+        gaps += len(read)
+        verdicts += sum(read)
+        calls += made
+    assert (gaps, verdicts, len(calls)) == (124, 40, 230) and len(dense_snfs) <= 15, (
+        gaps, verdicts, len(calls), len(dense_snfs))
+    for theta, cols, _, _ in calls:
+        assert_factor_matches_scan(theta, cols)
+
+    full3 = from_lambda_graph_system(
+        load_document(os.path.join(HERE, "..", "docs", "examples", "full3.lgs.json"), 6)[2])
+    ones = from_lambda_graph_system(lgs_from_matrix([[1, 1, 1]] * 3, depth=5))
+    for b in (full3, ones):
+        ladder = build_ladder(b, "plus")
+        for l in range(ladder.depth):
+            assert_factor_matches_scan(ladder.theta(l), len(ladder.bases[l]))
