@@ -13,7 +13,8 @@ from ..core import word_str
 
 def bisystem_dot(b: LambdaGraphBisystem, name: str = "bisystem") -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=TB;", "  node [shape=circle];"]
-    for cluster, tag in (("minus", "m"), ("plus", "p")):
+    for cluster, blocks, up in (("minus", b.minus_edges, 1), ("plus", b.plus_edges, 0)):
+        tag = cluster[0]
         lines.append(f"  subgraph cluster_{cluster} {{")
         lines.append(f'    label="{cluster}";')
         for l in range(b.depth + 1):
@@ -26,20 +27,13 @@ def bisystem_dot(b: LambdaGraphBisystem, name: str = "bisystem") -> str:
                 lines.append(
                     f'    "{tag}_{l}_{i}" [label="v{i + 1}^{l}"];'
                 )
-        if cluster == "minus":
-            for l in range(b.depth):
-                for (s, t, a) in sorted(b.minus_edges[l]):
-                    lines.append(
-                        f'    "{tag}_{l + 1}_{s}" -> "{tag}_{l}_{t}" '
-                        f'[label="{word_str(tuple(a))}"];'
-                    )
-        else:
-            for l in range(b.depth):
-                for (s, t, a) in sorted(b.plus_edges[l]):
-                    lines.append(
-                        f'    "{tag}_{l}_{s}" -> "{tag}_{l + 1}_{t}" '
-                        f'[label="{word_str(tuple(a))}"];'
-                    )
+        # a minus edge runs up from level l+1 to level l, a plus edge down
+        for l in range(b.depth):
+            for (s, t, a) in sorted(blocks[l]):
+                lines.append(
+                    f'    "{tag}_{l + up}_{s}" -> "{tag}_{l + 1 - up}_{t}" '
+                    f'[label="{word_str(tuple(a))}"];'
+                )
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

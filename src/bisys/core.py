@@ -515,61 +515,40 @@ def specified_equivalence_failure(a: SymbolicMatrix, b: SymbolicMatrix, spec: Sp
 def find_specification_multi(pairs):
     """One specification phi with A ~phi B for every (A, B) in pairs, or None.
 
-    Constraint propagation on per-cell multiset matching, then deterministic
-    backtracking over the remaining choices.
+    A symbol's candidates are the symbols of B's cell with its multiplicity,
+    in every cell where it occurs; deterministic backtracking tries them in
+    order, and each complete assignment is checked with
+    ``specified_equivalence_failure``.
     """
-    cells = []
-    for a, b in pairs:
-        if (a.rows, a.cols) != (b.rows, b.cols):
-            return None
-        for i in range(a.rows):
-            for j in range(a.cols):
-                ca, cb = a.entries[i][j], b.entries[i][j]
-                if ca.term_count != cb.term_count:
-                    return None
-                cells.append((ca, cb))
-
+    if any((a.rows, a.cols) != (b.rows, b.cols) for a, b in pairs):
+        return None
     candidates: dict = {}
-    for ca, cb in cells:
-        for w, c in ca.items():
-            opts = frozenset(v for v, cv in cb.items() if cv == c)
-            if w in candidates:
-                candidates[w] = candidates[w] & opts
-            else:
-                candidates[w] = opts
-            if not candidates[w]:
-                return None
+    for a, b in pairs:
+        for a_row, b_row in zip(a.entries, b.entries):
+            for ca, cb in zip(a_row, b_row):
+                for w, c in ca._terms.items():
+                    opts = frozenset(v for v, cv in cb._terms.items() if cv == c)
+                    opts = candidates[w] = candidates.get(w, opts) & opts
+                    if not opts:
+                        return None
 
     order = sorted(candidates, key=lambda w: (len(candidates[w]), w))
-
-    def verify(assign) -> bool:
-        for ca, cb in cells:
-            image: dict = {}
-            for w, c in ca.items():
-                v = assign[w]
-                image[v] = image.get(v, 0) + c
-            if FormalSum(image) != cb:
-                return False
-        return True
-
-    used: set = set()
     assign: dict = {}
 
     def backtrack(pos: int):
         if pos == len(order):
-            return verify(assign)
+            spec = Specification.from_dict(assign)
+            ok = all(specified_equivalence_failure(a, b, spec) is None for a, b in pairs)
+            return spec if ok else None
         w = order[pos]
         for v in sorted(candidates[w]):
-            if v in used:
+            if v in assign.values():
                 continue
             assign[w] = v
-            used.add(v)
-            if backtrack(pos + 1):
-                return True
-            used.discard(v)
+            found = backtrack(pos + 1)
+            if found is not None:
+                return found
             del assign[w]
-        return False
-
-    if not backtrack(0):
         return None
-    return Specification.from_dict(dict(assign))
+
+    return backtrack(0)

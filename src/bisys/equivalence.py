@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from .core import (
     Alphabet,
     CoreError,
-    FormalSum,
     Specification,
     SymbolicMatrix,
     by_identity,
@@ -251,104 +250,78 @@ class BipartiteStructure:
 def detect_bipartite(s: SymbolicMatrixBisystem):
     """Symbol 2-coloring plus per-level vertex 2-coloring, or None.
 
-    Vertex colors are forced by symbol occurrences in the plus blocks, so the
-    search runs over symbol colorings only, smallest-first in symbol order.
+    Every edge ties its symbol's colour to its ends' colours, the top vertex
+    counting as both: a plus edge runs from its symbol's colour to the other,
+    and a minus edge in block l keeps both ends in its symbol's colour when l
+    is odd and in the other when l is even.  These parity equations are
+    solved once over the expansion's edge index, for the least C-mask over
+    the symbols in alphabet order with C and D both nonempty.
     """
-    if s.sigma_minus.symbols != s.sigma_plus.symbols:
+    if s.sigma_minus.symbols != s.sigma_plus.symbols or not s.is_standard:
         return None
-    if not s.is_standard:
-        return None
-    symbols = list(s.sigma_plus.symbols)
-    n_sym = len(symbols)
-    sizes = s.level_sizes
-
-    for mask in range(1, 2 ** n_sym - 1):
-        cset = frozenset(symbols[i] for i in range(n_sym) if mask & (1 << i))
-        dset = frozenset(symbols) - cset
-        colors = [dict() for _ in range(s.depth + 1)]  # index -> "C"/"D"
-        colors[0][0] = "CD"  # the top vertex counts as both
-        ok = True
+    symbols, sizes, adj = s.sigma_plus.symbols, s.level_sizes, s._expansion.adjacency
+    # anchor[vertex] = (u, d): from its first edge end, the vertex has u's colour,
+    # flipped if d; each end ties its symbol w to u as (w, u, 1 if they differ)
+    anchor, ties = {}, set()
+    for side in ("plus", "minus"):
         for l in range(s.depth):
-            mp = s.plus[l]
-            for i in range(mp.rows):
-                for j in range(mp.cols):
-                    for w in mp.entry(i, j).support():
-                        src, tgt = ("C", "D") if w in cset else ("D", "C")
-                        if l > 0:
-                            if colors[l].setdefault(i, src) != src:
-                                ok = False
-                        if colors[l + 1].setdefault(j, tgt) != tgt:
-                            ok = False
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
+            near, far = (0, 1) if side == "plus" else (1 - l % 2,) * 2
+            for i, edges in enumerate(adj[side, "lower"][l]):
+                for j, w in edges:
+                    # from block 0 only the far end: the top vertex takes no colour
+                    for key, differ in (((l, i), near), ((l + 1, j), far))[not l:]:
+                        u, d = anchor.setdefault(key, (w, differ))
+                        ties.add((w, u, differ ^ d))
+        if side == "plus" and len(anchor) < sum(sizes) - 1:
+            return None  # a vertex no plus edge reaches; reject rather than guess
+
+    # each class of tied symbols grows from its last symbol, put in D (1):
+    # the classes hold disjoint bits of the mask, so this gives the least mask
+    links = {w: [] for w in symbols}
+    for w, u, differ in ties | {(u, w, differ) for w, u, differ in ties}:
+        links[w].append((u, differ))
+    colour = {}
+    for w in reversed(symbols):
+        if w in colour:
             continue
-        if any(len(colors[l]) != sizes[l] for l in range(1, s.depth + 1)):
-            continue  # some vertex never constrained; reject rather than guess
+        colour[w], grown = 1, [w]
+        for u in grown:
+            for other, differ in links[u]:
+                want = colour[u] ^ differ
+                if other not in colour:
+                    colour[other] = want
+                    grown.append(other)
+                elif colour[other] != want:
+                    return None
+    if all(colour[w] for w in symbols):
+        for u in grown:  # C is empty: move the last class grown, whose last symbol comes first
+            colour[u] ^= 1
+    if not any(colour[w] for w in symbols):
+        return None
 
-        # minus-edge parity rules
-        def minus_ok():
-            for l in range(s.depth):
-                mm = s.minus[l]
-                for i in range(mm.rows):
-                    for j in range(mm.cols):
-                        for w in mm.entry(i, j).support():
-                            # both ends take the symbol's colour on odd
-                            # blocks and the other colour on even ones
-                            want = "C" if (w in cset) == (l % 2 == 1) else "D"
-                            if colors[l + 1][j] != want or (l > 0 and colors[l][i] != want):
-                                return False
-            return True
+    # the uncoloured top vertex falls in both classes
+    tone = {key: colour[w] ^ d for key, (w, d) in anchor.items()}
+    vc, vd = (tuple(tuple(v for v in range(n) if tone.get((l, v), m) == m)
+                    for l, n in enumerate(sizes)) for m in (0, 1))
+    alpha_c, alpha_d = (Alphabet.from_words(w for w in symbols if colour[w] == m) for m in (0, 1))
 
-        if not minus_ok():
-            continue
+    def sub(mat, rows, cols, alph):
+        # the cells themselves: every term of a selected cell has alph's colour
+        grid = tuple(tuple(mat.entries[i][j] for j in cols) for i in rows)
+        return SymbolicMatrix(len(rows), len(cols), grid, alph)
 
-        vc, vd = (
-            tuple(
-                tuple(sorted(i for i, col in colors[l].items() if mine in col))
-                for l in range(s.depth + 1)
-            )
-            for mine in "CD"
-        )
-        alpha_c = Alphabet.from_words(sorted(cset))
-        alpha_d = Alphabet.from_words(sorted(dset))
-
-        def sub(mat, rows, cols, keep, alph):
-            cells = [
-                [
-                    FormalSum({w: c for w, c in mat.entry(i, j).items() if w in keep})
-                    for j in cols
-                ]
-                for i in rows
-            ]
-            return SymbolicMatrix(
-                len(rows), len(cols), tuple(tuple(r) for r in cells), alph
-            )
-
-        # per colour: its plus block (P for C, Q for D) runs from its own
-        # vertices to the other colour's, and its minus block (Y for C, X for
-        # D) stays among the other colour's vertices on even blocks, its own
-        # on odd ones; equal sub-blocks are shared by value, since unequal
-        # blocks of s can give equal ones
-        plus_blocks, minus_blocks = [], []
-        for own, other, keep, alph in ((vc, vd, cset, alpha_c), (vd, vc, dset, alpha_d)):
-            at = (other, own)
-            plus_blocks.append(share([
-                sub(s.plus[l], own[l], other[l + 1], keep, alph) for l in range(s.depth)
-            ]))
-            minus_blocks.append(share([
-                sub(s.minus[l], at[l % 2][l], at[l % 2][l + 1], keep, alph)
-                for l in range(s.depth)
-            ]))
-        (p_blocks, q_blocks), (y_blocks, x_blocks) = plus_blocks, minus_blocks
-
-        # color propagation plus the parity rules force every nonzero entry
-        # into its block, so the pattern is exact at this point
-        return BipartiteStructure(alpha_c, alpha_d, vc, vd, *map(
-            tuple, (p_blocks, q_blocks, x_blocks, y_blocks)))
-    return None
+    # per colour: its plus block (P for C, Q for D) runs from its own vertices to
+    # the other's, its minus block (Y for C, X for D) stays among the other's on
+    # even blocks and its own on odd ones; equal sub-blocks are shared by value
+    blocks = []
+    for own, other, alph in ((vc, vd, alpha_c), (vd, vc, alpha_d)):
+        at = (other, own)
+        blocks.append(share([sub(s.plus[l], own[l], other[l + 1], alph)
+                             for l in range(s.depth)]))
+        blocks.append(share([sub(s.minus[l], at[l % 2][l], at[l % 2][l + 1], alph)
+                             for l in range(s.depth)]))
+    p_blocks, y_blocks, q_blocks, x_blocks = map(tuple, blocks)
+    return BipartiteStructure(alpha_c, alpha_d, vc, vd, p_blocks, q_blocks, x_blocks, y_blocks)
 
 
 def bipartite_split(s: SymbolicMatrixBisystem, bip: BipartiteStructure):

@@ -227,51 +227,31 @@ def sft_smb(a: SymbolicMatrix, identify: bool = False, depth: int = 3) -> Symbol
     if depth < 2:
         raise SmbError("depth must be >= 2")
 
-    def tagged(w, sign):
-        return w if identify else (w[0] + sign,) + w[1:]
-
-    sigma_minus = Alphabet.from_words(sorted(tagged(w, "-") for w in cells.values()))
-    sigma_plus = Alphabet.from_words(sorted(tagged(w, "+") for w in cells.values()))
-
     live = sorted(cells)  # level-1 index pairs, row-major
     full = [(i, p) for i in range(n) for p in range(n)]  # levels >= 2
+    sides = []
+    for sign in "-+":
 
-    def minus_cell(ri, rp, cj, cq):
-        # entry ((i,p),(j,q)) = sign-minus copy of a(j, i) when p == q
-        if rp == cq and (cj, ri) in cells:
-            return FormalSum.of(tagged(cells[(cj, ri)], "-"))
-        return FormalSum.zero()
+        def tagged(w):
+            return w if identify else (w[0] + sign,) + w[1:]
 
-    def plus_cell(ri, rp, cj, cq):
-        # entry ((i,p),(j,q)) = sign-plus copy of a(p, q) when i == j
-        if ri == cj and (rp, cq) in cells:
-            return FormalSum.of(tagged(cells[(rp, cq)], "+"))
-        return FormalSum.zero()
+        def cell(r, c):
+            # minus: entry ((i,p),(j,q)) = copy of a(j, i) when p == q;
+            # plus: entry ((i,p),(j,q)) = copy of a(p, q) when i == j
+            (i, p), (j, q) = r, c
+            at, on = ((j, i), p == q) if sign == "-" else ((p, q), i == j)
+            return FormalSum.of(tagged(cells[at])) if on and at in cells else FormalSum.zero()
 
-    m01 = SymbolicMatrix.build(
-        1, len(live), sigma_minus, lambda _, j: FormalSum.of(tagged(cells[live[j]], "-"))
-    )
-    p01 = SymbolicMatrix.build(
-        1, len(live), sigma_plus, lambda _, j: FormalSum.of(tagged(cells[live[j]], "+"))
-    )
-    m12 = SymbolicMatrix.build(
-        len(live), n * n, sigma_minus,
-        lambda r, c: minus_cell(*live[r], *full[c]),
-    )
-    p12 = SymbolicMatrix.build(
-        len(live), n * n, sigma_plus,
-        lambda r, c: plus_cell(*live[r], *full[c]),
-    )
-    mtail = SymbolicMatrix.build(
-        n * n, n * n, sigma_minus, lambda r, c: minus_cell(*full[r], *full[c])
-    )
-    ptail = SymbolicMatrix.build(
-        n * n, n * n, sigma_plus, lambda r, c: plus_cell(*full[r], *full[c])
-    )
-    minus = [m01, m12] + [mtail] * (depth - 2)
-    plus = [p01, p12] + [ptail] * (depth - 2)
+        alphabet = Alphabet.from_words(sorted(tagged(w) for w in cells.values()))
+        top = SymbolicMatrix.build(1, len(live), alphabet,
+                                   lambda _, j: FormalSum.of(tagged(cells[live[j]])))
+        second = SymbolicMatrix.build(len(live), n * n, alphabet,
+                                      lambda r, c: cell(live[r], full[c]))
+        tail = SymbolicMatrix.build(n * n, n * n, alphabet, lambda r, c: cell(full[r], full[c]))
+        sides.append(((top, second) + (tail,) * (depth - 2), alphabet))
+    (minus, sigma_minus), (plus, sigma_plus) = sides
     return SymbolicMatrixBisystem(
-        tuple(minus), tuple(plus), sigma_minus, sigma_plus, repeat_from=2 if depth > 2 else None
+        minus, plus, sigma_minus, sigma_plus, repeat_from=2 if depth > 2 else None
     )
 
 

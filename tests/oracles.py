@@ -23,6 +23,9 @@ after it went with it.  ``scan_factor`` is the ladder factorization that
 scanned every unpivoted row for the least-cost unit pivot before each pivot
 and built every field at once, where the library keeps one key per row in a
 heap and builds the kernel and the residual rows only when they are read.
+``detect_bipartite`` tries the symbol colourings as bitmasks, least first,
+and rescans the dense blocks for each one, where the library solves the
+parity equations of the colouring once over the edge index.
 """
 
 from __future__ import annotations
@@ -40,15 +43,18 @@ from bisys.bisystem import (
 )
 from bisys.canonical import CanonicalError, CentralClass
 from bisys.core import (
+    Alphabet,
     CoreError,
     FormalSum,
+    SymbolicMatrix,
     WordDag,
     kappa_matrix,
+    share,
     specified_equivalence_failure as _specified_equivalence_failure,
     symbolic_matrix_multiply,
     word_str,
 )
-from bisys.equivalence import VerifyReport
+from bisys.equivalence import BipartiteStructure, VerifyReport
 from bisys.ktheory import FgAbelianGroup, _Factored, smith_normal_form
 from bisys.smb import SmbValidationReport
 from bisys.subshift import (
@@ -893,3 +899,106 @@ def scan_factor(theta, cols) -> ScanFactored:
     return ScanFactored(
         FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), kernel, ops, residual
     )
+
+
+def detect_bipartite(s: SymbolicMatrixBisystem):
+    """Symbol 2-coloring plus per-level vertex 2-coloring, or None.
+
+    Vertex colors are forced by symbol occurrences in the plus blocks, so the
+    search runs over symbol colorings only, smallest-first in symbol order.
+    """
+    if s.sigma_minus.symbols != s.sigma_plus.symbols:
+        return None
+    if not s.is_standard:
+        return None
+    symbols = list(s.sigma_plus.symbols)
+    n_sym = len(symbols)
+    sizes = s.level_sizes
+
+    for mask in range(1, 2 ** n_sym - 1):
+        cset = frozenset(symbols[i] for i in range(n_sym) if mask & (1 << i))
+        dset = frozenset(symbols) - cset
+        colors = [dict() for _ in range(s.depth + 1)]  # index -> "C"/"D"
+        colors[0][0] = "CD"  # the top vertex counts as both
+        ok = True
+        for l in range(s.depth):
+            mp = s.plus[l]
+            for i in range(mp.rows):
+                for j in range(mp.cols):
+                    for w in mp.entry(i, j).support():
+                        src, tgt = ("C", "D") if w in cset else ("D", "C")
+                        if l > 0:
+                            if colors[l].setdefault(i, src) != src:
+                                ok = False
+                        if colors[l + 1].setdefault(j, tgt) != tgt:
+                            ok = False
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        if any(len(colors[l]) != sizes[l] for l in range(1, s.depth + 1)):
+            continue  # some vertex never constrained; reject rather than guess
+
+        # minus-edge parity rules
+        def minus_ok():
+            for l in range(s.depth):
+                mm = s.minus[l]
+                for i in range(mm.rows):
+                    for j in range(mm.cols):
+                        for w in mm.entry(i, j).support():
+                            # both ends take the symbol's colour on odd
+                            # blocks and the other colour on even ones
+                            want = "C" if (w in cset) == (l % 2 == 1) else "D"
+                            if colors[l + 1][j] != want or (l > 0 and colors[l][i] != want):
+                                return False
+            return True
+
+        if not minus_ok():
+            continue
+
+        vc, vd = (
+            tuple(
+                tuple(sorted(i for i, col in colors[l].items() if mine in col))
+                for l in range(s.depth + 1)
+            )
+            for mine in "CD"
+        )
+        alpha_c = Alphabet.from_words(sorted(cset))
+        alpha_d = Alphabet.from_words(sorted(dset))
+
+        def sub(mat, rows, cols, keep, alph):
+            cells = [
+                [
+                    FormalSum({w: c for w, c in mat.entry(i, j).items() if w in keep})
+                    for j in cols
+                ]
+                for i in rows
+            ]
+            return SymbolicMatrix(
+                len(rows), len(cols), tuple(tuple(r) for r in cells), alph
+            )
+
+        # per colour: its plus block (P for C, Q for D) runs from its own
+        # vertices to the other colour's, and its minus block (Y for C, X for
+        # D) stays among the other colour's vertices on even blocks, its own
+        # on odd ones; equal sub-blocks are shared by value, since unequal
+        # blocks of s can give equal ones
+        plus_blocks, minus_blocks = [], []
+        for own, other, keep, alph in ((vc, vd, cset, alpha_c), (vd, vc, dset, alpha_d)):
+            at = (other, own)
+            plus_blocks.append(share([
+                sub(s.plus[l], own[l], other[l + 1], keep, alph) for l in range(s.depth)
+            ]))
+            minus_blocks.append(share([
+                sub(s.minus[l], at[l % 2][l], at[l % 2][l + 1], keep, alph)
+                for l in range(s.depth)
+            ]))
+        (p_blocks, q_blocks), (y_blocks, x_blocks) = plus_blocks, minus_blocks
+
+        # color propagation plus the parity rules force every nonzero entry
+        # into its block, so the pattern is exact at this point
+        return BipartiteStructure(alpha_c, alpha_d, vc, vd, *map(
+            tuple, (p_blocks, q_blocks, x_blocks, y_blocks)))
+    return None

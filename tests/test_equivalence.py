@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -30,7 +31,7 @@ from bisys.equivalence import (
     verify_psse_1step,
     verify_sse_1step,
 )
-from bisys.smb import from_smb
+from bisys.smb import SymbolicMatrixBisystem, from_smb
 from bisys.subshift import LabeledGraph, SubshiftPresentation, apply_block_code
 from fixtures import (
     alternating_pres,
@@ -85,14 +86,103 @@ def test_detect_bipartite_absent_for_golden_mean():
     assert detect_bipartite(canonical_smb(golden_mean_pres(), 5)) is None
 
 
+def two_power(states, edges):
+    """The graph doubled into even and odd copies, labels marked c on
+    even-to-odd edges and d on odd-to-even ones."""
+    doubled = tuple(s + p for s in states for p in "eo")
+    return SubshiftPresentation.from_graph(LabeledGraph(doubled, tuple(
+        (s + p, t + q, a + m) for (s, t, a) in edges for p, q, m in (("e", "o", "c"), ("o", "e", "d"))
+    )))
+
+
 def two_power_alternation_pres():
-    """The golden-mean graph doubled into even and odd copies, labels marked c
-    on even-to-odd edges and d on odd-to-even ones."""
-    edges = []
-    for (s0, t0, lab) in (("1", "1", "1"), ("1", "2", "2"), ("2", "1", "1")):
-        edges.append((s0 + "e", t0 + "o", lab + "c"))
-        edges.append((s0 + "o", t0 + "e", lab + "d"))
-    return SubshiftPresentation.from_graph(LabeledGraph(("1e", "1o", "2e", "2o"), tuple(edges)))
+    """The two-power alternation of the golden-mean graph."""
+    return two_power(("1", "2"), (("1", "1", "1"), ("1", "2", "2"), ("2", "1", "1")))
+
+
+def alternating_graph_pres(a_labels, b_labels):
+    """Two states; the labels a_labels go from 1 to 2, b_labels back."""
+    edges = [("1", "2", a) for a in a_labels] + [("2", "1", b) for b in b_labels]
+    return SubshiftPresentation.from_graph(LabeledGraph(("1", "2"), tuple(edges)))
+
+
+def random_graph(rng, labels):
+    """Seeded 1-3 state graph: a cycle through every state, then each
+    (source, target, label) edge with probability 1/5."""
+    states = tuple(str(i + 1) for i in range(rng.randint(1, 3)))
+    order = rng.sample(states, len(states))
+    edges = {(s, order[(k + 1) % len(order)], rng.choice(labels)) for k, s in enumerate(order)}
+    edges |= {(s, t, a) for s in states for t in states for a in labels if rng.random() < 0.2}
+    return states, tuple(sorted(edges))
+
+
+def planted_system(rng):
+    """Seeded matrix system whose terms obey a planted symbol and vertex
+    colouring, with multiplicities, unused symbols and unreached vertices;
+    some get stray terms that break the colouring, a second top vertex or
+    a minus alphabet of their own."""
+    symbols = [(f"s{k}",) for k in range(rng.randint(1, 6))]
+    tone = {w: rng.randint(0, 1) for w in symbols}
+    depth = rng.randint(1, 4)
+    sizes = [2 if rng.random() < 0.05 else 1] + [rng.randint(1, 3) for _ in range(depth)]
+    tones = [[rng.randint(0, 1) for _ in range(n)] for n in sizes]
+    density, stray = rng.choice((0.3, 0.6, 0.9)), rng.choice((0, 0, 0, 0.05, 0.2))
+    sigma = Alphabet(tuple(symbols))
+    sigma_minus = Alphabet(tuple(symbols) + (("t",),)) if rng.random() < 0.03 else sigma
+
+    def block(l, plus):
+        # a plus term runs from its symbol's colour to the other; a minus term
+        # stays in its symbol's colour on odd blocks and in the other on even ones
+        near, far = (0, 1) if plus else (1 - l % 2,) * 2
+
+        def cell(i, j):
+            def fits(t):
+                return (not l or tones[l][i] == t ^ near) and tones[l + 1][j] == t ^ far
+            return FormalSum({w: rng.choice((1, 1, 1, 2)) for w in symbols
+                              if rng.random() < (density if fits(tone[w]) else stray)})
+        return SymbolicMatrix.build(sizes[l], sizes[l + 1], sigma if plus else sigma_minus, cell)
+
+    minus = tuple(block(l, False) for l in range(depth))
+    plus = tuple(block(l, True) for l in range(depth))
+    return SymbolicMatrixBisystem(minus, plus, sigma_minus, sigma)
+
+
+@functools.cache
+def bipartite_cases():
+    """The systems of the differential test, built once for the module:
+    canonical builds of random graphs over 1-5 labels and of the two-power
+    doubles of some, alternating shifts, and planted matrix systems."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(32):
+        g = random_graph(rng, "abcde"[: rng.randint(1, 5)])
+        depth = 2 if len(g[0]) == 3 else 3  # 3 states at depth 3 reach about 50 vertices a level
+        cases.append(canonical_smb(SubshiftPresentation.from_graph(LabeledGraph(*g)), depth))
+        if len(g[1]) <= 5 and len({a for (_, _, a) in g[1]}) <= 3:
+            cases.append(canonical_smb(two_power(*g), rng.randint(2, 3)))
+    for m in range(1, 4):
+        for n in range(1, 4):
+            cases.append(canonical_smb(alternating_graph_pres("abc"[:m], "xyz"[:n]), m + n))
+    cases += [planted_system(rng) for _ in range(345)]
+    return tuple(cases)
+
+
+def test_detect_bipartite_matches_mask_search_oracle():
+    found = []
+    for k, s in enumerate(bipartite_cases()):
+        want = oracles.detect_bipartite(s)
+        assert detect_bipartite(s) == want, k
+        found.append(want is not None)
+    assert len(found) >= 400 and sum(found) >= 80, (len(found), sum(found))
+
+
+def test_detect_bipartite_wide_alphabets():
+    # the mask search would try 2^18 - 2 colourings here
+    assert detect_bipartite(canonical_smb(full_shift_pres(18), 3)) is None
+    a_letters = [f"a{k:02}" for k in range(12)]
+    s = canonical_smb(alternating_graph_pres(a_letters, [f"b{k:02}" for k in range(12)]), 3)
+    bip = detect_bipartite(s)
+    assert bip.alphabet_c.symbols == tuple((a,) for a in a_letters)
 
 
 def test_detect_bipartite_two_power_alternation():
