@@ -115,8 +115,8 @@ class Verdict:
 class ValidationReport:
     depth: int
     axioms: tuple  # ((name, Verdict), ...) for i..v
-    fpcc: Verdict
-    standard: Verdict
+    fpcc: Verdict | None = None  # with standard, None in a matrix bisystem's report
+    standard: Verdict | None = None
 
     def axiom(self, name: str) -> Verdict:
         return dict(self.axioms)[name]
@@ -132,6 +132,8 @@ class ValidationReport:
             out.append(f"  axiom ({name}): {'pass' if v.ok else 'FAIL'}")
             for c in v.counterexamples[:5]:
                 out.append(f"      {c}")
+        if self.fpcc is None:
+            return out
         out.append(f"  standard (single top vertex): {'yes' if self.standard.ok else 'no'}")
         out.append(f"  FPCC: {'yes' if self.fpcc.ok else 'no'}")
         for c in self.fpcc.counterexamples[:5]:
@@ -441,6 +443,8 @@ def from_lambda_graph_system(lgs: LambdaGraphSystem) -> LambdaGraphBisystem:
     defects = validate_lambda_graph_system(lgs)
     if defects:
         raise BisystemError("not a lambda-graph system: " + "; ".join(defects[:3]))
+    if not lgs.edges:
+        raise BisystemError("a lambda-graph system of depth 0 has no edges to import")
     minus = share(lgs.iota, lambda l: tuple(
         (j, i, (IOTA_SYMBOL,)) for j, i in enumerate(lgs.iota[l])
     ))

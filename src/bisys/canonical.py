@@ -50,10 +50,6 @@ class CentralClass:
         dag, node = self.language
         return tuple(dag.words(node))
 
-    @property
-    def key(self):
-        return self.words
-
     def __eq__(self, other):
         if not isinstance(other, CentralClass):
             return NotImplemented

@@ -121,25 +121,16 @@ def cmd_validate(args):
         args.file, None, ("bisystem", "smb", "lambda_graph_system", "subshift"),
         "validate does not apply to kind {kind!r}",
     )
-    if kind == "bisystem":
-        rep = validate(obj)
+    if kind in ("bisystem", "smb"):
+        rep = validate(obj) if kind == "bisystem" else validate_smb(obj)
         if args.json:
-            print(json.dumps({
+            report = {
                 "schema_version": 1, "kind": kind, "ok": rep.ok,
                 "depth": rep.depth, "axioms": _axiom_report(rep),
-                "fpcc": rep.fpcc.ok, "standard": rep.standard.ok,
-            }, indent=2, sort_keys=True))
-        else:
-            for line in rep.lines():
-                print(line)
-        return PASS if rep.ok else FAIL
-    if kind == "smb":
-        rep = validate_smb(obj)
-        if args.json:
-            print(json.dumps({
-                "schema_version": 1, "kind": kind, "ok": rep.ok,
-                "depth": rep.depth, "axioms": _axiom_report(rep),
-            }, indent=2, sort_keys=True))
+            }
+            if rep.fpcc is not None:
+                report.update(fpcc=rep.fpcc.ok, standard=rep.standard.ok)
+            print(json.dumps(report, indent=2, sort_keys=True))
         else:
             for line in rep.lines():
                 print(line)
@@ -217,6 +208,8 @@ def cmd_invariants(args):
             oracle = ck_oracle(counts)
     elif kind == "bisystem":
         b = obj
+        if b.depth < 1:
+            _input_error("invariants needs depth >= 1, the document has depth 0")
     else:
         b = canonical_bisystem(obj, depth).bisystem
     res = k_groups(b, args.side, min(depth, b.depth))
@@ -253,6 +246,8 @@ def cmd_bipartite(args):
     if bip is None:
         print("no bipartite structure")
         return FAIL
+    if s.depth < 2:
+        _input_error(f"bipartite needs depth >= 2 to split, the document has depth {s.depth}")
     print(
         f"bipartite: C = {{{','.join(map(str, bip.alphabet_c.symbols))}}}, "
         f"D = {{{','.join(map(str, bip.alphabet_d.symbols))}}}"

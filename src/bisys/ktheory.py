@@ -149,29 +149,6 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(theta, ambient_rank: int | None = None) -> FgAbelianGroup:
-    """Z^rows / (column span of theta), in canonical form."""
-    rows = len(theta) if theta else (ambient_rank or 0)
-    if not theta or not theta[0]:
-        return FgAbelianGroup(rows)
-    _, d, _ = smith_normal_form(theta)
-    diag = [d[i][i] for i in range(min(rows, len(theta[0]))) if d[i][i]]
-    return FgAbelianGroup(rows - len(diag), tuple(x for x in diag if x > 1))
-
-
-def kernel_basis(theta):
-    """Columns spanning the integer kernel of theta."""
-    rows = len(theta)
-    cols = len(theta[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [list(col) for col in _identity(cols)]
-    _, d, v = smith_normal_form(theta)
-    r = len([1 for i in range(min(rows, cols)) if d[i][i]])
-    return [[v[i][j] for i in range(cols)] for j in range(r, cols)]
-
-
 # ---------------------------------------------------------------------------
 # level ladders
 
@@ -611,9 +588,12 @@ def ck_oracle(a):
     """Cokernel/kernel pair of (I - A^t) for a nonnegative integer matrix.
 
     Independent cross-check for the minus-side tower of one-sided imports.
+    The cokernel and, as n minus the rank, the kernel's rank are read from one
+    dense Smith normal form, not the tower's sparse factorization.
     """
     n = len(a)
     m = [[(1 if i == j else 0) - a[j][i] for j in range(n)] for i in range(n)]
-    coker = cokernel(m, n)
-    ker = FgAbelianGroup(len(kernel_basis(m)))
-    return coker, ker
+    _, d, _ = smith_normal_form(m)
+    diag = [d[i][i] for i in range(n) if d[i][i]]
+    nullity = n - len(diag)
+    return FgAbelianGroup(nullity, tuple(x for x in diag if x > 1)), FgAbelianGroup(nullity)

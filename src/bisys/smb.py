@@ -23,7 +23,7 @@ from .core import (
     share,
     word_str,
 )
-from .bisystem import LambdaGraphBisystem, Verdict, _repeats, corner_faults
+from .bisystem import LambdaGraphBisystem, ValidationReport, Verdict, _repeats, corner_faults
 
 
 class SmbError(ValueError):
@@ -70,33 +70,12 @@ class SymbolicMatrixBisystem:
         return _expand(self)
 
     @cached_property
-    def _report(self) -> "SmbValidationReport":
+    def _report(self) -> ValidationReport:
         """``_matrix_report`` of the expansion, made on first use."""
         return _matrix_report(self._expansion)
 
 
-@dataclass(frozen=True)
-class SmbValidationReport:
-    depth: int
-    axioms: tuple  # ((name, Verdict), ...)
-
-    def axiom(self, name: str) -> Verdict:
-        return dict(self.axioms)[name]
-
-    @property
-    def ok(self) -> bool:
-        return all(v.ok for _, v in self.axioms)
-
-    def lines(self):
-        out = [f"valid to depth {self.depth}: {'yes' if self.ok else 'NO'}"]
-        for name, v in self.axioms:
-            out.append(f"  axiom ({name}): {'pass' if v.ok else 'FAIL'}")
-            for c in v.counterexamples[:5]:
-                out.append(f"      {c}")
-        return out
-
-
-def validate_smb(s: SymbolicMatrixBisystem) -> SmbValidationReport:
+def validate_smb(s: SymbolicMatrixBisystem) -> ValidationReport:
     """Shape, support, per-cell and per-column symbol discipline, commutation."""
     return s._report
 
@@ -122,7 +101,7 @@ def _expand(s: SymbolicMatrixBisystem) -> LambdaGraphBisystem:
     )
 
 
-def _matrix_report(b: LambdaGraphBisystem) -> SmbValidationReport:
+def _matrix_report(b: LambdaGraphBisystem) -> ValidationReport:
     """The matrix-side verdicts of an expansion, read off its edge index.
 
     In block l of either side, row i is the lower list of vertex i at level l
@@ -162,7 +141,7 @@ def _matrix_report(b: LambdaGraphBisystem) -> SmbValidationReport:
     ]
 
     verdicts = [Verdict(not bad, tuple(bad)) for bad in ([], bad2, bad3, bad4, bad5)]
-    return SmbValidationReport(b.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
+    return ValidationReport(b.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
 
 
 def to_smb(b: LambdaGraphBisystem, unchecked: bool = False) -> SymbolicMatrixBisystem:

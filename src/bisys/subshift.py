@@ -194,28 +194,20 @@ class SubshiftPresentation:
         return Alphabet.of(*self.graph.labels)
 
 
-def _edges_by_label(g: LabeledGraph) -> dict:
-    by: dict = {}
-    for (s, t, a) in g.edges:
-        by.setdefault(a, []).append((s, t))
-    return by
-
-
 def admissible_words(pres: SubshiftPresentation, n: int):
     """All length-n label words of the presentation, length-then-lex sorted."""
     if n < 0:
         raise SubshiftError("word length must be >= 0")
     g = pres.graph
-    by = _edges_by_label(g)
+    succ = _successors(g)
     frontier = {(): frozenset(g.states)}
     for _ in range(n):
         nxt: dict = {}
         for w, ends in frontier.items():
-            for a, pairs in by.items():
-                targets = frozenset(t for (s, t) in pairs if s in ends)
+            for a, step in succ.items():
+                targets = frozenset(t for s in ends for t in step.get(s, ()))
                 if targets:
-                    key = w + (a,)
-                    nxt[key] = nxt.get(key, frozenset()) | targets
+                    nxt[w + (a,)] = targets
         frontier = nxt
     return tuple(sorted(frontier))
 

@@ -26,6 +26,9 @@ heap and builds the kernel and the residual rows only when they are read.
 ``detect_bipartite`` tries the symbol colourings as bitmasks, least first,
 and rescans the dense blocks for each one, where the library solves the
 parity equations of the colouring once over the edge index.
+``cokernel`` and ``kernel_basis`` are the two dense Smith-form readings that
+``ck_oracle`` replaced by one, and ``_edges_by_label`` is the per-label edge
+list that ``admissible_words`` replaced by the successor index.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from bisys.bisystem import (
     BisystemError,
     LambdaGraphBisystem,
     SigmaIResult,
+    ValidationReport,
     Verdict,
     follower_sets,
     predecessor_sets,
@@ -55,13 +59,11 @@ from bisys.core import (
     word_str,
 )
 from bisys.equivalence import BipartiteStructure, VerifyReport
-from bisys.ktheory import FgAbelianGroup, _Factored, smith_normal_form
-from bisys.smb import SmbValidationReport
+from bisys.ktheory import FgAbelianGroup, _Factored, _identity, smith_normal_form
 from bisys.subshift import (
     LabeledGraph,
     SubshiftError,
     SubshiftPresentation,
-    _edges_by_label,
     _successors,
     realizable_future_sets,
     realizable_past_sets,
@@ -164,6 +166,13 @@ def past_state_stable(g: LabeledGraph, w) -> bool:
         if rel and frozenset(q for (_, q) in rel) != base:
             return False
     return True
+
+
+def _edges_by_label(g: LabeledGraph) -> dict:
+    by: dict = {}
+    for (s, t, a) in g.edges:
+        by.setdefault(a, []).append((s, t))
+    return by
 
 
 def step_past(g: LabeledGraph, pset, a) -> frozenset:
@@ -627,7 +636,7 @@ def corners(b: LambdaGraphBisystem, l: int) -> list:
     ]
 
 
-def matrix_report(b: LambdaGraphBisystem) -> SmbValidationReport:
+def matrix_report(b: LambdaGraphBisystem) -> ValidationReport:
     """The matrix-side verdicts of an expansion, read off its edge index.
 
     In block l of either side, row i is the lower list of vertex i at level l
@@ -665,7 +674,7 @@ def matrix_report(b: LambdaGraphBisystem) -> SmbValidationReport:
     ]
 
     verdicts = [Verdict(not bad, tuple(bad)) for bad in ([], bad2, bad3, bad4, bad5)]
-    return SmbValidationReport(b.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
+    return ValidationReport(b.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
 
 
 def presented_words(b: LambdaGraphBisystem, side: str, n: int):
@@ -722,6 +731,29 @@ def determinant(a):
 def smith_diagonal(a):
     _, d, _ = smith_normal_form(a)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+
+
+def cokernel(theta, ambient_rank: int | None = None) -> FgAbelianGroup:
+    """Z^rows / (column span of theta), in canonical form."""
+    rows = len(theta) if theta else (ambient_rank or 0)
+    if not theta or not theta[0]:
+        return FgAbelianGroup(rows)
+    _, d, _ = smith_normal_form(theta)
+    diag = [d[i][i] for i in range(min(rows, len(theta[0]))) if d[i][i]]
+    return FgAbelianGroup(rows - len(diag), tuple(x for x in diag if x > 1))
+
+
+def kernel_basis(theta):
+    """Columns spanning the integer kernel of theta."""
+    rows = len(theta)
+    cols = len(theta[0]) if rows else 0
+    if cols == 0:
+        return []
+    if rows == 0:
+        return [list(col) for col in _identity(cols)]
+    _, d, v = smith_normal_form(theta)
+    r = len([1 for i in range(min(rows, cols)) if d[i][i]])
+    return [[v[i][j] for i in range(cols)] for j in range(r, cols)]
 
 
 def solve(theta, b):

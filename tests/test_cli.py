@@ -605,6 +605,42 @@ def test_bipartite_command(tmp_path, capsys):
     assert main(["bipartite", gmf]) == 1
 
 
+def test_invariants_of_a_depth_0_bisystem_is_an_input_error(tmp_path, capsys):
+    b0 = write(tmp_path, "b0.json", dump_document("bisystem", "b0", full_shift_bisystem(2, 0)))
+    assert main(["validate", b0]) == 0
+    capsys.readouterr()
+    assert main(["invariants", b0]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invariants needs depth >= 1, the document has depth 0\n"
+
+
+def test_a_depth_0_lambda_graph_system_is_valid_but_not_importable(tmp_path, capsys):
+    lgs = write(tmp_path, "d0.json", doc("lambda_graph_system", "d0", {
+        "depth": 0, "level_sizes": [1], "alphabet": ["a"], "edges": [], "iota": [],
+        "repeat_from": None,
+    }))
+    assert main(["validate", lgs]) == 0
+    assert capsys.readouterr().out == "one-sided system: valid\n"
+    for command in (["from-lgs", lgs], ["invariants", lgs]):
+        assert main(command) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a lambda-graph system of depth 0 has no edges to import\n"
+
+
+def test_bipartite_split_of_a_depth_1_smb_is_an_input_error(tmp_path, capsys):
+    alt = write(tmp_path, "alt.json", dump_document("smb", "alt", canonical_smb(alternating_pres(), 1)))
+    assert main(["bipartite", alt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bipartite needs depth >= 2 to split, the document has depth 1\n"
+    # a depth-1 system without a bipartite structure keeps its verdict
+    gm = write(tmp_path, "gm.json", dump_document("smb", "gm", canonical_smb(golden_mean_pres(), 1)))
+    assert main(["bipartite", gm]) == 1
+    assert capsys.readouterr().out == "no bipartite structure\n"
+
+
 def test_transpose_command_round_trip(tmp_path):
     b = canonical_bisystem(golden_mean_pres(), 4).bisystem
     bf = write(tmp_path, "b.json", dump_document("bisystem", "gm", b))
@@ -1043,6 +1079,83 @@ PINNED_LGS_AND_TRANSPOSE = {
 
 def test_from_lgs_and_transpose_runs_keep_their_pinned_stdout(tmp_path, monkeypatch, capsys):
     assert lgs_and_transpose_outcomes(tmp_path, monkeypatch, capsys) == PINNED_LGS_AND_TRANSPOSE
+
+
+# -- validate, pinned on every document kind -----------------------------------
+
+
+def validate_outcomes(tmp_path, monkeypatch, capsys):
+    """name -> (stdout sha256 prefix, exit code) of ``validate`` and
+    ``validate --json`` on a passing and a failing document of each leveled
+    kind, and on a subshift.
+
+    The failing smb has an empty plus block 0 (zero rows and columns, and
+    commutation faults); the other fails axiom (iv) with two rows of one
+    column sharing four symbols, eight faults of which the text lists five.
+    The failing
+    bisystem lacks one plus edge, and the failing lgs has an ``iota`` block
+    of the wrong length.
+    """
+    monkeypatch.chdir(tmp_path)
+    gm_smb = json.loads(dump_document("smb", "gm", canonical_smb(golden_mean_pres(), 3)))
+    empty = json.loads(json.dumps(gm_smb))
+    empty["payload"]["plus"][0] = [[[] for _ in row] for row in empty["payload"]["plus"][0]]
+    symbols = ["a", "b", "c", "d"]
+    shared = [[symbols], [symbols]]
+    gm_b = json.loads(dump_document("bisystem", "gm", paper_golden_mean_bisystem(4)))
+    cut = json.loads(json.dumps(gm_b))
+    cut["payload"]["plus_edges"][1] = cut["payload"]["plus_edges"][1][:-1]
+    with open(os.path.join(EXAMPLES, "golden_mean.lgs.json")) as fh:
+        gm_lgs = json.load(fh)
+    short = json.loads(json.dumps(gm_lgs))
+    short["payload"]["iota"][0] = []
+    docs = {
+        "smb pass": json.dumps(gm_smb),
+        "smb empty block": json.dumps(empty),
+        "smb shared column": doc("smb", "shared", {
+            "depth": 1, "level_sizes": [2, 1],
+            "sigma_minus": {"symbols": symbols}, "sigma_plus": {"symbols": symbols},
+            "minus": [shared], "plus": [shared], "repeat_from": None,
+        }),
+        "bisystem pass": json.dumps(gm_b),
+        "bisystem cut edge": json.dumps(cut),
+        "lgs pass": json.dumps(gm_lgs),
+        "lgs short iota": json.dumps(short),
+        "subshift": GM_SUBSHIFT,
+    }
+    out = {}
+    for name, text in docs.items():
+        path = write(tmp_path, name.replace(" ", "_") + ".json", text)
+        for flags in ([], ["--json"]):
+            code = main(["validate", path] + flags)
+            stdout = capsys.readouterr().out
+            out[" ".join([name] + flags)] = (hashlib.sha256(stdout.encode()).hexdigest()[:16], code)
+    return out
+
+
+# recorded from the code before the smb report became a ValidationReport
+PINNED_VALIDATE = {
+    'smb pass': ('964761d66f2895b0', 0),
+    'smb pass --json': ('5056d43aa24396fa', 0),
+    'smb empty block': ('de0ff5d75d775a98', 1),
+    'smb empty block --json': ('81e43798ab87450d', 1),
+    'smb shared column': ('256e9a551ce74596', 1),
+    'smb shared column --json': ('8f87843444bd19df', 1),
+    'bisystem pass': ('2ea93fd879d8ff06', 0),
+    'bisystem pass --json': ('be36cbe1679ca40a', 0),
+    'bisystem cut edge': ('34a1ed4692dc6de1', 1),
+    'bisystem cut edge --json': ('4a3dcf60a2074059', 1),
+    'lgs pass': ('4757cc0a9d5d2e33', 0),
+    'lgs pass --json': ('01b63a7f58ec1fcf', 0),
+    'lgs short iota': ('789c4c91a241f081', 1),
+    'lgs short iota --json': ('d66be408766fdc2b', 1),
+    'subshift': ('9d5797c39fa26492', 0),
+    'subshift --json': ('28758d1993d078ff', 0),
+}
+
+
+def test_validate_runs_keep_their_pinned_stdout(tmp_path, monkeypatch, capsys):
+    assert validate_outcomes(tmp_path, monkeypatch, capsys) == PINNED_VALIDATE
 
 
 # -- exit-code fuzz -------------------------------------------------------------

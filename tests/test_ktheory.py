@@ -25,9 +25,7 @@ from bisys.ktheory import (
     _kernel_map_is_iso,
     build_ladder,
     ck_oracle,
-    cokernel,
     k_groups,
-    kernel_basis,
     kernel_contains_constant,
     smith_normal_form,
 )
@@ -43,7 +41,7 @@ from fixtures import (
     two_power_split_bisystem,
 )
 import oracles
-from oracles import determinant, mat_vec, smith_diagonal, solve
+from oracles import cokernel, determinant, kernel_basis, mat_vec, smith_diagonal, solve
 
 
 def minor_gcd_invariants(m):
@@ -107,6 +105,30 @@ def test_ck_oracle_values():
     assert ck_oracle([[2]]) == (FgAbelianGroup(0), FgAbelianGroup(0))
     assert ck_oracle([[3]]) == (FgAbelianGroup(0, (2,)), FgAbelianGroup(0))
     assert ck_oracle([[1, 1], [1, 0]]) == (FgAbelianGroup(0), FgAbelianGroup(0))
+
+
+def test_ck_oracle_matches_the_two_factorization_reading():
+    """One Smith form of I - A^t gives what ``cokernel`` and ``kernel_basis``
+    read off two, on random nonnegative matrices of sizes 1-5; permutations
+    among them make I - A^t singular, and other draws give it torsion."""
+    rng = random.Random(26)
+    cases = [[[1]], [[0]], [[3]], [[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 2]]]
+    for n in range(1, 6):
+        for _ in range(40):
+            a = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:  # a permutation: I - A^t kills the all-ones vector
+                perm = rng.sample(range(n), n)
+                a = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+            cases.append(a)
+    singular = torsion = 0
+    for a in cases:
+        n = len(a)
+        m = [[(1 if i == j else 0) - a[j][i] for j in range(n)] for i in range(n)]
+        coker, ker = ck_oracle(a)
+        assert (coker, ker) == (cokernel(m, n), FgAbelianGroup(len(kernel_basis(m)))), a
+        singular += ker.free_rank > 0
+        torsion += bool(coker.torsion)
+    assert singular >= 50 and torsion >= 50
 
 
 def test_import_towers_match_oracle():

@@ -16,6 +16,7 @@ from bisys.core import (
 )
 from bisys.bisystem import (
     LambdaGraphBisystem,
+    ValidationReport,
     Verdict,
     fpcc_check,
     from_lambda_graph_system,
@@ -27,7 +28,6 @@ from bisys.cli.documents import dump_document, load_document, parse_document
 import bisys.smb as smb_module
 from bisys.smb import (
     SmbError,
-    SmbValidationReport,
     SymbolicMatrixBisystem,
     from_smb,
     sft_smb,
@@ -342,7 +342,7 @@ def product_validate_smb(s):
                     )
 
     verdicts = [Verdict(True)] + [Verdict(not b, tuple(b)) for b in (bad2, bad3, bad4, bad5)]
-    return SmbValidationReport(s.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
+    return ValidationReport(s.depth, tuple(zip(("i", "ii", "iii", "iv", "v"), verdicts)))
 
 
 def single_cell_mutant(s, rng):

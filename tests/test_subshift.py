@@ -163,6 +163,18 @@ def test_fill_in_words():
     allstates = frozenset(g.states)
     for n in range(0, 5):
         assert fill_in_words(g, allstates, allstates, n) == admissible_words(gm, n)
+    # from every state to every state, the walk over the per-label edge lists
+    # (``_edges_by_label``) lists the language that the successor index does
+    rng = random.Random(26)
+    for k in range(36):
+        make = random_sofic_pres if k % 2 else random_sparse_sofic_pres
+        g = make(rng, 1 + k % 6).graph
+        if k % 3 == 0:  # relabel over four letters
+            g = LabeledGraph(g.states, tuple(sorted({(s, t, rng.choice("abcd")) for (s, t, _) in g.edges})))
+        pres = SubshiftPresentation.from_graph(g)
+        states = frozenset(g.states)
+        for n in range(0, 7):
+            assert fill_in_words(g, states, states, n) == admissible_words(pres, n), k
     assert fill_in_words(g, frozenset(), allstates, 2) == ()
     assert fill_in_words(g, allstates, frozenset(), 2) == ()
     got = fill_in_words(g, frozenset({"2"}), frozenset({"2"}), 2)
