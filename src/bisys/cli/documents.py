@@ -154,6 +154,8 @@ def parse_document(text: str, depth: int | None = None):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON: {e.msg}", f"line {e.lineno} col {e.colno}")
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply")
     if not isinstance(doc, dict):
         raise DocumentError("document must be an object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -176,8 +178,13 @@ def parse_document(text: str, depth: int | None = None):
 
 
 def load_document(path, depth: int | None = None):
+    """``parse_document`` of the file at ``path``, which must be UTF-8 text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read(), depth)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DocumentError(f"not UTF-8 text: {e.reason} at byte {e.start}")
+    return parse_document(text, depth)
 
 
 def dump_document(kind: str, name: str, obj) -> str:

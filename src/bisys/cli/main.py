@@ -107,13 +107,6 @@ def _write(text, out):
             fh.write(text)
 
 
-def _axiom_report(rep):
-    return {
-        name: {"ok": v.ok, "counterexamples": list(v.counterexamples)}
-        for name, v in rep.axioms
-    }
-
-
 def cmd_validate(args):
     import json
 
@@ -123,47 +116,34 @@ def cmd_validate(args):
     )
     if kind in ("bisystem", "smb"):
         rep = validate(obj) if kind == "bisystem" else validate_smb(obj)
-        if args.json:
-            report = {
-                "schema_version": 1, "kind": kind, "ok": rep.ok,
-                "depth": rep.depth, "axioms": _axiom_report(rep),
-            }
-            if rep.fpcc is not None:
-                report.update(fpcc=rep.fpcc.ok, standard=rep.standard.ok)
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            for line in rep.lines():
-                print(line)
-        return PASS if rep.ok else FAIL
-    if kind == "lambda_graph_system":
+        ok, lines = rep.ok, rep.lines()
+        fields = {"depth": rep.depth, "axioms": {
+            axiom: {"ok": v.ok, "counterexamples": list(v.counterexamples)}
+            for axiom, v in rep.axioms
+        }}
+        if rep.fpcc is not None:
+            fields.update(fpcc=rep.fpcc.ok, standard=rep.standard.ok)
+    elif kind == "lambda_graph_system":
         defects = validate_lambda_graph_system(obj)
-        if args.json:
-            print(json.dumps({
-                "schema_version": 1, "kind": kind, "ok": not defects,
-                "defects": defects,
-            }, indent=2, sort_keys=True))
-        elif defects:
-            print("one-sided system: INVALID")
-            for d in defects[:10]:
-                print(f"  {d}")
-        else:
-            print("one-sided system: valid")
-        return FAIL if defects else PASS
-    g = obj.graph
-    if args.json:
-        print(json.dumps({
-            "schema_version": 1, "kind": kind, "ok": True,
-            "states": len(g.states), "edges": len(g.edges),
-            "alphabet": list(g.labels),
-            "irreducible": g.is_irreducible(),
-        }, indent=2, sort_keys=True))
+        ok, fields = not defects, {"defects": defects}
+        lines = (["one-sided system: INVALID"] + [f"  {d}" for d in defects[:10]]
+                 if defects else ["one-sided system: valid"])
     else:
-        print(
-            f"subshift presentation: {len(g.states)} states, {len(g.edges)} "
-            f"edges, alphabet {{{','.join(g.labels)}}}"
-        )
-        print(f"  irreducible: {'yes' if g.is_irreducible() else 'no'}")
-    return PASS
+        g = obj.graph
+        ok, irreducible = True, g.is_irreducible()
+        fields = {"states": len(g.states), "edges": len(g.edges), "alphabet": list(g.labels),
+                  "irreducible": irreducible}
+        lines = [
+            f"subshift presentation: {len(g.states)} states, {len(g.edges)} edges, "
+            f"alphabet {{{','.join(g.labels)}}}",
+            f"  irreducible: {'yes' if irreducible else 'no'}",
+        ]
+    if args.json:
+        report = {"schema_version": 1, "kind": kind, "ok": ok, **fields}
+        lines = [json.dumps(report, indent=2, sort_keys=True)]
+    for line in lines:
+        print(line)
+    return PASS if ok else FAIL
 
 
 def cmd_canonical(args):
@@ -242,6 +222,8 @@ def cmd_check_equivalence(args):
 
 def cmd_bipartite(args):
     _, name, s = _load(args.file, None, ("smb",), "bipartite needs an smb document")
+    if not validate_smb(s).ok:
+        _input_error("matrix bisystem fails validation; refusing to split")
     bip = detect_bipartite(s)
     if bip is None:
         print("no bipartite structure")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Alphabet
-
 
 class SubshiftError(ValueError):
     pass
@@ -189,10 +187,6 @@ class SubshiftPresentation:
     def graph(self) -> LabeledGraph:
         return self.sofic if self.kind == "sofic" else sft_graph(self.sft)
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet.of(*self.graph.labels)
-
 
 def admissible_words(pres: SubshiftPresentation, n: int):
     """All length-n label words of the presentation, length-then-lex sorted."""
@@ -220,18 +214,6 @@ def _successors(g: LabeledGraph) -> dict:
     return by
 
 
-def realizable_past_sets(g: LabeledGraph):
-    """All stabilized past sets of left-infinite admissible rays."""
-    return _ray_sets(g)
-
-
-def realizable_future_sets(g: LabeledGraph):
-    """All stabilized future sets of right-infinite admissible rays: the past
-    sets of the reversed graph, whose left rays are the right rays of g read
-    backwards."""
-    return _ray_sets(g.reversed())
-
-
 class _Preimages(dict):
     """Bitmask of states -> bitmask of the states one edge of a label behind
     them, filled on first use from the preimage of each single state."""
@@ -253,16 +235,18 @@ class _Preimages(dict):
         return out
 
 
-def _ray_sets(g: LabeledGraph):
-    """The realizable past sets of g.
+def realizable_past_sets(g: LabeledGraph):
+    """All stabilized past sets of left-infinite admissible rays.
 
-    Walks the finite automaton of word relations (composing prepended symbols
-    on the left); a set qualifies exactly when some relation with that range
-    lies on a range-preserving cycle reachable from the identity relation.
-    A relation holds one bitmask per target state q: the source states with
-    a path to q labeled by the word.  Prepending a symbol maps each column to
-    its preimage, one table lookup per state; the range is the set of
-    nonempty columns.
+    One depth-first walk over the finite automaton of word relations reachable
+    from the identity relation (composing prepended symbols on the left).  A
+    relation holds one bitmask per target state q: the source states with a
+    path to q labeled by the word.  Prepending a symbol maps each column to
+    its preimage, one table lookup per state, so an empty column stays empty
+    and the range (the set of nonempty columns) can only shrink along an edge:
+    every cycle keeps one range.  A set qualifies exactly when it is the range
+    of a relation on a cycle, and every cycle holds an edge back to a relation
+    on the walk's path, so the ranges of those relations are the answer.
     """
     index = {q: i for i, q in enumerate(g.states)}
     n = len(index)
@@ -271,62 +255,32 @@ def _ray_sets(g: LabeledGraph):
         one[a][index[t]] |= 1 << index[s]
     steps = [_Preimages(one[a]).__getitem__ for a in g.labels]
     ident = tuple(1 << i for i in range(n))
-    seen = {ident}
-    succ: dict = {}
-    stack = [ident]
+    on_path = {ident: True}  # relation -> still on the path (False: done)
+    ranges = set()
+    stack = [(ident, iter(steps))]
     while stack:
-        rel = stack.pop()
-        outs = []
-        for step in steps:
+        rel, todo = stack[-1]
+        for step in todo:
             nxt = tuple(map(step, rel))
-            if any(nxt):
-                outs.append(nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        succ[rel] = outs
-    key = {rel: tuple(map(bool, rel)) for rel in seen}
-    ranges = (
-        frozenset(q for q, hit in zip(g.states, k) if hit)
-        for k in _ranges_on_constant_cycles(seen, succ, key.__getitem__)
-    )
-    return tuple(sorted(ranges, key=lambda s: tuple(sorted(map(str, s)))))
-
-
-def _ranges_on_constant_cycles(nodes, succ, value):
-    """Values v = value(node) realized by an infinite path of constant value."""
-    out = set()
-    for start in nodes:
-        v = value(start)
-        if v in out:
-            continue
-        # cycle search inside the value-preserving subgraph reachable from start
-        stack = [(start, iter(succ.get(start, ())))]
-        on_path = {start}
-        visited = {start}
-        found = False
-        while stack and not found:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if value(nxt) != v:
-                    continue
-                if nxt in on_path:
-                    found = True
-                    break
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                on_path.add(nxt)
-                stack.append((nxt, iter(succ.get(nxt, ()))))
-                advanced = True
+            mark = on_path.get(nxt)
+            if mark:
+                ranges.add(tuple(map(bool, nxt)))
+            elif mark is None and any(nxt):
+                on_path[nxt] = True
+                stack.append((nxt, iter(steps)))
                 break
-            if not advanced and not found:
-                on_path.discard(node)
-                stack.pop()
-        if found:
-            out.add(v)
-    return out
+        else:
+            stack.pop()
+            on_path[rel] = False
+    sets = (frozenset(q for q, hit in zip(g.states, k) if hit) for k in ranges)
+    return tuple(sorted(sets, key=lambda s: tuple(sorted(map(str, s)))))
+
+
+def realizable_future_sets(g: LabeledGraph):
+    """All stabilized future sets of right-infinite admissible rays: the past
+    sets of the reversed graph, whose left rays are the right rays of g read
+    backwards."""
+    return realizable_past_sets(g.reversed())
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,20 @@ def test_malformed_iota_and_edge_blocks_are_reported_not_raised():
         assert any(expected in d for d in defects), (kind, defects)
         with pytest.raises(BisystemError):
             from_lambda_graph_system(broken)
+    # every edge out of one vertex, or into one, dropped
+    for lgs in bases:
+        for l in range(lgs.depth):
+            s, t, _ = lgs.edges[l][0]
+            for drop, expected in (
+                (lambda e: e[0] == s, f"vertex {s + 1} at level {l} has no successor"),
+                (lambda e: e[1] == t, f"vertex {t + 1} at level {l + 1} has no predecessor"),
+            ):
+                edges = list(lgs.edges)
+                edges[l] = tuple(e for e in edges[l] if not drop(e))
+                broken = LambdaGraphSystem(lgs.level_sizes, tuple(edges), lgs.iota, lgs.alphabet)
+                assert expected in validate_lambda_graph_system(broken), (l, expected)
+                with pytest.raises(BisystemError):
+                    from_lambda_graph_system(broken)
 
 
 def test_tensor_round_trip():

@@ -294,6 +294,18 @@ def test_words_of_an_invalid_smb_is_an_input_error(tmp_path, capsys):
     assert "refusing to expand" in capsys.readouterr().err
 
 
+def test_bipartite_of_an_invalid_smb_is_an_input_error(tmp_path, capsys):
+    node = json.loads(dump_document("smb", "alt", canonical_smb(alternating_pres(), 2)))
+    node["payload"]["minus"][0][0][0] *= 2  # the term of cell (1,1) repeated
+    bad = write(tmp_path, "bad.json", json.dumps(node))
+    assert main(["validate", bad]) == 1
+    capsys.readouterr()
+    assert main(["bipartite", bad]) == 2  # nothing to split: unusable input
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix bisystem fails validation; refusing to split\n"
+
+
 def test_duplicate_sft_symbols_are_an_input_error(tmp_path, capsys):
     dup = write(tmp_path, "dup.json", doc(
         "subshift", "dup", {"variant": "sft", "symbols": ["a", "a"], "matrix": [[1, 1], [1, 1]]}
@@ -557,6 +569,39 @@ def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal error: IndexError")
     assert "Traceback" in captured.err and "in broken" in captured.err
+
+
+_NESTED_PRODUCT = '{"product": [' * 3000 + '{"symbols": ["a"]}' + ', {"symbols": ["b"]}]}' * 3000
+UNDECODABLE = {
+    "non-UTF-8 bytes": (b"\xff\xfe{}", "$: not UTF-8 text: invalid start byte at byte 0"),
+    "latin-1 name": (
+        doc("subshift", "cafe", {"variant": "sft", "symbols": ["1"], "matrix": [[1]]})
+        .encode().replace(b"cafe", b"caf\xe9"),
+        "$: not UTF-8 text: invalid continuation byte at byte 54",
+    ),
+    "deep nesting": (b"[" * 3000 + b"]" * 3000, "$: JSON nested too deeply"),
+    "product alphabet nested 3000 deep": (
+        doc("smb", "deep", {
+            "depth": 1, "level_sizes": [1, 1], "sigma_minus": {"symbols": ["a"]},
+            "sigma_plus": None, "minus": [[[[]]]], "plus": [[[[]]]], "repeat_from": None,
+        }).replace("null", _NESTED_PRODUCT, 1).encode(),
+        "$: JSON nested too deeply",
+    ),
+    "truncated JSON": (
+        GM_SUBSHIFT.encode()[:40], "line 1 col 41: invalid JSON: Expecting ',' delimiter"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNDECODABLE)
+def test_documents_the_reader_cannot_decode_are_input_errors(tmp_path, capsys, case):
+    data, message = UNDECODABLE[case]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
