@@ -15,12 +15,15 @@ every set at once.  Appending a letter a to the left ray takes a class to
 the left quotient a⁻¹W, its child for a; prepending a to the right ray takes
 it to the right quotient W·a⁻¹.  Both depend on the class's language alone,
 so every representative pair gives the same edge and none is re-checked.
+A level is numbered in (size, words) order, which for sets of one size is
+membership order (the least word of a symmetric difference decides), so a
+class sorts by (size, the membership ranks of its children a level below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 
 from .core import Alphabet, WordDag, share
 from .bisystem import LambdaGraphBisystem, validate
@@ -96,26 +99,27 @@ def _languages(g: LabeledGraph, dag: WordDag, pasts, futures, depth: int):
     return out
 
 
-def _classes(dag: WordDag, level: int, vecs, pasts, futures) -> tuple:
-    """The classes of one level, ordered by (size, words)."""
-    table: dict = {}
-    for p, row in zip(pasts, vecs):
-        for f, n in zip(futures, row):
-            if n:
-                table.setdefault(n, []).append((p, f))
-
-    def order(m, n):
-        if dag.sizes[m] != dag.sizes[n]:
-            return -1 if dag.sizes[m] < dag.sizes[n] else 1
-        for u, v in zip(dag.words(m), dag.words(n)):
-            if u != v:
-                return -1 if u < v else 1
-        return 0
-
-    return tuple(
-        CentralClass(level, tuple(sorted(table[n])), (dag, n))
-        for n in sorted(table, key=cmp_to_key(order))
-    )
+def _classes(dag: WordDag, levels, pasts, futures) -> tuple:
+    """The classes of every level in (size, words) order, which is (size, key)
+    order: a class's key is the tuple of its children's ranks at the level
+    below, an empty child last, and a level ranks its classes by key.  Key
+    order is membership order (words in lexicographic order, a member before
+    a non-member), and of two sets of one size both orders put first the one
+    holding the least word of their symmetric difference."""
+    pasts = [tuple(sorted(p)) for p in pasts]
+    futures = [tuple(sorted(f)) for f in futures]
+    out, rank = [], {}
+    for level, vecs in enumerate(levels):
+        table: dict = {}
+        for p, row in zip(pasts, vecs):
+            for f, n in zip(futures, row):
+                if n:
+                    table.setdefault(n, []).append((p, f))
+        key = {n: tuple(rank.get(c, len(rank)) for c in dag.nodes[n] or ()) for n in table}
+        rank = {n: i for i, n in enumerate(sorted(table, key=key.get))}
+        order = sorted(table, key=lambda n: (dag.sizes[n], key[n]))
+        out.append(tuple(CentralClass(level, tuple(sorted(table[n])), (dag, n)) for n in order))
+    return tuple(out)
 
 
 def _edge_blocks(dag: WordDag, upper, lower, l: int):
@@ -159,12 +163,7 @@ def canonical_bisystem(pres: SubshiftPresentation, depth: int) -> CanonicalBuild
         )
     dag = WordDag(g.labels)
     pasts, futures = realizable_past_sets(g), realizable_future_sets(g)
-    shown_pasts = [tuple(sorted(p)) for p in pasts]
-    shown_futures = [tuple(sorted(f)) for f in futures]
-    classes = tuple(
-        _classes(dag, l, vecs, shown_pasts, shown_futures)
-        for l, vecs in enumerate(_languages(g, dag, pasts, futures, depth))
-    )
+    classes = _classes(dag, _languages(g, dag, pasts, futures, depth), pasts, futures)
     blocks = [_edge_blocks(dag, classes[l + 1], classes[l], l) for l in range(depth)]
     alphabet = Alphabet.of(*g.labels)
     b = LambdaGraphBisystem(

@@ -164,6 +164,8 @@ def parse_document(text: str, depth: int | None = None):
     if not isinstance(kind, str) or kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}", "$.kind")
     name = doc.get("name", "")
+    if name is not None and not isinstance(name, str):
+        raise DocumentError("name must be a string", "$.name")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise DocumentError("missing payload", "$.payload")

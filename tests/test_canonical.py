@@ -12,6 +12,7 @@ from bisys.subshift import (
     LabeledGraph,
     SubshiftPresentation,
     admissible_words,
+    realizable_past_sets,
 )
 from fixtures import (
     even_shift_pres,
@@ -237,6 +238,41 @@ def test_interned_nodes_grow_linearly_with_depth(monkeypatch):
             assert not any("words" in vars(c) for level in build.class_table for c in level)
             counts.append(sum(len(dag.nodes) for dag in made))
         assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
+
+
+def test_build_lists_no_words(monkeypatch):
+    """The class order, the edges and FPCC read the word DAG; none lists a
+    class's words."""
+    def listed(self, n, prefix=()):
+        raise AssertionError("the build listed words")
+
+    monkeypatch.setattr(WordDag, "words", listed)
+    no_121 = SubshiftPresentation.from_forbidden(("1", "2"), (("1", "2", "1"),))
+    for pres in (even_shift_pres(), no_121):
+        canonical_bisystem(pres, 30)
+
+
+def test_class_order_matches_a_sort_of_listed_words():
+    """Each level's order, read off the level below, is the (size, words)
+    order of a sort that lists every class's words: 5 752 classes, 4 218 of
+    them next to one of their own size."""
+    rng = random.Random(1)
+    for _ in range(15):
+        pres = random_sofic_pres(rng, rng.randint(6, 9))
+        for classes in canonical_bisystem(pres, rng.randint(6, 8)).class_table:
+            assert list(classes) == sorted(classes, key=lambda c: (len(c.words), c.words))
+
+
+def test_a_child_outside_the_level_below_is_a_canonical_error(monkeypatch):
+    """Past sets not closed under steps give a class a child that is no class
+    of the level below; the order ranks it last and the edge check names it."""
+    import bisys.canonical as cn
+
+    pasts = realizable_past_sets(golden_mean_pres().graph)
+    monkeypatch.setattr(cn, "realizable_past_sets", lambda g: pasts[1:])
+    with pytest.raises(CanonicalError) as exc:
+        canonical_bisystem(golden_mean_pres(), 3)
+    assert str(exc.value) == "left step left the class table at level 1: (('1',), ('2',))"
 
 
 def test_verdicts_are_computed_once_per_bisystem(monkeypatch):

@@ -604,6 +604,40 @@ def test_documents_the_reader_cannot_decode_are_input_errors(tmp_path, capsys, c
     assert captured.err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("name", [["x"], 5, {"a": 1}], ids=["list", "int", "object"])
+def test_a_name_that_is_not_a_string_is_an_input_error(tmp_path, capsys, name):
+    """``transpose`` and ``bipartite --out-prefix`` append to the name."""
+    path = str(tmp_path / "doc.json")
+    b = json.loads(dump_document("bisystem", "b", full_shift_bisystem(2, 2)))
+    s = json.loads(dump_document("smb", "alt", canonical_smb(alternating_pres(), 2)))
+    split = ["bipartite", path, "--out-prefix", str(tmp_path / "split")]
+    for node, argv in (b, ["transpose", path]), (s, split):
+        node["name"] = name
+        write(tmp_path, "doc.json", json.dumps(node))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: $.name: name must be a string\n"
+
+
+def test_a_null_or_absent_name_reads_as_no_name(tmp_path):
+    unnamed = json.loads(dump_document("bisystem", "b", full_shift_bisystem(2, 2)))
+    del unnamed["name"]
+    out = str(tmp_path / "t.json")
+    for node in ({**unnamed, "name": None}, unnamed):
+        assert main(["transpose", write(tmp_path, "b.json", json.dumps(node)), "-o", out]) == 0
+        assert load_document(out)[1] == "bisystem-transpose"
+
+
+def test_canonical_runs_past_the_recursion_limit(tmp_path, capsys):
+    """The class order lists no words, so a build takes no stack frame per
+    level and a depth past the recursion limit is a valid input."""
+    gm = write(tmp_path, "gm.json", GM_SUBSHIFT)
+    assert main(["canonical", gm, "--depth", "1200", "-o", str(tmp_path / "out.json")]) == 0
+    sizes = ",".join(["1", "2"] + ["4"] * 1199)
+    assert capsys.readouterr().err == f"canonical build: depth 1200, level sizes {sizes}\n"
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     gm = write(tmp_path, "gm.json", GM_SUBSHIFT)
     out = str(tmp_path / "missing" / "out.json")
