@@ -192,7 +192,7 @@ def cmd_invariants(args):
             _input_error("invariants needs depth >= 1, the document has depth 0")
     else:
         b = canonical_bisystem(obj, depth).bisystem
-    res = k_groups(b, args.side, min(depth, b.depth))
+    res = k_groups(b, args.side, depth)
     print(f"side: {args.side}")
     for line in res.lines():
         print(line)

@@ -10,7 +10,7 @@ over Python integers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
@@ -284,83 +284,32 @@ class _Factored:
     """What the tower reads from one factorization U theta V = D of a level.
 
     ``coker`` is coker(theta) in canonical form and ``nullity`` the rank of
-    ker(theta).  U is not kept.  ``ops`` lists, per unit pivot row p in the
-    order of elimination, the pairs (r, c) of the steps row r -= c * row p
-    made on rows r that were not yet pivots; the steps on earlier pivot rows
-    are left out, since a row of U is read only when it becomes a pivot, or
-    at the end if it never does.
-    ``residual`` pairs every invariant factor f of theta that is not 1 (0
-    past the rank) with its row of U, as (row, coefficient) pairs over the
-    rows left after elimination, and ``kernel`` is a basis of ker(theta).
-    Both are built on first read, from the eliminated rows and the Smith
-    normal form (U, diagonal, V) of the residual block (None for a zero
-    block), since most callers read only ``coker`` and ``nullity``.
-    ``coker_rows`` replays ``ops`` and ``residual`` on a map into the level.
+    ker(theta).  U is not kept.  ``kernel`` is a basis of ker(theta), built
+    on first read from the eliminated rows and the V of the residual block's
+    Smith normal form (the identity for a zero block), since most callers
+    read only ``coker`` and ``nullity``.
     """
 
-    def __init__(self, coker, nullity, ops, rows, pivots, free, rest, block_snf):
+    def __init__(self, coker, nullity, rows, pivots, rest, block):
         self.coker = coker
         self.nullity = nullity
-        self.ops = ops
         self._rows = rows
         self._pivots = pivots
-        self._free = free
         self._rest = rest
-        self._block_snf = block_snf
-
-    @cached_property
-    def residual(self):
-        free = self._free
-        if self._block_snf is None:  # D = 0, and U is the identity
-            return [(0, [(i, 1)]) for i in free]
-        u, diag, _ = self._block_snf
-        return [
-            (f, [(free[m], x) for m, x in enumerate(row) if x])
-            for f, row in zip(diag, u) if f != 1
-        ]
+        self._block = block  # (rank, V) of the residual block, V None for the identity
 
     @cached_property
     def kernel(self):
         rest, pivots, rows = self._rest, self._pivots, self._rows
-        if self._block_snf is None:  # V is the identity
-            residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
-        else:
-            _, diag, v = self._block_snf
-            block_rank = sum(1 for f in diag if f)
-            residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
+        rank, v = self._block
         out = []
-        for z in residual_kernel:
+        for k in range(rank, len(rest)):
             x = [0] * (len(rest) + len(pivots))
-            for j, value in zip(rest, z):
-                x[j] = value
+            for m, j in enumerate(rest):
+                x[j] = int(m == k) if v is None else v[m][k]
             for p, q, s in pivots:
                 x[q] = -s * sum(a * x[j] for j, a in rows[p].items() if j != q)
             out.append(x)
-        return out
-
-    def coker_rows(self, iota, width):
-        """(f, row of U iota) for each invariant factor f in ``residual``.
-
-        coker(theta) is the sum of the Z/f, and the class of iota x has
-        coordinates (row . x).  iota is given by its rows, {column: value}
-        dicts over ``width`` columns; a row is copied before its first change.
-        """
-        carried = list(iota)
-        copied = set()
-        for p, steps in self.ops:
-            prow = carried[p]
-            for r, c in steps:
-                if r not in copied:
-                    carried[r] = dict(carried[r])
-                    copied.add(r)
-                _subtract(carried[r], prow, c)
-        out = []
-        for f, combo in self.residual:
-            vec = [0] * width
-            for r, x in combo:
-                for j, y in carried[r].items():
-                    vec[j] += x * y
-            out.append((f, vec))
         return out
 
 
@@ -376,12 +325,12 @@ def _factor(theta, cols) -> _Factored:
 
     The pivots come from a heap that holds, for each unpivoted row with a
     +-1, a key no greater than its least (cost, row, column).  A pivot
-    recomputes the keys of the rows it changed and lowers the keys of the
-    rows with a +-1 in a column that lost an entry; a column that gained one
-    only raises costs, so those keys are left low and recomputed when they
-    come up.  The key on top is the pivot when it is still exact: every other
-    row's key is a lower bound at least as large, and keys are unique by
-    row.  A pivot (p, q) with sign s leaves row p reading
+    recomputes the keys of the unpivoted rows it changed and lowers the keys
+    of the rows with a +-1 in a column that lost an entry; a column that
+    gained one only raises costs, so those keys are left low and recomputed
+    when they come up.  The key on top is the pivot when it is still exact:
+    every other row's key is a lower bound at least as large, and keys are
+    unique by row.  A pivot (p, q) with sign s leaves row p reading
     s x_q + sum_f a_pf x_f over the unpivoted columns f; the unpivoted rows
     are zero outside those columns and form the residual block, the only part
     that goes to the dense ``smith_normal_form``, and only when it is not zero.
@@ -409,7 +358,6 @@ def _factor(theta, cols) -> _Factored:
     queue = [key for key in keys if key is not None]
     heapify(queue)
     pivots = []  # (row, column, sign)
-    ops = []
     pivoted = [False] * rows
     while queue:
         key = heappop(queue)
@@ -424,7 +372,7 @@ def _factor(theta, cols) -> _Factored:
         pivoted[p] = True
         prow = mat[p]
         s = prow[q]
-        steps = []
+        changed = []  # unpivoted rows the pivot changed
         shrunk = set()  # columns that lost a row
         for r in [r for r in holders[q] if r != p]:
             row = mat[r]
@@ -440,10 +388,9 @@ def _factor(theta, cols) -> _Factored:
                     holders[j].discard(r)
                     shrunk.add(j)
             if not pivoted[r]:
-                steps.append((r, c))
-        ops.append((p, steps))
+                changed.append(r)
         pivots.append((p, q, s))
-        for r, _ in steps:
+        for r in changed:
             key = least_unit(r)
             if key != keys[r]:
                 keys[r] = key
@@ -462,40 +409,34 @@ def _factor(theta, cols) -> _Factored:
     free = [i for i in range(rows) if not pivoted[i]]
     pivot_cols = {q for (_, q, _) in pivots}
     rest = [j for j in range(cols) if j not in pivot_cols]
-    block_snf = None
-    rank = len(pivots)
+    block = (0, None)
     torsion = ()
     if any(mat[i] for i in free):
-        u, d, v = smith_normal_form([[mat[i].get(j, 0) for j in rest] for i in free])
-        diag = [d[k][k] if k < len(rest) else 0 for k in range(len(free))]
-        block_snf = (u, diag, v)
-        rank += sum(1 for f in diag if f)
+        _, d, v = smith_normal_form([[mat[i].get(j, 0) for j in rest] for i in free])
+        diag = [d[k][k] for k in range(min(len(free), len(rest)))]
+        block = (sum(1 for f in diag if f), v)
         torsion = tuple(f for f in diag if f > 1)
-    return _Factored(
-        FgAbelianGroup(rows - rank, torsion), cols - rank, ops, mat, pivots, free, rest, block_snf
-    )
+    rank = len(pivots) + block[0]
+    return _Factored(FgAbelianGroup(rows - rank, torsion), cols - rank, mat, pivots, rest, block)
 
 
-def _cokernel_map_is_iso(a: _Factored, b: _Factored, iota, width) -> bool:
+def _cokernel_map_is_iso(a: _Factored, b: _Factored, iota, theta_b) -> bool:
     """Is the map coker(theta_a) -> coker(theta_b) induced by iota an isomorphism?
 
-    iota maps Z^width into the rows of theta_b and is given by its rows.
-    Finitely generated abelian groups are Hopfian, so between isomorphic
-    groups a surjection is an isomorphism.  iota is onto when its rows in
-    ``b.coker_rows``, beside their invariant factors, span everything: when
-    the sparse factorization of that image matrix has a trivial cokernel.
-    This needs iota to carry im(theta_a) into im(theta_b), as it does where
-    the ladder maps intertwine; elsewhere no map is induced and the verdict
-    says only "equal groups, iota onto".
+    iota and theta_b are given by their rows, one row per generator of
+    coker(theta_b).  Finitely generated abelian groups are Hopfian, so
+    between isomorphic groups a surjection is an isomorphism.  iota is onto
+    when im(iota) + im(theta_b) is everything: when the sparse factorization
+    of the rows of [theta_b | iota], theta_b's columns first, has a trivial
+    cokernel.  This needs iota to carry im(theta_a) into im(theta_b), as it
+    does where the ladder maps intertwine; elsewhere no map is induced and
+    the verdict says only "equal groups, iota onto".
     """
     if a.coker != b.coker:
         return False
-    image = []
-    for k, (f, row) in enumerate(b.coker_rows(iota, width)):
-        image.append({j: x for j, x in enumerate(row) if x})
-        if f:
-            image[-1][width + k] = f
-    return _factor(image, width + len(image)).coker.is_trivial
+    width = 1 + max((j for row in (*theta_b, *iota) for j in row), default=-1)
+    both = [{**brow, **{width + j: x for j, x in irow.items()}} for brow, irow in zip(theta_b, iota)]
+    return _factor(both, 2 * width).coker.is_trivial
 
 
 def _kernel_map_is_iso(a: _Factored, b: _Factored, t, theta_b) -> bool:
@@ -530,10 +471,10 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
     connecting maps between them to be isomorphisms on the computed
     presentations; anything less is reported as not stabilized.
     """
-    ladder = build_ladder(b, side)
-    depth = min(depth if depth is not None else ladder.depth, ladder.depth)
+    depth = b.depth if depth is None else min(depth, b.depth)
     if depth < 1:
         raise KtheoryError("need depth >= 1")
+    ladder = build_ladder(_cut(b, depth), side)
 
     iota, rho = ladder.iota, ladder.rho
     inter_ok = all(
@@ -550,7 +491,7 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
         levels.append((cur.coker, FgAbelianGroup(cur.nullity)))
         if prev is not None:
             connecting.append((
-                _cokernel_map_is_iso(prev, cur, iota[l], width),
+                _cokernel_map_is_iso(prev, cur, iota[l], theta),
                 _kernel_map_is_iso(prev, cur, iota[l - 1], theta),
             ))
         prev = cur
@@ -579,9 +520,20 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
     )
 
 
+def _cut(b: LambdaGraphBisystem, depth: int) -> LambdaGraphBisystem:
+    """b's first ``depth`` blocks, b itself at its stored depth.  The ladder
+    of level l reads only the blocks below it, so a cut leaves it as it is."""
+    if depth == b.depth:
+        return b
+    return replace(b, level_sizes=b.level_sizes[: depth + 1],
+                   minus_edges=b.minus_edges[:depth], plus_edges=b.plus_edges[:depth])
+
+
 def kernel_contains_constant(b: LambdaGraphBisystem, side: str, level: int) -> bool:
     """Does the all-ones vector lie in ker(iota - rho) at the given block?"""
-    return not any(sum(row.values()) for row in build_ladder(b, side).theta(level))
+    if not 0 <= level < b.depth:
+        raise KtheoryError(f"level must be in 0..{b.depth - 1}, got {level}")
+    return not any(sum(row.values()) for row in build_ladder(_cut(b, level + 1), side).theta(level))
 
 
 def ck_oracle(a):

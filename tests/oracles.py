@@ -22,7 +22,10 @@ a saturated lattice; ``solve``, ``determinant`` and the other dense helpers
 after it went with it.  ``scan_factor`` is the ladder factorization that
 scanned every unpivoted row for the least-cost unit pivot before each pivot
 and built every field at once, where the library keeps one key per row in a
-heap and builds the kernel and the residual rows only when they are read.
+heap and builds the kernel only when it is read.  It records its row
+operations and the U of its residual block, which ``cokernel_map_is_iso``
+replays on iota to read the classes of its images in the cokernel, where
+the library factorizes [theta | iota] once.
 ``detect_bipartite`` tries the symbol colourings as bitmasks, least first,
 and rescans the dense blocks for each one, where the library solves the
 parity equations of the colouring once over the edge index.
@@ -59,7 +62,7 @@ from bisys.core import (
     word_str,
 )
 from bisys.equivalence import BipartiteStructure, VerifyReport
-from bisys.ktheory import FgAbelianGroup, _Factored, _identity, smith_normal_form
+from bisys.ktheory import FgAbelianGroup, _Factored, _identity, _subtract, smith_normal_form
 from bisys.subshift import (
     LabeledGraph,
     SubshiftError,
@@ -835,12 +838,12 @@ def kernel_map_is_iso(a: _Factored, b: _Factored, t) -> bool:
 # ---------------------------------------------------------------------------
 # the factorization that rescanned every unpivoted row before each pivot
 
-ScanFactored = namedtuple("ScanFactored", "coker kernel ops residual")
+ScanFactored = namedtuple("ScanFactored", "coker kernel pivots ops residual")
 
 
 def scan_factor(theta, cols) -> ScanFactored:
     """Sparse unit-pivot elimination of theta, then a Smith normal form of the rest;
-    every field of the library's ``_factor`` is built at once.
+    every field is built at once.
 
     theta is given by its rows, {column: value} dicts over ``cols`` columns,
     and is not changed.  The rows are copied and indexed by column.  While an
@@ -852,6 +855,15 @@ def scan_factor(theta, cols) -> ScanFactored:
     columns f; the unpivoted rows are zero outside those columns and form the
     residual block, the only part that goes to the dense
     ``smith_normal_form``, and only when it is not zero.
+
+    ``pivots`` lists the (row, column, sign) of each pivot in order.
+    ``ops`` lists, per pivot row p in that order, the pairs (r, c) of the
+    steps row r -= c * row p made on rows r that were not yet pivots; the
+    steps on earlier pivot rows are left out, since a row of U is read only
+    when it becomes a pivot, or at the end if it never does.  ``residual``
+    pairs every invariant factor f of theta that is not 1 (0 past the rank)
+    with its row of U, as (row, coefficient) pairs over the rows left after
+    elimination.
     """
     rows = len(theta)
     mat = [dict(row) for row in theta]
@@ -929,8 +941,41 @@ def scan_factor(theta, cols) -> ScanFactored:
 
     rank = len(pivots) + sum(1 for f in diag if f)
     return ScanFactored(
-        FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), kernel, ops, residual
+        FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1)), kernel, pivots, ops, residual
     )
+
+
+def cokernel_map_is_iso(a: ScanFactored, b: ScanFactored, iota, width) -> bool:
+    """Is the map coker(theta_a) -> coker(theta_b) induced by iota an isomorphism?
+
+    iota maps Z^width into the rows of theta_b and is given by its rows.
+    Between isomorphic groups a surjection is an isomorphism.  b's row
+    operations are replayed on iota, a row copied before its first change,
+    and the rows of U in ``b.residual`` give the class of each image in the
+    sum of the Z/f; iota is onto when those rows, beside their invariant
+    factors, span everything.
+    """
+    if a.coker != b.coker:
+        return False
+    carried = list(iota)
+    copied = set()
+    for p, steps in b.ops:
+        prow = carried[p]
+        for r, c in steps:
+            if r not in copied:
+                carried[r] = dict(carried[r])
+                copied.add(r)
+            _subtract(carried[r], prow, c)
+    image = []
+    for k, (f, combo) in enumerate(b.residual):
+        vec = [0] * width
+        for r, x in combo:
+            for j, y in carried[r].items():
+                vec[j] += x * y
+        image.append({j: x for j, x in enumerate(vec) if x})
+        if f:
+            image[-1][width + k] = f
+    return scan_factor(image, width + len(image)).coker.is_trivial
 
 
 def detect_bipartite(s: SymbolicMatrixBisystem):

@@ -327,6 +327,24 @@ def test_invariants_command(tmp_path, capsys):
     assert "K1 ~ Z" in out
 
 
+def test_invariants_reads_only_the_levels_it_uses(tmp_path, monkeypatch, capsys):
+    # the word sets grow with the level, so a ladder over every stored level
+    # of a deep document costs far more than the requested depth
+    import bisys.ktheory as kt
+
+    ladders = []
+    real = kt.build_ladder
+    monkeypatch.setattr(kt, "build_ladder", lambda *a: ladders.append(real(*a)) or ladders[-1])
+    outs = []
+    for depth in (24, 6):
+        b = canonical_bisystem(golden_mean_pres(), depth).bisystem
+        path = write(tmp_path, f"gm{depth}.json", dump_document("bisystem", "gm", b))
+        assert main(["invariants", path, "--depth", "6"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert [len(ladder.bases) for ladder in ladders] == [7, 7]
+    assert outs[0] == outs[1]
+
+
 def test_check_equivalence_command(tmp_path, capsys):
     s = canonical_smb(golden_mean_pres(), 4)
     w = trivial_psse_witness(s)
