@@ -8,12 +8,12 @@ are words (tuples of strings), length 1 unless the alphabet is a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from itertools import islice
 from operator import eq
 
-from .core import Alphabet, WordDag, by_identity, share, word_str
+from .core import Alphabet, WordDag, by_identity, depth_first, share, word_str
 
 
 class BisystemError(ValueError):
@@ -260,6 +260,16 @@ def _word_sets(b: LambdaGraphBisystem, side: str):
             for edges in block
         ))
     return tuple(sets)
+
+
+def _cut(b: LambdaGraphBisystem, depth: int) -> LambdaGraphBisystem:
+    """b's first ``depth`` blocks, b itself at its stored depth.  The word
+    sets and the ladder of level l read only the blocks below it, so a cut
+    leaves them as they are."""
+    if depth == b.depth:
+        return b
+    return replace(b, level_sizes=b.level_sizes[: depth + 1],
+                   minus_edges=b.minus_edges[:depth], plus_edges=b.plus_edges[:depth])
 
 
 def follower_sets(b: LambdaGraphBisystem):
@@ -533,7 +543,7 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
         return SigmaIResult("inconclusive", level, bound)
     width = 2 * bound
     lam = b.sigma_minus.word_length
-    F = follower_sets(b)
+    F = follower_sets(_cut(b, level))
     items = [(i, xi) for i in range(b.level_sizes[level]) for xi in sorted(F[level][i])]
     upper = b.adjacency["minus", "upper"]
     plus_lower = b.adjacency["plus", "lower"]
@@ -549,13 +559,10 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
             path.append(step)
         return tuple(path)
 
-    def windows(col, steps):
-        """(plus symbols, bottom labels, columns) of every continuation of a
-        column by the given number of steps, in (plus symbol, bottom label,
-        top vertex) order; the labels shift down one per step."""
-        if not steps:
-            yield (), (), (col,)
-            return
+    def steps(col):
+        """The (plus symbol, bottom label, column) continuations of a column,
+        in (plus symbol, bottom label, top vertex) order; the labels shift
+        down one per step."""
         path, labels = col
         for alpha in b.sigma_plus.symbols:
             for bot in b.sigma_minus.symbols:
@@ -567,48 +574,51 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
                         (new[level - j - 1], alpha) in plus_lower[j][path[level - j]]
                         for j in range(level)
                     ):
-                        for alphas, bots, cols in windows((new, labs), steps - 1):
-                            yield (alpha,) + alphas, (bot,) + bots, (col,) + cols
+                        yield alpha, bot, (new, labs)
 
-    def keyed(win):
-        """The window with, for n = 1..bound, its symbols and columns shifted
-        by n and its heads of the same lengths: shift^n of window x differs
-        from window y when x's n-th shift differs from y's n-th head."""
-        alphas, _, cols = win
+    def keyed(col, walk):
+        """The window of a walk from a column: its plus symbols, bottom labels
+        and columns, and for n = 1..bound its symbols and columns shifted by n
+        and its heads of the same lengths: shift^n of window x differs from
+        window y when x's n-th shift differs from y's n-th head."""
+        alphas, bots, cols = zip(*walk)
+        cols = (col,) + cols
         shifts = range(1, bound + 1)
-        return (*win, [(alphas[n:], cols[n:]) for n in shifts],
+        return (alphas, bots, cols, [(alphas[n:], cols[n:]) for n in shifts],
                 [(alphas[: width - n], cols[: width - n + 1]) for n in shifts])
 
     cap = max(max_candidates, 1)  # the first window is always kept
     cands, capped = [], False
     for i, xi in items:
         labels = tuple(xi[p : p + lam] for p in range(0, len(xi), lam))
-        cs = list(map(keyed, islice(windows((column(i, labels), labels), width), cap)))
+        col = (column(i, labels), labels)
+        walks = depth_first(width, lambda _, walk: steps(walk[-1][2] if walk else col))
+        cs = [keyed(col, walk) for walk in islice(walks, cap)]
         capped = capped or len(cs) == cap
         if not cs:
             return SigmaIResult("inconclusive" if capped else "absent", level, bound)
         cands.append(cs)
 
-    budget = max_candidates * len(items)  # window comparisons the backtracking may make
-    chosen, tries = [], []  # the windows placed so far; each position's untried ones
-    while len(chosen) < len(items):
-        if len(tries) == len(chosen):
-            tries.append(iter(cands[len(chosen)]))
-        win = next(tries[-1], None)
-        if win is None:  # this position is exhausted: take back the one before
-            tries.pop()
-            if not chosen:
-                return SigmaIResult("inconclusive" if capped else "absent", level, bound)
-            chosen.pop()
-            continue
-        chosen.append(win)  # compared with every placed window, itself last
-        for other in chosen:
-            if not budget:
-                return SigmaIResult("inconclusive", level, bound)
-            budget -= 1
-            if any(map(eq, win[3], other[4])) or any(map(eq, other[3], win[4])):
-                chosen.pop()
-                break
+    budget = max_candidates * len(items)  # window comparisons the search may make
+
+    def clear(k, chosen):
+        """Item k's windows that clash with no chosen window, each compared
+        with every chosen window and then with itself; a budget spent below
+        0 ends every search level, and so the search."""
+        nonlocal budget
+        for win in cands[k]:
+            for other in (*chosen, win):
+                budget -= 1
+                if budget < 0:
+                    return
+                if any(map(eq, win[3], other[4])) or any(map(eq, other[3], win[4])):
+                    break
+            else:
+                yield win
+
+    chosen = next(depth_first(len(items), clear), None)
+    if chosen is None:
+        return SigmaIResult("inconclusive" if capped or budget < 0 else "absent", level, bound)
     rows = tuple((b.vertex_name(level, i), xi, win[0], win[1])
                  for (i, xi), win in zip(items, chosen))
     return SigmaIResult("witness", level, bound, rows)

@@ -141,10 +141,7 @@ class FormalSum:
 
     def __init__(self, terms=()):
         acc: dict = {}
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = ((t, 1) for t in terms)
+        items = terms.items() if isinstance(terms, dict) else ((t, 1) for t in terms)
         for w, c in items:
             w = tuple(w)
             if c < 0:
@@ -220,9 +217,7 @@ class FormalSum:
     def __repr__(self):
         if self.is_zero:
             return "0"
-        return "+".join(
-            word_str(w) if c == 1 else f"{c}{word_str(w)}" for w, c in self.items()
-        )
+        return "+".join(word_str(w) if c == 1 else f"{c}{word_str(w)}" for w, c in self.items())
 
 
 _ZERO = FormalSum()  # shared by every empty cell; a FormalSum is never mutated
@@ -304,9 +299,7 @@ class WordDag:
         key = (m, n) if m < n else (n, m)
         got = self._unions.get(key)
         if got is None:
-            got = self._unions[key] = self.node(
-                tuple(map(self.union, self.nodes[m], self.nodes[n]))
-            )
+            got = self._unions[key] = self.node(tuple(map(self.union, self.nodes[m], self.nodes[n])))
         return got
 
     def right_quotient(self, n: int, a) -> int:
@@ -318,9 +311,7 @@ class WordDag:
             return kids[self.slot[a]]
         got = self._quotients.get((n, a))
         if got is None:
-            got = self._quotients[n, a] = self.node(
-                tuple(self.right_quotient(c, a) for c in kids)
-            )
+            got = self._quotients[n, a] = self.node(tuple(self.right_quotient(c, a) for c in kids))
         return got
 
 
@@ -360,11 +351,7 @@ class SymbolicMatrix:
         return self.entries[i][j]
 
     def occurring(self) -> frozenset:
-        out = set()
-        for row in self.entries:
-            for cell in row:
-                out |= cell.support()
-        return frozenset(out)
+        return frozenset(w for row in self.entries for cell in row for w in cell._terms)
 
     def map_entries(self, fn, alphabet: Alphabet | None = None) -> "SymbolicMatrix":
         return SymbolicMatrix.build(
@@ -381,16 +368,10 @@ class SymbolicMatrix:
         return SymbolicMatrix(self.rows, self.cols, grid, self.alphabet)
 
     def same_entries(self, other: "SymbolicMatrix") -> bool:
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __str__(self):
-        return "\n".join(
-            "[" + "  ".join(repr(c) for c in row) + "]" for row in self.entries
-        )
+        return "\n".join("[" + "  ".join(map(repr, row)) + "]" for row in self.entries)
 
 
 def symbolic_matrix_multiply(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
@@ -420,9 +401,7 @@ def symbolic_matrix_multiply(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMa
                     for v, cv in right:
                         w = u + v
                         cell[w] = cell.get(w, 0) + cu * cv
-        grid.append(
-            tuple(FormalSum._trusted(acc[j]) if j in acc else _ZERO for j in range(b.cols))
-        )
+        grid.append(tuple(FormalSum._trusted(acc[j]) if j in acc else _ZERO for j in range(b.cols)))
     return SymbolicMatrix(a.rows, b.cols, tuple(grid), alph)
 
 
@@ -512,12 +491,35 @@ def specified_equivalence_failure(a: SymbolicMatrix, b: SymbolicMatrix, spec: Sp
     return None
 
 
+def depth_first(n: int, options):
+    """Every n-tuple whose k-th item comes from ``options(k, prefix)``, its
+    first k items being ``prefix``, in depth-first order: one loop over a
+    stack of iterators, so no stack frame per item.  A rule that keeps state
+    may keep it across its own ``yield``: it is resumed only once every tuple
+    extending its item is done.  ``n == 0`` gives one empty tuple."""
+    if not n:
+        yield ()
+        return
+    prefix, stack = [], [iter(options(0, ()))]
+    while stack:
+        for item in stack[-1]:
+            prefix.append(item)
+            if len(prefix) < n:
+                stack.append(iter(options(len(prefix), tuple(prefix))))
+                break
+            yield tuple(prefix)
+            prefix.pop()
+        else:
+            stack.pop()
+            del prefix[-1:]  # the item of the level below, none below the first
+
+
 def find_specification_multi(pairs):
     """One specification phi with A ~phi B for every (A, B) in pairs, or None.
 
     A symbol's candidates are the symbols of B's cell with its multiplicity,
-    in every cell where it occurs; deterministic backtracking tries them in
-    order, and each complete assignment is checked with
+    in every cell where it occurs; a depth-first search tries them in order,
+    and each complete assignment is checked with
     ``specified_equivalence_failure``.
     """
     if any((a.rows, a.cols) != (b.rows, b.cols) for a, b in pairs):
@@ -526,29 +528,28 @@ def find_specification_multi(pairs):
     for a, b in pairs:
         for a_row, b_row in zip(a.entries, b.entries):
             for ca, cb in zip(a_row, b_row):
+                terms = cb._terms  # B's cell's symbols by multiplicity, each set made once
+                by_count = {c: frozenset(v for v in terms if terms[v] == c)
+                            for c in set(terms.values())}
                 for w, c in ca._terms.items():
-                    opts = frozenset(v for v, cv in cb._terms.items() if cv == c)
-                    opts = candidates[w] = candidates.get(w, opts) & opts
+                    opts = by_count.get(c, frozenset())
+                    opts = candidates[w] = candidates[w] & opts if w in candidates else opts
                     if not opts:
                         return None
 
     order = sorted(candidates, key=lambda w: (len(candidates[w]), w))
-    assign: dict = {}
+    ordered = {s: sorted(s) for s in set(candidates.values())}  # each distinct set sorted once
+    used: set = set()
 
-    def backtrack(pos: int):
-        if pos == len(order):
-            spec = Specification.from_dict(assign)
-            ok = all(specified_equivalence_failure(a, b, spec) is None for a, b in pairs)
-            return spec if ok else None
-        w = order[pos]
-        for v in sorted(candidates[w]):
-            if v in assign.values():
-                continue
-            assign[w] = v
-            found = backtrack(pos + 1)
-            if found is not None:
-                return found
-            del assign[w]
-        return None
+    def free(k, _):
+        for v in ordered[candidates[order[k]]]:
+            if v not in used:
+                used.add(v)
+                yield v
+                used.discard(v)
 
-    return backtrack(0)
+    for values in depth_first(len(order), free):
+        spec = Specification.from_dict(dict(zip(order, values)))
+        if all(specified_equivalence_failure(a, b, spec) is None for a, b in pairs):
+            return spec
+    return None

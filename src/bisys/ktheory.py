@@ -10,11 +10,11 @@ over Python integers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .bisystem import LambdaGraphBisystem, follower_sets, predecessor_sets
+from .bisystem import LambdaGraphBisystem, _cut, follower_sets, predecessor_sets
 
 
 class KtheoryError(ValueError):
@@ -518,15 +518,6 @@ def k_groups(b: LambdaGraphBisystem, side: str = "minus", depth: int | None = No
         inter_ok,
         tuple(connecting),
     )
-
-
-def _cut(b: LambdaGraphBisystem, depth: int) -> LambdaGraphBisystem:
-    """b's first ``depth`` blocks, b itself at its stored depth.  The ladder
-    of level l reads only the blocks below it, so a cut leaves it as it is."""
-    if depth == b.depth:
-        return b
-    return replace(b, level_sizes=b.level_sizes[: depth + 1],
-                   minus_edges=b.minus_edges[:depth], plus_edges=b.plus_edges[:depth])
 
 
 def kernel_contains_constant(b: LambdaGraphBisystem, side: str, level: int) -> bool:

@@ -18,6 +18,7 @@ from .core import (
     Specification,
     SymbolicMatrix,
     by_identity,
+    depth_first,
     find_specification_multi,
     repeat_fault,
     share,
@@ -298,21 +299,17 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
         return SmbIsomorphism(tuple(map(tuple, perms)), spec_m, spec_p)
 
     slots = [l for l, size in enumerate(sizes) for _ in range(size)]
-    k, start = 0, 0  # the slot to fill next and its first untried candidate
-    while True:
-        if k == len(slots):
-            found = witness()
-            if found is not None:
-                return found
-        else:
-            l = slots[k]
-            cand = next((c for c in range(start, sizes[l])
-                         if c not in perms[l] and fits(l, len(perms[l]), c)), None)
-            if cand is not None:
-                perms[l].append(cand)
-                k, start = k + 1, 0
-                continue
-        if not k:  # every order is tried
-            return None
-        k -= 1
-        start = perms[slots[k]].pop() + 1
+
+    def places(k, _):
+        l, perm = slots[k], perms[slots[k]]
+        for c in range(sizes[l]):
+            if c not in perm and fits(l, len(perm), c):
+                perm.append(c)
+                yield c
+                perm.pop()
+
+    for _ in depth_first(len(slots), places):  # perms hold the placement
+        found = witness()
+        if found is not None:
+            return found
+    return None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from itertools import product as cartesian
 
 from bisys.core import Alphabet, FormalSum, SymbolicMatrix
@@ -317,3 +319,21 @@ def mat_mul(a, b):
                 for j in range(m):
                     oi[j] += v * bt[j]
     return out
+
+
+# -- searches that must not take a stack frame per item
+
+
+@contextmanager
+def shallow_stack(frames: int = 150):
+    """Lower the recursion limit to the caller's stack depth plus ``frames``,
+    so a search that recurses once per item raises RecursionError."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

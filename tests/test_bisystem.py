@@ -34,6 +34,7 @@ from fixtures import (
     paper_even_shift_bisystem,
     paper_golden_mean_bisystem,
     random_sofic_pres,
+    shallow_stack,
     transition_tensors,
     two_power_split_bisystem,
 )
@@ -430,6 +431,24 @@ def test_sigma_condition_budget_counts_every_window_comparison():
         start = time.perf_counter()
         assert sigma_condition_I_witness(even, level, 1).status != "absent"
         assert time.perf_counter() - start < 2.0, level
+
+
+def test_sigma_search_walks_windows_without_recursion():
+    """A window of width 2*bound must not take a stack frame per step."""
+    full1 = canonical_bisystem(full_shift_pres(1), 200).bisystem
+    with shallow_stack():
+        assert sigma_condition_I_witness(full1, 200, 200).status == "absent"
+
+
+def test_sigma_search_builds_word_sets_to_its_level(monkeypatch):
+    import bisys.bisystem as bs
+
+    built = []
+    real = bs._word_sets
+    monkeypatch.setattr(bs, "_word_sets", lambda b, side: built.append(real(b, side)) or built[-1])
+    gm = canonical_bisystem(golden_mean_pres(), 22).bisystem
+    assert sigma_condition_I_witness(gm, 3, 2).found
+    assert [len(sets) for sets in built] == [4]
 
 
 def truncated(b, depth):

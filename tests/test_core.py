@@ -10,12 +10,13 @@ from bisys.core import (
     FormalSum,
     Specification,
     SymbolicMatrix,
+    depth_first,
     find_specification_multi,
     kappa_matrix,
     specified_equivalence_failure,
     symbolic_matrix_multiply,
 )
-from fixtures import symbolic_2x2
+from fixtures import shallow_stack, symbolic_2x2
 import oracles
 
 
@@ -356,3 +357,29 @@ def test_public_api_is_pinned():
         "validate", "validate_smb", "verify_psse_1step", "verify_sse_1step",
     ]
     assert all(hasattr(bisys, name) for name in bisys.__all__)
+
+
+def test_depth_first_yields_every_tuple_in_order():
+    # item k is any letter up to the last one placed: nonincreasing words
+    def down(k, prefix):
+        return "abc"[: "abc".index(prefix[-1]) + 1] if prefix else "abc"
+
+    got = ["".join(t) for t in depth_first(3, down)]
+    assert got == sorted(got) and len(got) == 10 and got[0] == "aaa" and got[-1] == "ccc"
+    assert list(depth_first(0, down)) == [()]
+    assert list(depth_first(2, lambda k, prefix: [])) == []
+
+
+def test_find_specification_without_recursion():
+    """One cell of 300 distinct symbols against itself: the identity, with no
+    stack frame per symbol."""
+    names = [f"s{k:03d}" for k in range(300)]
+    m = SymbolicMatrix.build(1, 1, Alphabet.of(*names), lambda i, j: fs(*names))
+    with shallow_stack():
+        spec = find_specification_multi([(m, m)])
+    assert spec == Specification.identity_on((n,) for n in names)
+
+
+def test_find_specification_of_zero_cells_is_empty():
+    z = SymbolicMatrix.build(2, 2, Alphabet.of("a"), lambda i, j: FormalSum.zero())
+    assert find_specification_multi([(z, z)]) == Specification(pairs=())

@@ -673,71 +673,6 @@ def dense_cokernel_verdict(theta_a, theta_b, t):
     return cokernel(image, len(keep)).is_trivial
 
 
-def parent_factor(theta):
-    """The sparse factorization of dense theta as it was before the pivot
-    queue, with a scan of every unpivoted row for each pivot.  Returns
-    (coker, kernel)."""
-    rows = len(theta)
-    cols = len(theta[0]) if rows else 0
-    mat = rows_of(theta)
-    holders = [set() for _ in range(cols)]
-    for i, row in enumerate(mat):
-        for j in row:
-            holders[j].add(i)
-    pivots = []
-    free = list(range(rows))
-    while True:
-        best = None
-        for i in free:
-            row = mat[i]
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    key = ((len(row) - 1) * (len(holders[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, p, q = best
-        prow = mat[p]
-        s = prow[q]
-        for r in [r for r in holders[q] if r != p]:
-            row = mat[r]
-            c = row[q] * s
-            for j, x in prow.items():
-                y = row.get(j, 0) - c * x
-                if y:
-                    holders[j].add(r)
-                    row[j] = y
-                else:
-                    del row[j]
-                    holders[j].discard(r)
-        pivots.append((p, q, s))
-        free.remove(p)
-    rest = [j for j in range(cols) if j not in {q for (_, q, _) in pivots}]
-    block = [[mat[i].get(j, 0) for j in rest] for i in free]
-    if any(any(row) for row in block):
-        _, d, v = smith_normal_form(block)
-        diag = [d[k][k] if k < len(rest) else 0 for k in range(len(free))]
-        block_rank = sum(1 for f in diag if f)
-        residual_kernel = [[row[k] for row in v] for k in range(block_rank, len(rest))]
-    else:
-        diag = [0] * len(free)
-        residual_kernel = [[int(i == k) for i in range(len(rest))] for k in range(len(rest))]
-    kernel = []
-    for z in residual_kernel:
-        x = [0] * cols
-        for j, value in zip(rest, z):
-            x[j] = value
-        for p, q, s in pivots:
-            x[q] = -s * sum(a * x[j] for j, a in mat[p].items() if j != q)
-        kernel.append(x)
-    rank = len(pivots) + sum(1 for f in diag if f)
-    coker = FgAbelianGroup(rows - rank, tuple(f for f in diag if f > 1))
-    return coker, kernel
-
-
 def coordinates_are_unimodular(basis, other):
     """Does every vector of basis lie in the lattice spanned by other, with a
     unimodular coordinate matrix?"""
@@ -803,7 +738,8 @@ def test_sparse_factor_matches_dense_factor(monkeypatch):
             # the same pivots and the same arithmetic as before: equal, not
             # only equivalent
             assert isinstance(sparse, _Factored)
-            assert (sparse.coker, sparse.kernel) == parent_factor(theta), theta
+            old = oracles.scan_factor(rows_of(theta), len(theta[0]))
+            assert (sparse.coker, sparse.kernel) == (old.coker, old.kernel), theta
             _, _, coker, kernel = dense_factor(theta)
             assert sparse.coker == coker, theta
             assert len(sparse.kernel) == len(kernel), theta
