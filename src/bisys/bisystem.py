@@ -92,6 +92,24 @@ class LambdaGraphBisystem:
         return index
 
     @cached_property
+    def languages(self) -> tuple:
+        """Word walk, made on first use: ``(dag, nodes)``, where
+        ``nodes[side][l][v]`` is the node, in one word DAG over the letters
+        of both alphabets, of the label words (letters flattened) of the
+        side's paths between vertex v at level l and level 0: follower words
+        on the minus side, whose labels join a word at its left end, and
+        predecessor words on the plus side."""
+        dag = WordDag(sorted({x for s in (*self.sigma_minus, *self.sigma_plus) for x in s}))
+        nodes = {}
+        for side, join in (("minus", dag.prepend), ("plus", lambda a, n: dag.append(n, a))):
+            nodes[side] = levels = [(1,) * self.level_sizes[0]]
+            for block in self.adjacency[side, "upper"]:
+                below = levels[-1]
+                levels.append(tuple(reduce(dag.union, (join(a, below[i]) for (i, a) in edges), 0)
+                                    for edges in block))
+        return dag, nodes
+
+    @cached_property
     def _axioms(self) -> tuple:
         """``axiom_verdicts(self)``, computed on first use."""
         return axiom_verdicts(self)
@@ -245,21 +263,10 @@ def _corners(minus_upper, plus_lower, plus_upper, minus_lower) -> list:
 
 
 def _word_sets(b: LambdaGraphBisystem, side: str):
-    """Per level, per vertex: the label words of the side's paths between the
-    vertex and level 0, labels flattened into one tuple of letters.
-
-    Words read in level order on the plus side and in reverse level order on
-    the minus side: a minus label joins the word at its left end.
-    """
-    prepend = side == "minus"
-    sets = [(frozenset([()]),) * b.level_sizes[0]]
-    for block in b.adjacency[side, "upper"]:
-        below = sets[-1]
-        sets.append(tuple(
-            frozenset(a + w if prepend else w + a for (i, a) in edges for w in below[i])
-            for edges in block
-        ))
-    return tuple(sets)
+    """Per level, per vertex: the words of the side's nodes in
+    ``b.languages``, in lexicographic order."""
+    dag, nodes = b.languages
+    return tuple(tuple(map(dag.words, level)) for level in nodes[side])
 
 
 def _cut(b: LambdaGraphBisystem, depth: int) -> LambdaGraphBisystem:
@@ -274,44 +281,30 @@ def _cut(b: LambdaGraphBisystem, depth: int) -> LambdaGraphBisystem:
 
 def follower_sets(b: LambdaGraphBisystem):
     """Per level, per vertex: all downward minus label words to level 0,
-    reading the topmost edge first."""
+    reading the topmost edge first, in lexicographic order."""
     return _word_sets(b, "minus")
 
 
 def predecessor_sets(b: LambdaGraphBisystem):
-    """Per level, per vertex: all upward plus label words from level 0."""
+    """Per level, per vertex: all upward plus label words from level 0, in
+    lexicographic order."""
     return _word_sets(b, "plus")
 
 
 def _fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:
     """Follower against predecessor languages, vertex by vertex, as nodes of
-    one word DAG; words are listed only for a vertex where they differ."""
+    ``b.languages``; words are listed only for a vertex where they differ."""
     if not b.is_standard:
         return Verdict(False, ("not standard: |V_0| != 1",))
     if not b.has_common_alphabet:
         return Verdict(False, ("alphabets differ between the two sides",))
-    dag = WordDag(sorted({x for a in b.sigma_minus.symbols for x in a}))
-    union = dag.union
-    follow = pred = (1,)
-    bad = []
-    for l, (down, up) in enumerate(
-        zip(b.adjacency["minus", "upper"], b.adjacency["plus", "upper"]), 1
-    ):
-        follow = tuple(
-            reduce(union, (dag.prepend(a, follow[i]) for (i, a) in edges), 0)
-            for edges in down
-        )
-        pred = tuple(
-            reduce(union, (dag.append(pred[i], a) for (i, a) in edges), 0)
-            for edges in up
-        )
-        for i, (f, p) in enumerate(zip(follow, pred)):
-            if f != p:
-                bad.append(
-                    f"{b.vertex_name(l, i)}: follower words "
-                    f"{sorted(map(word_str, dag.words(f)))} != predecessor words "
-                    f"{sorted(map(word_str, dag.words(p)))}"
-                )
+    dag, nodes = b.languages
+    bad = [
+        f"{b.vertex_name(l, i)}: follower words {sorted(map(word_str, dag.words(f)))} "
+        f"!= predecessor words {sorted(map(word_str, dag.words(p)))}"
+        for l, level in enumerate(zip(nodes["minus"], nodes["plus"]))
+        for i, (f, p) in enumerate(zip(*level)) if f != p
+    ]
     return Verdict(not bad, tuple(bad))
 
 
@@ -333,7 +326,7 @@ def presented_words(b: LambdaGraphBisystem, side: str, n: int):
 
     def walk(*run):
         """The words of the paths up through a run of lower lists, labels
-        joined as in _word_sets."""
+        joined as in ``LambdaGraphBisystem.languages``."""
         frontier = {(i, ()) for i in range(len(run[0]))}
         for lists in run:
             frontier = {
@@ -544,7 +537,7 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
     width = 2 * bound
     lam = b.sigma_minus.word_length
     F = follower_sets(_cut(b, level))
-    items = [(i, xi) for i in range(b.level_sizes[level]) for xi in sorted(F[level][i])]
+    items = [(i, xi) for i in range(b.level_sizes[level]) for xi in F[level][i]]
     upper = b.adjacency["minus", "upper"]
     plus_lower = b.adjacency["plus", "lower"]
 

@@ -51,7 +51,7 @@ class CentralClass:
     def words(self) -> tuple:
         """Sorted fill-in words of length == level, listed on first read."""
         dag, node = self.language
-        return tuple(dag.words(node))
+        return dag.words(node)
 
     def __eq__(self, other):
         if not isinstance(other, CentralClass):
@@ -130,7 +130,7 @@ def _edge_blocks(dag: WordDag, upper, lower, l: int):
     def vertex(node, step):
         if node not in index:
             raise CanonicalError(
-                f"{step} step left the class table at level {l}: {tuple(dag.words(node))}"
+                f"{step} step left the class table at level {l}: {dag.words(node)}"
             )
         return index[node]
 

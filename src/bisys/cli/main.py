@@ -21,6 +21,7 @@ import traceback
 from .. import __version__
 from ..bisystem import (
     BisystemError,
+    _cut,
     from_lambda_graph_system,
     presented_words,
     transpose,
@@ -37,13 +38,15 @@ from ..equivalence import (
     verify_psse_1step,
     verify_sse_1step,
 )
-from ..ktheory import KtheoryError, ck_oracle, k_groups
+from ..ktheory import KtheoryError, ck_oracle, k_groups, ladder_dimensions
 from ..smb import SmbError, from_smb, to_smb, validate_smb
 from ..subshift import SubshiftError, admissible_words
 from .documents import DocumentError, dump_document, load_document, save_document
 from .dot import bisystem_dot
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+# basis elements, over all its levels, of the largest K-ladder invariants builds
+LADDER_LIMIT = 10**6
 # bisys's own errors that reach main keep the code of a failed verdict
 LIBRARY_ERRORS = (
     BisystemError, CanonicalError, CoreError, EquivalenceError, KtheoryError, SmbError,
@@ -192,6 +195,13 @@ def cmd_invariants(args):
             _input_error("invariants needs depth >= 1, the document has depth 0")
     else:
         b = canonical_bisystem(obj, depth).bisystem
+    b = _cut(b, min(depth, b.depth))  # the levels the tower reads
+    total = 0
+    for l, dim in enumerate(ladder_dimensions(b, args.side)):
+        total += dim
+        if total > LADDER_LIMIT:
+            _input_error(f"the {args.side} K-ladder to depth {b.depth} passes {LADDER_LIMIT} "
+                         f"basis elements at level {l}, of dimension {dim}")
     res = k_groups(b, args.side, depth)
     print(f"side: {args.side}")
     for line in res.lines():

@@ -244,6 +244,7 @@ class WordDag:
         self._unions: dict = {}
         self._appended: dict = {}
         self._quotients: dict = {}
+        self._listed = {0: (), 1: ((),)}
 
     def node(self, kids: tuple) -> int:
         """The node whose child for each letter is the given node."""
@@ -255,14 +256,20 @@ class WordDag:
             sizes.append(sum(sizes[c] for c in kids))
         return got
 
-    def words(self, n: int, prefix: tuple = ()):
-        """The words of node n after ``prefix``, in lexicographic order."""
-        if n == 1:
-            yield prefix
-        elif n:
-            for a, c in zip(self.letters, self.nodes[n]):
-                if c:
-                    yield from self.words(c, prefix + (a,))
+    def words(self, n: int) -> tuple:
+        """The words of node n in lexicographic order.  Each node's tuple is
+        made once, from its children's, and kept; no call recurses."""
+        listed, stack = self._listed, [n]
+        while stack:
+            m = stack.pop()
+            if m not in listed:
+                todo = [c for c in self.nodes[m] if c not in listed]
+                if todo:
+                    stack += (m, *todo)  # m again once its children are listed
+                else:
+                    listed[m] = tuple((a,) + w for a, c in zip(self.letters, self.nodes[m])
+                                      for w in listed[c])
+        return listed[n]
 
     def prepend(self, word, n: int) -> int:
         """word · W(n)."""

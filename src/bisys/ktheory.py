@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .bisystem import LambdaGraphBisystem, _cut, follower_sets, predecessor_sets
+from .bisystem import LambdaGraphBisystem, _cut, _word_sets
 
 
 class KtheoryError(ValueError):
@@ -211,10 +211,7 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
     if side not in ("minus", "plus"):
         raise KtheoryError("side must be 'minus' or 'plus'")
     minus = side == "minus"
-    words = [
-        [sorted(ws) for ws in level]
-        for level in (follower_sets(b) if minus else predecessor_sets(b))
-    ]
+    words = _word_sets(b, side)
     own = b.adjacency[side, "lower"]
     across = b.adjacency["plus" if minus else "minus", "lower"]
     symbols = (b.sigma_minus if minus else b.sigma_plus).symbols
@@ -246,6 +243,13 @@ def build_ladder(b: LambdaGraphBisystem, side: str = "minus") -> LevelLadder:
         iota_mats.append(iota_l)
         rho_mats.append(rho_l)
     return LevelLadder(side, bases, tuple(iota_mats), tuple(rho_mats))
+
+
+def ladder_dimensions(b: LambdaGraphBisystem, side: str = "minus") -> list:
+    """The dimension of each level of ``build_ladder(b, side)``: the word
+    counts of the side's nodes in ``b.languages``; no word is listed."""
+    dag, nodes = b.languages
+    return [sum(dag.sizes[n] for n in level) for level in nodes[side]]
 
 
 # ---------------------------------------------------------------------------

@@ -260,13 +260,7 @@ def smb_isomorphic(s1: SymbolicMatrixBisystem, s2: SymbolicMatrixBisystem):
     sides = [(getattr(s1, side), getattr(s2, side)) for side in ("minus", "plus")]
     joint = all(s.sigma_minus.symbols == s.sigma_plus.symbols for s in (s1, s2))
     perms: list = [[] for _ in sizes]
-    grids: dict = {}  # id of a block -> (the block, its grid of cell term counts)
-
-    def counts(m):
-        got = grids.get(id(m))
-        if got is None:
-            got = grids[id(m)] = (m, [[cell.term_count for cell in row] for row in m.entries])
-        return got[1]
+    counts = by_identity(lambda m: [[cell.term_count for cell in row] for row in m.entries])
 
     def profile(m):
         # sorted term counts of each row and each column; permuting keeps them

@@ -32,6 +32,8 @@ parity equations of the colouring once over the edge index.
 ``cokernel`` and ``kernel_basis`` are the two dense Smith-form readings that
 ``ck_oracle`` replaced by one, and ``_edges_by_label`` is the per-label edge
 list that ``admissible_words`` replaced by the successor index.
+``word_sets`` builds the follower and predecessor languages as frozensets,
+one word at a time, where the library lists the nodes of one word-DAG walk.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from bisys.bisystem import (
     SigmaIResult,
     ValidationReport,
     Verdict,
-    follower_sets,
-    predecessor_sets,
 )
 from bisys.canonical import CanonicalError, CentralClass
 from bisys.core import (
@@ -229,14 +229,29 @@ def central_classes(pres: SubshiftPresentation, level: int):
     return tuple(out)
 
 
+def word_sets(b: LambdaGraphBisystem, side: str):
+    """Per level, per vertex: the frozenset of the label words of the side's
+    paths between the vertex and level 0, built one word at a time; a minus
+    label joins a word at its left end, a plus label at its right end."""
+    prepend = side == "minus"
+    sets = [(frozenset([()]),) * b.level_sizes[0]]
+    for block in b.adjacency[side, "upper"]:
+        below = sets[-1]
+        sets.append(tuple(
+            frozenset(a + w if prepend else w + a for (i, a) in edges for w in below[i])
+            for edges in block
+        ))
+    return tuple(sets)
+
+
 def fpcc_verdict(b: LambdaGraphBisystem) -> Verdict:
     """FPCC from the explicit follower and predecessor word sets."""
     if not b.is_standard:
         return Verdict(False, ("not standard: |V_0| != 1",))
     if not b.has_common_alphabet:
         return Verdict(False, ("alphabets differ between the two sides",))
-    F = follower_sets(b)
-    P = predecessor_sets(b)
+    F = word_sets(b, "minus")
+    P = word_sets(b, "plus")
     bad = []
     for l in range(1, b.depth + 1):
         for i in range(b.level_sizes[l]):
@@ -303,7 +318,7 @@ def sigma_condition_I_witness(b: LambdaGraphBisystem, level: int, bound: int,
         return SigmaIResult("inconclusive", level, bound)
     width = 2 * bound
 
-    F = follower_sets(b)
+    F = word_sets(b, "minus")
     lam = b.sigma_minus.word_length
     items = []
     for i in range(b.level_sizes[level]):

@@ -11,6 +11,7 @@ from bisys.bisystem import (
     fpcc_check,
     follower_sets,
     from_lambda_graph_system,
+    lgs_from_matrix,
     predecessor_sets,
     presented_words,
     sigma_condition_I_witness,
@@ -33,6 +34,7 @@ from fixtures import (
     golden_mean_pres,
     paper_even_shift_bisystem,
     paper_golden_mean_bisystem,
+    random_irreducible_01,
     random_sofic_pres,
     shallow_stack,
     transition_tensors,
@@ -135,12 +137,28 @@ def test_follower_sets_match_enumeration_oracle():
     F = follower_sets(b)
     for l in range(b.depth + 1):
         for i in range(b.level_sizes[l]):
-            assert F[l][i] == frozenset(enumerate_followers(b, l, i))
+            assert F[l][i] == tuple(sorted(enumerate_followers(b, l, i)))
+
+
+def test_word_sets_match_the_frozenset_walk():
+    """Seeded differential check: the listed nodes of the word walk are the
+    reference's frozensets in lexicographic order, on both sides of random
+    canonical builds, one-sided imports and two-letter product labels."""
+    rng = random.Random(34)
+    cases = [canonical_bisystem(random_sofic_pres(rng, rng.randint(3, 7)), rng.randint(3, 6))
+             .bisystem for _ in range(12)]
+    cases += [from_lambda_graph_system(lgs_from_matrix(random_irreducible_01(rng, n), 4))
+              for n in (2, 3, 3, 4)]
+    cases.append(two_power_split_bisystem())
+    for b in cases:
+        for side, got in (("minus", follower_sets(b)), ("plus", predecessor_sets(b))):
+            want = oracles.word_sets(b, side)
+            assert got == tuple(tuple(tuple(sorted(ws)) for ws in level) for level in want)
 
 
 def test_full_shift_follower_set_is_everything():
     b = full_shift_bisystem(2, 5)
-    assert follower_sets(b)[3][0] == frozenset(cartesian(("a", "b"), repeat=3))
+    assert follower_sets(b)[3][0] == tuple(cartesian(("a", "b"), repeat=3))
 
 
 def test_golden_mean_beta_edge_family_into_v3():
@@ -153,7 +171,7 @@ def test_golden_mean_beta_edge_family_into_v3():
         f1_up = F[l + 1][0] if l + 1 <= b.depth else None
         assert all(w[0] == "am" for w in f3)
         if f1_up is not None:
-            assert {("bm",) + w for w in f3} <= f1_up
+            assert {("bm",) + w for w in f3} <= set(f1_up)
 
 
 def test_fpcc_examples():
@@ -264,7 +282,7 @@ def test_transpose_involution_and_swap():
         Ft = follower_sets(t)
         for l in range(b.depth + 1):
             for i in range(b.level_sizes[l]):
-                assert P[l][i] == frozenset(map(rev, Ft[l][i]))
+                assert P[l][i] == tuple(sorted(map(rev, Ft[l][i])))
         for n in range(b.depth + 1):
             assert presented_words(b, "plus", n) == tuple(
                 sorted(map(rev, presented_words(t, "minus", n)))

@@ -23,6 +23,7 @@ from fixtures import (
     golden_window_ok,
     paper_golden_mean_bisystem,
     random_sofic_pres,
+    shallow_stack,
 )
 from oracles import central_classes, fill_in_words, reference_classes, step_past
 
@@ -250,6 +251,16 @@ def test_build_lists_no_words(monkeypatch):
     no_121 = SubshiftPresentation.from_forbidden(("1", "2"), (("1", "2", "1"),))
     for pres in (even_shift_pres(), no_121):
         canonical_bisystem(pres, 30)
+
+
+def test_deep_word_lists_take_no_stack_frame_per_letter():
+    """A class's words, and == between two classes, list a language of
+    depth-400 words with no stack frame per letter."""
+    n = 400
+    one, other = (canonical_bisystem(full_shift_pres(1), n).class_table[n][0] for _ in range(2))
+    with shallow_stack():
+        assert one.words == (("a",) * n,)
+        assert one == other and one is not other
 
 
 def test_class_order_matches_a_sort_of_listed_words():

@@ -345,6 +345,39 @@ def test_invariants_reads_only_the_levels_it_uses(tmp_path, monkeypatch, capsys)
     assert outs[0] == outs[1]
 
 
+def test_invariants_refuses_a_ladder_over_the_limit(tmp_path, monkeypatch, capsys):
+    """The ladder's dimensions are the word walk's counts, so a tower whose
+    ladder passes the limit is an input error before any ladder is built."""
+    import bisys.cli.main as cli
+    import bisys.ktheory as kt
+
+    b = canonical_bisystem(golden_mean_pres(), 6).bisystem
+    gm6 = write(tmp_path, "gm6.json", dump_document("bisystem", "gm", b))
+    total = sum(kt.ladder_dimensions(b))
+    monkeypatch.setattr(cli, "LADDER_LIMIT", total)
+    assert main(["invariants", gm6, "--depth", "6"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "LADDER_LIMIT", total - 1)
+    assert main(["invariants", gm6, "--depth", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the minus K-ladder to depth 6 passes {total - 1} "
+                            f"basis elements at level 6, of dimension 55\n")
+
+    monkeypatch.undo()
+    monkeypatch.delenv("BISYS_MAX_DEPTH", raising=False)
+    monkeypatch.setattr(kt, "build_ladder", lambda *a: pytest.fail("a ladder was built"))
+    gm200 = write(tmp_path, "gm200.json", dump_document(
+        "bisystem", "gm", canonical_bisystem(golden_mean_pres(), 200).bisystem))
+    for path in (gm200, write(tmp_path, "gm.json", GM_SUBSHIFT)):
+        for side in ("minus", "plus"):
+            assert main(["invariants", path, "--side", side, "--depth", "60"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: the {side} K-ladder to depth 60 passes 1000000 "
+                                    f"basis elements at level 25, of dimension 514229\n")
+
+
 def test_check_equivalence_command(tmp_path, capsys):
     s = canonical_smb(golden_mean_pres(), 4)
     w = trivial_psse_witness(s)

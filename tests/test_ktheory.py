@@ -7,12 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from bisys.bisystem import (
-    follower_sets,
-    from_lambda_graph_system,
-    lgs_from_matrix,
-    predecessor_sets,
-)
+from bisys.bisystem import from_lambda_graph_system, lgs_from_matrix
 from bisys.canonical import canonical_bisystem
 from bisys.cli.documents import load_document, parse_document
 from bisys.ktheory import (
@@ -27,6 +22,7 @@ from bisys.ktheory import (
     ck_oracle,
     k_groups,
     kernel_contains_constant,
+    ladder_dimensions,
     smith_normal_form,
 )
 from fixtures import (
@@ -297,7 +293,7 @@ def dense_ladder(b, side):
     """The ladder as dense lists of lists: (bases, iota blocks, rho blocks),
     made once per (bisystem, side) and shared by the tests, which only read it."""
     minus = side == "minus"
-    words = follower_sets(b) if minus else predecessor_sets(b)
+    words = oracles.word_sets(b, side)
     own = b.adjacency[side, "lower"]
     across = b.adjacency["plus" if minus else "minus", "lower"]
     symbols = (b.sigma_minus if minus else b.sigma_plus).symbols
@@ -391,6 +387,19 @@ def tower_cases():
         a = random_irreducible_01(rng, rng.choice((3, 4)))
         cases.append((f"random_{i}", from_lambda_graph_system(lgs_from_matrix(a, depth=5))))
     return tuple(cases)
+
+
+def test_ladder_dimensions_are_the_basis_sizes():
+    """The word counts of the walk's nodes, summed per level, are the sizes
+    of the ladder's bases, on both sides of every example document."""
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    for name in sorted(os.listdir(examples)):
+        kind, _, obj = load_document(os.path.join(examples, name), 6)
+        b = (canonical_bisystem(obj, 6).bisystem if kind == "subshift"
+             else from_lambda_graph_system(obj))
+        for side in ("minus", "plus"):
+            dims = [len(basis) for basis in build_ladder(b, side).bases]
+            assert ladder_dimensions(b, side) == dims, (name, side)
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
