@@ -13,10 +13,10 @@ from functools import cache, cached_property, reduce
 from itertools import islice
 from operator import eq
 
-from .core import Alphabet, WordDag, by_identity, depth_first, share, word_str
+from .core import Alphabet, BisysError, WordDag, by_identity, depth_first, share, word_str
 
 
-class BisystemError(ValueError):
+class BisystemError(BisysError):
     pass
 
 

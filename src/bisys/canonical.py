@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import Alphabet, WordDag, share
+from .core import Alphabet, BisysError, WordDag, share
 from .bisystem import LambdaGraphBisystem, validate
 from .smb import SymbolicMatrixBisystem, to_smb
 from .subshift import (
@@ -37,7 +37,7 @@ from .subshift import (
 )
 
 
-class CanonicalError(ValueError):
+class CanonicalError(BisysError):
     pass
 
 

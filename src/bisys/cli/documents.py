@@ -5,7 +5,9 @@ Vertex indices are 1-based in files, 0-based in memory.  Labels and symbols
 are strings, or lists of strings for product symbols.  Leveled payloads may
 carry a ``repeat_from`` marker: the last explicit block repeats to any
 requested depth.  ``KINDS`` maps each kind to its payload reader and
-writer.
+writer.  The witness kinds name their classes in ``bisys.equivalence``,
+which the reader looks up as it reads a witness document: that layer runs
+on the first witness read, and not on importing this module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..core import (
 from ..bisystem import LambdaGraphBisystem, LambdaGraphSystem
 from ..smb import SymbolicMatrixBisystem
 from ..subshift import LabeledGraph, SftMatrix, SubshiftPresentation
-from ..equivalence import PsseWitness, SseWitness
+from .. import equivalence  # runs on the first witness document read
 
 SCHEMA_VERSION = 1
 
@@ -543,22 +545,23 @@ def _emit_smb(s: SymbolicMatrixBisystem):
 # -- witnesses ----------------------------------------------------------------
 
 
-def _witness(cls, specs, families):
-    """Reader and writer of a witness kind whose dataclass fields are, in
-    order, the alphabets C and D, the symbol maps stored under the payload
-    keys ``specs``, and the matrix families ``families``, each a pair of its
-    payload key and the key of the alphabet its matrices are over."""
+def _witness(class_name, specs, families):
+    """Reader and writer of the witness kind ``equivalence.<class_name>``, whose
+    dataclass fields are, in order, the alphabets C and D, the symbol maps
+    stored under the payload keys ``specs``, and the matrix families
+    ``families``, each a pair of its payload key and the key of the alphabet
+    its matrices are over."""
 
     def read(p, depth):
         over = {key: _alphabet(p[key], f"$.payload.{key}") for key in ("C", "D")}
-        return cls(
+        return getattr(equivalence, class_name)(
             over["C"], over["D"],
             *(_spec(p[key], f"$.payload.{key}") for key in specs),
             *(_matrices(p, key, over[alphabet]) for key, alphabet in families),
         )
 
     def write(w):
-        values = iter(getattr(w, f.name) for f in fields(cls))
+        values = iter(getattr(w, f.name) for f in fields(w))
         payload = {key: _alphabet_out(next(values)) for key in ("C", "D")}
         payload.update({key: _spec_out(next(values)) for key in specs})
         payload.update({key: next(values) for key, _ in families})
@@ -574,10 +577,10 @@ KINDS = {
     "lambda_graph_system": (_parse_lgs, _emit_lgs),
     "smb": (_parse_smb, _emit_smb),
     "psse_witness": _witness(
-        PsseWitness, ("phi_m", "phi_n"), (("P", "C"), ("Q", "D"), ("X", "D"), ("Y", "C"))
+        "PsseWitness", ("phi_m", "phi_n"), (("P", "C"), ("Q", "D"), ("X", "D"), ("Y", "C"))
     ),
     "sse_witness": _witness(
-        SseWitness,
+        "SseWitness",
         ("phi1", "phi2", "phi_c_plus", "phi_d_plus", "phi_c_minus", "phi_d_minus"),
         (("H", "C"), ("K", "D")),
     ),

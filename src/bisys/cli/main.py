@@ -5,7 +5,8 @@ internal error (an exception that is not one of bisys's own: stdout stays
 empty, and BISYS_DEBUG adds a traceback on stderr).  Output is
 deterministic for fixed inputs and flags; BISYS_MAX_DEPTH caps every
 --depth as a safety valve.  A --depth below 1, or a cap that is not a
-positive integer, is an input error.
+positive integer, is an input error.  The commands that use the equivalence
+and K-theory layers import them as they run, so no other command runs them.
 """
 
 from __future__ import annotations
@@ -28,17 +29,8 @@ from ..bisystem import (
     validate,
     validate_lambda_graph_system,
 )
-from ..canonical import CanonicalError, canonical_bisystem
-from ..core import CoreError
-from ..equivalence import (
-    EquivalenceError,
-    bipartite_split,
-    detect_bipartite,
-    psse_to_sse,
-    verify_psse_1step,
-    verify_sse_1step,
-)
-from ..ktheory import KtheoryError, ck_oracle, k_groups, ladder_dimensions
+from ..canonical import canonical_bisystem
+from ..core import BisysError
 from ..smb import SmbError, from_smb, to_smb, validate_smb
 from ..subshift import SubshiftError, admissible_words
 from .documents import DocumentError, dump_document, load_document, save_document
@@ -47,11 +39,6 @@ from .dot import bisystem_dot
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 # basis elements, over all its levels, of the largest K-ladder invariants builds
 LADDER_LIMIT = 10**6
-# bisys's own errors that reach main keep the code of a failed verdict
-LIBRARY_ERRORS = (
-    BisystemError, CanonicalError, CoreError, EquivalenceError, KtheoryError, SmbError,
-    SubshiftError,
-)
 
 
 def _input_error(message):
@@ -171,6 +158,8 @@ def cmd_canonical(args):
 
 
 def cmd_invariants(args):
+    from ..ktheory import ck_oracle, k_groups, ladder_dimensions
+
     depth = _depth(args)
     kind, name, obj = _load(
         args.file, depth, ("lambda_graph_system", "bisystem", "subshift"),
@@ -215,6 +204,8 @@ def cmd_invariants(args):
 
 
 def cmd_check_equivalence(args):
+    from ..equivalence import psse_to_sse, verify_psse_1step, verify_sse_1step
+
     depth = _depth(args)
     _, _, s_m = _load(args.system_m, depth, ("smb",), "check-equivalence needs smb systems")
     _, _, s_n = _load(args.system_n, depth, ("smb",), "check-equivalence needs smb systems")
@@ -231,6 +222,8 @@ def cmd_check_equivalence(args):
 
 
 def cmd_bipartite(args):
+    from ..equivalence import bipartite_split, detect_bipartite, verify_psse_1step
+
     _, name, s = _load(args.file, None, ("smb",), "bipartite needs an smb document")
     if not validate_smb(s).ok:
         _input_error("matrix bisystem fails validation; refusing to split")
@@ -352,7 +345,7 @@ def _run(args):
     except (DocumentError, OSError) as e:  # OSError: an output file that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    except LIBRARY_ERRORS as e:
+    except BisysError as e:  # bisys's own errors keep the code of a failed verdict
         print(f"error: {e}", file=sys.stderr)
         return FAIL
 

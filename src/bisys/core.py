@@ -17,7 +17,11 @@ from functools import cached_property, lru_cache
 Word = tuple  # tuple[str, ...]; length 1 for base symbols
 
 
-class CoreError(ValueError):
+class BisysError(ValueError):
+    """The base of the library's own errors, one class per layer."""
+
+
+class CoreError(BisysError):
     """Malformed algebraic input: bad dimensions, factorisation, duplicates."""
 
 

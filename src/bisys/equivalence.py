@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from .core import (
     Alphabet,
+    BisysError,
     CoreError,
     Specification,
     SymbolicMatrix,
@@ -34,7 +35,7 @@ from .bisystem import presented_words
 from .subshift import BlockCode
 
 
-class EquivalenceError(ValueError):
+class EquivalenceError(BisysError):
     pass
 
 

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
+from .core import BisysError
 from .bisystem import LambdaGraphBisystem, _cut, _word_sets
 
 
-class KtheoryError(ValueError):
+class KtheoryError(BisysError):
     pass
 
 

@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .core import (
     Alphabet,
+    BisysError,
     FormalSum,
     Specification,
     SymbolicMatrix,
@@ -27,7 +28,7 @@ from .core import (
 from .bisystem import LambdaGraphBisystem, ValidationReport, Verdict, _repeats, corner_faults
 
 
-class SmbError(ValueError):
+class SmbError(BisysError):
     pass
 
 

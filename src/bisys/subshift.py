@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import BisysError
 
-class SubshiftError(ValueError):
+
+class SubshiftError(BisysError):
     pass
 
 

@@ -359,6 +359,61 @@ def test_public_api_is_pinned():
     assert all(hasattr(bisys, name) for name in bisys.__all__)
 
 
+# which lazy layers have run, at each step of a fresh interpreter; a layer
+# not yet run is still of the lazy module type, which type() reads without
+# running it
+_FIRST_USE = """
+import json, sys, types
+
+def ran():
+    return [name for name in ("equivalence", "ktheory")
+            if type(sys.modules["bisys." + name]) is types.ModuleType]
+
+import bisys, bisys.cli.documents, bisys.cli.main
+steps = [ran()]
+bisys.k_groups
+steps.append(ran())
+witness = bisys.cli.documents.parse_document(sys.stdin.read())[2]
+steps.append(ran())
+names = {}
+exec("from bisys import *", names)
+del names["__builtins__"]
+print(json.dumps({
+    "steps": steps,
+    "witness": type(witness) is sys.modules["bisys.equivalence"].PsseWitness,
+    "names": sorted(names),
+    "own": sorted(name for name, value in names.items()
+                  if getattr(sys.modules[value.__module__], name) is value),
+}))
+"""
+
+
+def test_equivalence_and_ktheory_run_on_first_use():
+    """Importing the package and the CLI runs neither layer; ``bisys.k_groups``
+    runs K-theory alone, a witness document runs equivalence, and ``import *``
+    binds every public name as the object its module defines."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import bisys
+    from bisys.cli.documents import dump_document
+    from fixtures import golden_mean_pres
+
+    s = bisys.canonical_smb(golden_mean_pres(), 2)
+    text = dump_document("psse_witness", "self", bisys.trivial_psse_witness(s))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    run = subprocess.run([sys.executable, "-S", "-c", _FIRST_USE], input=text,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["steps"] == [[], ["ktheory"], ["equivalence", "ktheory"]]
+    assert got["witness"]
+    assert got["names"] == got["own"] == sorted(bisys.__all__)
+    assert len(got["names"]) == 54
+
+
 def test_depth_first_yields_every_tuple_in_order():
     # item k is any letter up to the last one placed: nonincreasing words
     def down(k, prefix):
